@@ -16,7 +16,8 @@ from .observables import (ContactProfile, ExcursionLaw, PathSample,
                           max_excursion, sample_path, ursell,
                           ursell_from_tables)
 from .partition import (ModelParams, PartitionTables, excursion_log_weight,
-                        forward_tables, log_partition_curve, log_zeta,
+                        forward_tables, log_partition_curve,
+                        log_partition_curves, log_zeta,
                         normalized_to_tilde, segment_tables,
                         shifted_log_partition_curve,
                         single_excursion_log_lower_bound)

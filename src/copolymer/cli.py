@@ -117,6 +117,29 @@ def _parse_distances(text):
     return _parse_int_list(text)
 
 
+def _is_negative_list(token):
+    if not token.startswith("-") or "," not in token:
+        return False
+    try:
+        _parse_float_list(token)
+    except ConfigError:
+        return False
+    return True
+
+
+def _glue_negative_lists(argv):
+    """Rewrite '--values2 -0.5,0,0.5' as '--values2=-0.5,0,0.5': argparse
+    reads a comma list with a leading minus as an unknown flag."""
+    out = []
+    for token in argv:
+        if (out and out[-1].startswith("--") and "=" not in out[-1]
+                and _is_negative_list(token)):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def build_parser():
     parser = _Parser(prog="copolymer",
                      description="Disordered copolymer-with-adsorption toolkit")
@@ -570,7 +593,7 @@ def run_command(cfg) -> str:
     run_id = _run_id(cfg)
     outdir = os.path.join(str(cfg["out"]), run_id)
     os.makedirs(outdir, exist_ok=True)
-    started = time.time()
+    started = time.perf_counter()
     try:
         outputs = _DISPATCH[command](cfg, outdir)
     except Exception:
@@ -579,14 +602,14 @@ def run_command(cfg) -> str:
             os.unlink(os.path.join(outdir, name))
         os.rmdir(outdir)
         raise
-    command_done = time.time()
+    command_done = time.perf_counter()
     manifest = {
         "run_id": run_id,
         "version": __version__,
         "command": command,
         "config": {k: v for k, v in sorted(cfg.items())},
         "timings": {"command_s": command_done - started,
-                    "total_s": time.time() - started},
+                    "total_s": time.perf_counter() - started},
         "outputs": outputs,
     }
     tmp = os.path.join(outdir, "manifest.json.tmp")
@@ -599,7 +622,8 @@ def run_command(cfg) -> str:
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        argv = sys.argv[1:] if argv is None else argv
+        args = build_parser().parse_args(_glue_negative_lists(argv))
         cfg = resolve_config(args)
         outdir = run_command(cfg)
     except ConfigError as exc:

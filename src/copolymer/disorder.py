@@ -128,6 +128,9 @@ def disorder_from_arrays(omega, omega_tilde, h: float) -> DisorderSample:
     ot = np.asarray(omega_tilde, dtype=float)
     if om.shape != ot.shape or om.ndim != 1 or om.size < 1:
         raise ConfigError("omega and omega_tilde must be equal-length 1-d arrays")
+    if not (np.all(np.isfinite(om)) and np.all(np.isfinite(ot))
+            and np.isfinite(h)):
+        raise ConfigError("charges and h must be finite")
     return _assemble(om.copy(), ot.copy(), h, 0, 0)
 
 

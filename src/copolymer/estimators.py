@@ -18,13 +18,17 @@ from .errors import ConfigError, GuardError, NumericsError
 from .logspace import logsumexp, softplus
 from .observables import excursion_law, max_excursion, sample_path
 from .partition import (forward_tables, log_partition_curve,
-                        shifted_log_partition_curve)
+                        log_partition_curves, shifted_log_partition_curve)
 
 VERDICT_BOUNDED = "BoundedGap"
 VERDICT_LOG_GROWTH = "LogGrowth"
 VERDICT_INCONCLUSIVE = "Inconclusive"
 
 _LOCALIZED_FLOOR = 1e-3
+
+# float64 cells per array of one batched forward pass: at 2^16 cells
+# (512 KiB) a batch adds little to a worker's resident memory
+_BATCH_CELLS = 1 << 16
 
 
 def _draw_disorder(laws, n, h, seed, replica):
@@ -37,25 +41,29 @@ def _draw_disorder(laws, n, h, seed, replica):
 # ---------------------------------------------------------------------------
 # replica fan-out
 
-def _chunk_indices(replicas, threads):
-    if threads <= 1:
-        return [list(range(replicas))]
-    n_chunks = min(replicas, threads * 4)
+def _chunk_indices(replicas, threads, cap=None):
+    """As few equal replica chunks as the pool size and the chunk-size cap
+    allow (no cap: one chunk per worker)."""
+    n_chunks = max(threads, 1 if cap is None else -(-replicas // cap))
+    n_chunks = min(replicas, n_chunks)
     bounds = np.linspace(0, replicas, n_chunks + 1).astype(int)
     return [list(range(a, b)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
 
 
-def _fan_out(worker, common, replicas, threads):
-    """Run ``worker((common, chunk))`` over replica chunks; flatten results
-    back into replica order."""
-    chunks = _chunk_indices(replicas, threads)
-    tasks = [(common, c) for c in chunks]
+def _fan_out(worker, commons, replicas, threads, cap=None):
+    """Run ``worker((common, chunk))`` for every common over the same
+    replica chunks, all in one pool; per common, flatten the results back
+    into replica order."""
+    chunks = _chunk_indices(replicas, threads, cap)
+    tasks = [(common, c) for common in commons for c in chunks]
     if len(tasks) == 1 or threads <= 1:
         parts = [worker(t) for t in tasks]
     else:
         with ProcessPoolExecutor(max_workers=threads) as pool:
             parts = list(pool.map(worker, tasks))
-    return [item for part in parts for item in part]
+    k = len(chunks)
+    return [[item for part in parts[i:i + k] for item in part]
+            for i in range(0, len(parts), k)]
 
 
 def _mean_stderr(x):
@@ -100,29 +108,34 @@ def _validate_ladder(n_ladder):
 # shared replica workers (top level so they pickle)
 
 def _curve_task(task):
-    """Per replica: log Z and W at the requested prefix sites."""
+    """Per replica: log Z and W at the requested prefix sites, from one
+    batched forward pass over the chunk."""
     common, chunk = task
     p, kern, laws, seed, sites = (common["p"], common["kern"], common["laws"],
                                   common["seed"], common["sites"])
     n_top = max(sites)
-    out = []
-    for r in chunk:
-        d = _draw_disorder(laws, n_top, p.h, seed, r)
-        zf = log_partition_curve(d, p, kern)
-        out.append((zf[sites].copy(), d.w_prefix[sites].copy()))
-    return out
+    samples = [_draw_disorder(laws, n_top, p.h, seed, r) for r in chunk]
+    zf = log_partition_curves(samples, p, kern)[:, sites]
+    return [(z, d.w_prefix[sites]) for z, d in zip(zf, samples)]
 
 
-def _gather_curves(p, kern, laws, n_ladder, replicas, seed, threads):
+def _gather_curves(points, kern, laws, n_ladder, replicas, seed, threads):
+    """log Z and W at the ladder sites for every model point in ``points``,
+    all points in one fan-out; returns (sites, [(z, w) per point]) with
+    (replicas, sites) arrays z and w."""
     sites = np.asarray(_validate_ladder(n_ladder))
-    common = dict(p=p, kern=kern, laws=laws, seed=seed, sites=sites)
-    rows = _fan_out(_curve_task, common, replicas, threads)
-    z = np.stack([r[0] for r in rows])
-    w = np.stack([r[1] for r in rows])
-    if not np.all(np.isfinite(z)):
-        # cannot happen with K(n) > 0; a kernel/table bug would surface here
-        raise NumericsError("log Z under/overflowed in a replica build")
-    return sites, z, w
+    commons = [dict(p=p, kern=kern, laws=laws, seed=seed, sites=sites)
+               for p in points]
+    cap = max(1, _BATCH_CELLS // (int(sites[-1]) + 1))
+    curves = []
+    for rows in _fan_out(_curve_task, commons, replicas, threads, cap):
+        z = np.stack([r[0] for r in rows])
+        w = np.stack([r[1] for r in rows])
+        if not np.all(np.isfinite(z)):
+            # cannot happen with K(n) > 0; a kernel/table bug would surface
+            raise NumericsError("log Z under/overflowed in a replica build")
+        curves.append((z, w))
+    return sites, curves
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +156,8 @@ def estimate_free_energy(p, kern, laws, n_ladder, replicas, seed,
     extrapolation across doubling rungs."""
     if replicas < 2:
         raise GuardError("free-energy estimation needs replicas >= 2")
-    sites, z, _ = _gather_curves(p, kern, laws, n_ladder, replicas, seed, threads)
+    sites, [(z, _)] = _gather_curves([p], kern, laws, n_ladder, replicas,
+                                     seed, threads)
     out = []
     prev = None
     for j, n in enumerate(sites):
@@ -181,7 +195,8 @@ def estimate_mu(p, kern, laws, n_ladder, replicas, seed, threads=1):
     """
     if replicas < 2:
         raise GuardError("mu estimation needs replicas >= 2")
-    sites, z, w = _gather_curves(p, kern, laws, n_ladder, replicas, seed, threads)
+    sites, [(z, w)] = _gather_curves([p], kern, laws, n_ladder, replicas,
+                                     seed, threads)
     log_r = math.log(replicas)
     out = []
     for j, n in enumerate(sites):
@@ -248,7 +263,7 @@ def fit_correlation_decay(p, kern, laws, n, replicas, distances, seed,
         raise GuardError("system too short for the requested distances")
     common = dict(p=p, kern=kern, laws=laws, seed=seed, n=n,
                   anchor=anchor, distances=dists)
-    rows = np.stack(_fan_out(_decay_task, common, replicas, threads))
+    rows = np.stack(_fan_out(_decay_task, [common], replicas, threads)[0])
     mean = rows.mean(axis=0)
     se = rows.std(axis=0, ddof=1) / math.sqrt(replicas) if replicas > 1 \
         else np.zeros_like(mean)
@@ -311,7 +326,7 @@ def boundary_influence(p, kern, laws, n, k_list, replicas, seed, threads=1):
     if not k_list or k_list[0] < 2 or k_list[-1] > n:
         raise GuardError("each k must satisfy 2 <= k <= N")
     common = dict(p=p, kern=kern, laws=laws, seed=seed, n=n, k_list=k_list)
-    rows = np.stack(_fan_out(_boundary_task, common, replicas, threads))
+    rows = np.stack(_fan_out(_boundary_task, [common], replicas, threads)[0])
     mean = rows.mean(axis=0)
     se = rows.std(axis=0, ddof=1) / math.sqrt(replicas) if replicas > 1 \
         else np.zeros_like(mean)
@@ -379,7 +394,7 @@ def max_excursion_study(p, kern, laws, n_ladder, replicas, paths_per_replica,
     for n in _validate_ladder(n_ladder):
         common = dict(p=p, kern=kern, laws=laws, seed=seed, n=n,
                       paths=paths_per_replica)
-        rows = _fan_out(_maxexc_task, common, replicas, threads)
+        rows = _fan_out(_maxexc_task, [common], replicas, threads)[0]
         log_z = np.array([row[0] for row in rows])
         log_num = np.array([row[1] for row in rows])
         deltas = np.stack([row[2] for row in rows])
@@ -455,7 +470,7 @@ def excursion_rate_check(p, kern, laws, n, k, replicas, seed,
     if not 1 <= s_min < s_max <= min(k, n - k, n // 2):
         raise GuardError("s fit range must sit in the bulk around k")
     common = dict(p=p, kern=kern, laws=laws, seed=seed, n=n, k=k)
-    rows = _fan_out(_exc_rate_task, common, replicas, threads)
+    rows = _fan_out(_exc_rate_task, [common], replicas, threads)[0]
     log_z = np.array([row[0] for row in rows])
     log_num = np.array([row[1] for row in rows])
     pmfs = np.stack([row[2] for row in rows])
@@ -502,7 +517,8 @@ def clt_study(p, kern, laws, n_ladder, replicas, seed, threads=1):
     """
     if replicas < 8:
         raise GuardError("clt study needs replicas >= 8")
-    sites, z, _ = _gather_curves(p, kern, laws, n_ladder, replicas, seed, threads)
+    sites, [(z, _)] = _gather_curves([p], kern, laws, n_ladder, replicas,
+                                     seed, threads)
     var_over_n = np.empty(len(sites))
     skew = np.empty(len(sites))
     kurt = np.empty(len(sites))
@@ -564,7 +580,7 @@ def _finite_size_task(task):
                                           d.omega_tilde[n + 1:2 * n + 1], p.h)
             z_shift = log_partition_curve(window, p, kern)[n]
             xi = zf[2 * n] - zf[n] - z_shift
-            if xi < -1e-8 * max(1.0, abs(zf[2 * n])):
+            if not xi >= -1e-8 * max(1.0, abs(zf[2 * n])):
                 raise NumericsError(f"superadditivity violated: xi={xi}")
             xis[i] = xi
         out.append((zf[sites].copy(), xis))
@@ -601,7 +617,7 @@ def finite_size_study(p, kern, laws, n_ladder, replicas, seed, threads=1):
     if len(sites) < 5:
         raise GuardError("need a ladder of at least 4 doublings")
     common = dict(p=p, kern=kern, laws=laws, seed=seed, sites=sites)
-    rows = _fan_out(_finite_size_task, common, replicas, threads)
+    rows = _fan_out(_finite_size_task, [common], replicas, threads)[0]
     z = np.stack([row[0] for row in rows])
     xi = np.stack([row[1] for row in rows])
     f_n = np.empty(len(sites))
@@ -672,7 +688,7 @@ def entropy_bound(p, kern, laws, replicas, n, epsilon_grid, seed, threads=1):
     # eps = 0 is always evaluated: it is the base point for f_hat and mu_hat
     eps_full = eps_grid if 0.0 in eps_grid else np.sort(np.append(eps_grid, 0.0))
     common = dict(p=p, kern=kern, laws=laws, seed=seed, n=n, eps_grid=eps_full)
-    rows = _fan_out(_entropy_task, common, replicas, threads)
+    rows = _fan_out(_entropy_task, [common], replicas, threads)[0]
     z = np.stack([row[0] for row in rows])            # (R, |eps_full|)
     log_num = np.array([row[1] for row in rows])
     zero_col = int(np.searchsorted(eps_full, 0.0))
@@ -742,7 +758,7 @@ def meet_probability(p, kern, laws, n, window_sizes, replicas,
         raise GuardError("need at least one path pair per replica")
     common = dict(p=p, kern=kern, laws=laws, seed=seed, n=n,
                   windows=windows, pairs=paths_per_replica)
-    rows = np.stack(_fan_out(_meet_task, common, replicas, threads))
+    rows = np.stack(_fan_out(_meet_task, [common], replicas, threads)[0])
     mean = rows.mean(axis=0)
     se = rows.std(axis=0, ddof=1) / math.sqrt(replicas) if replicas > 1 \
         else np.zeros_like(mean)
@@ -786,15 +802,15 @@ def phase_scan(axis1, axis2, values1, values2, base_params, kern, laws, n,
     values2 = list(values2)
     if not values1 or not values2:
         raise GuardError("phase grid must be non-empty")
+    grid = [(v1, v2) for v1 in values1 for v2 in values2]
+    points = [base_params.replace(**{axis1: v1, axis2: v2}) for v1, v2 in grid]
+    _, curves = _gather_curves(points, kern, laws, [n], replicas, seed,
+                               threads)
     out = []
-    for v1 in values1:
-        for v2 in values2:
-            params = base_params.replace(**{axis1: v1, axis2: v2})
-            _, z, _ = _gather_curves(params, kern, laws, [n], replicas, seed,
-                                     threads)
-            f_hat, se = _mean_stderr(z[:, 0] / n)
-            localized = f_hat > max(3.0 * se, _LOCALIZED_FLOOR)
-            out.append(PhasePoint(axis1_value=float(v1), axis2_value=float(v2),
-                                  f_hat=f_hat, stderr=se,
-                                  localized=bool(localized)))
+    for (v1, v2), (z, _) in zip(grid, curves):
+        f_hat, se = _mean_stderr(z[:, 0] / n)
+        localized = f_hat > max(3.0 * se, _LOCALIZED_FLOOR)
+        out.append(PhasePoint(axis1_value=float(v1), axis2_value=float(v2),
+                              f_hat=f_hat, stderr=se,
+                              localized=bool(localized)))
     return out

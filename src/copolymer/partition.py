@@ -19,6 +19,7 @@ left edge. Building a table is O(N^2) time, O(N) space, with no truncation
 of the inner sum, so brute-force enumeration matches it to rounding error.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,7 +32,8 @@ from .logspace import LOG2, softplus
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Coupling vector (lam, h, lam_tilde, h_tilde); first three nonnegative."""
+    """Coupling vector (lam, h, lam_tilde, h_tilde), all finite; first three
+    nonnegative."""
 
     lam: float
     h: float
@@ -39,6 +41,9 @@ class ModelParams:
     h_tilde: float
 
     def __post_init__(self):
+        values = (self.lam, self.h, self.lam_tilde, self.h_tilde)
+        if not all(math.isfinite(v) for v in values):
+            raise ConfigError(f"couplings must be finite, got {values}")
         if self.lam < 0 or self.h < 0 or self.lam_tilde < 0:
             raise ConfigError(
                 "lam, h and lam_tilde must be nonnegative, got "
@@ -109,42 +114,106 @@ def excursion_log_weight(u, t, d: DisorderSample, p: ModelParams,
     return out
 
 
+def _log_rewards(d: DisorderSample, p: ModelParams) -> np.ndarray:
+    """log zeta at every site, 0 at the origin (which earns no reward)."""
+    return np.concatenate(([0.0], log_zeta(d.omega_tilde[1:], p)))
+
+
 def _check_horizon(d: DisorderSample, kern: ReturnKernel):
     if d.n > kern.n_max:
         raise GuardError(
             f"system size {d.n} exceeds kernel horizon {kern.n_max}")
 
 
-def _forward_from(j: int, d: DisorderSample, p: ModelParams,
-                  kern: ReturnKernel, lz: np.ndarray,
-                  stop: int | None = None,
-                  cutoff: float | None = None) -> np.ndarray:
-    """Forward recursion restarted at pinned site j (j = 0: full forward).
+def _forward_batch(j: int, stop: int, w: np.ndarray, lz: np.ndarray,
+                   log_k: np.ndarray, lam: float) -> np.ndarray:
+    """Exact forward recursion restarted at pinned site j, for R samples
+    at once.
 
-    Returns seg with seg[j] = 0 and seg[t] = log Z_{t-j} on disorder shifted
-    by j, for t in (j, stop]; entries outside are NaN.
+    ``w`` and ``lz`` are (R, n+1) stacks of prefix sums and log return
+    rewards. Returns seg of the same shape with seg[:, j] = 0 and
+    seg[:, t] = log Z_{t-j} on disorder shifted by j for t in (j, stop];
+    entries outside are NaN. Site t costs one R x (t-j) log-sum-exp.
 
-    ``cutoff`` (off by default, meant for runs beyond N ~ 2^14) drops inner
-    terms provably more than that many log-units below the running maximum:
-    the scan walks u downward from t-1 in blocks and stops once the
-    remaining terms are bounded by prefix-max(log Z) + log K(gap) below the
-    threshold. With the default 60-unit budget the relative error is below
-    N e^-60 ~ 1e-22.
+    Row r is bit-identical to the pass run on sample r alone: each site
+    applies the ufuncs of ``_log_weight_core`` and of the max-shifted
+    log-sum-exp in the same order, elementwise or along rows of
+    C-contiguous buffers (carved from flat scratch arrays), so neither R
+    nor the batch a sample shares changes its bits.
     """
-    n = d.n if stop is None else stop
+    r, width = w.shape
+    span = stop - j
+    seg = np.full((r, width), np.nan)
+    seg[:, j] = 0.0
+    # gaps run t-j, ..., 1 for u = j, ..., t-1: the tail of a reversed slice
+    lk_rev = log_k[span:0:-1]
+    lk_coin = lk_rev - LOG2
+    scale = -2.0 * lam
+    flat = np.empty(r * span)
+    flat_aux = np.empty(r * span) if lam != 0.0 else None
+    m = np.empty(r)
+    m_col = m[:, None]
+    s = np.empty(r)
+    # rows of the transposes are the site columns, without a view per site
+    seg_cols = seg.T
+    lz_cols = lz.T
+    for t in range(j + 1, stop + 1):
+        length = t - j
+        x = flat[:r * length].reshape(r, length)
+        prev = seg[:, j:t]
+        if lam == 0.0:
+            np.add(prev, lk_rev[span - length:], out=x)
+        else:
+            # prev + (log K - log 2 + softplus(-2 lam dw)), softplus as
+            # max(x, 0) + log1p(exp(-|x|))
+            b = flat_aux[:r * length].reshape(r, length)
+            np.subtract(w[:, t, None], w[:, j:t], out=x)
+            np.multiply(scale, x, out=x)
+            np.abs(x, out=b)
+            np.negative(b, out=b)
+            np.exp(b, out=b)
+            np.log1p(b, out=b)
+            np.maximum(x, 0.0, out=x)
+            np.add(x, b, out=x)
+            np.add(lk_coin[span - length:], x, out=x)
+            np.add(prev, x, out=x)
+        # the reduce methods are what np.max and np.sum call, minus their
+        # Python-level argument handling
+        np.maximum.reduce(x, axis=1, out=m)
+        np.subtract(x, m_col, out=x)
+        np.exp(x, out=x)
+        np.add.reduce(x, axis=1, out=s)
+        np.log(s, out=s)
+        np.add(lz_cols[t], m, out=m)
+        np.add(m, s, out=seg_cols[t])
+    return seg
+
+
+def _forward(j: int, d: DisorderSample, p: ModelParams, kern: ReturnKernel,
+             lz: np.ndarray, stop: int | None = None) -> np.ndarray:
+    """Exact forward recursion of one sample: the batched kernel at R = 1."""
+    stop = d.n if stop is None else stop
+    return _forward_batch(j, stop, d.w_prefix[None], lz[None], kern.log_k,
+                          p.lam)[0]
+
+
+def _forward_cutoff(d: DisorderSample, p: ModelParams, kern: ReturnKernel,
+                    lz: np.ndarray, cutoff: float) -> np.ndarray:
+    """Forward recursion from the origin with the inner sum truncated.
+
+    ``cutoff`` (meant for runs beyond N ~ 2^14) drops inner terms provably
+    more than that many log-units below the running maximum: the scan
+    walks u downward from t-1 in blocks and stops once the remaining terms
+    are bounded by prefix-max(log Z) + log K(gap) below the threshold. With
+    a 60-unit budget the relative error is below N e^-60 ~ 1e-22.
+    """
+    j = 0
+    n = d.n
     w = d.w_prefix
     lk = kern.log_k
     lam = p.lam
     seg = np.full(d.n + 1, np.nan)
     seg[j] = 0.0
-    if cutoff is None:
-        for t in range(j + 1, n + 1):
-            prev = seg[j:t]
-            # gaps run t-j, ..., 1 for u = j, ..., t-1: a reversed lk slice
-            x = prev + _log_weight_core(lk[t - j:0:-1], w[t] - w[j:t], lam)
-            m = np.max(x)
-            seg[t] = lz[t] + m + np.log(np.sum(np.exp(x - m)))
-        return seg
     prefix_max = np.full(d.n + 1, -np.inf)  # running max of seg[j..t]
     prefix_max[j] = seg[j]
     w_max = np.maximum.accumulate(w)        # bounds the sign-average factor
@@ -195,11 +264,11 @@ def forward_tables(d: DisorderSample, p: ModelParams,
                    kern: ReturnKernel) -> PartitionTables:
     """Build both partition tables for one sample; O(N^2), exact."""
     _check_horizon(d, kern)
-    lz = np.concatenate(([0.0], log_zeta(d.omega_tilde[1:], p)))
-    zf = _forward_from(0, d, p, kern, lz)
+    lz = _log_rewards(d, p)
+    zf = _forward(0, d, p, kern, lz)
     zb = _backward(d, p, kern, lz)
     scale = max(1.0, abs(zf[d.n]))
-    if abs(zf[d.n] - zb[0]) > 1e-8 * scale:
+    if not abs(zf[d.n] - zb[0]) <= 1e-8 * scale:
         raise NumericsError(
             f"forward/backward disagree: {zf[d.n]} vs {zb[0]}")
     return PartitionTables(n=d.n, log_zf=zf, log_zb=zb, log_zeta_sites=lz)
@@ -217,8 +286,31 @@ def log_partition_curve(d: DisorderSample, p: ModelParams,
     localized runs past N ~ 2^14.
     """
     _check_horizon(d, kern)
-    lz = np.concatenate(([0.0], log_zeta(d.omega_tilde[1:], p)))
-    return _forward_from(0, d, p, kern, lz, cutoff=cutoff)
+    lz = _log_rewards(d, p)
+    if cutoff is None:
+        return _forward(0, d, p, kern, lz)
+    return _forward_cutoff(d, p, kern, lz, cutoff)
+
+
+def log_partition_curves(samples, p: ModelParams,
+                         kern: ReturnKernel) -> np.ndarray:
+    """Forward curves of several equal-length samples in one batched pass.
+
+    Row r of the (R, n+1) result is ``log_partition_curve(samples[r], p,
+    kern)``, bit for bit. Besides the result it allocates about four
+    arrays of the same size (stacked inputs and scratch), so callers with
+    many long samples pass them in batches.
+    """
+    samples = list(samples)
+    if not samples:
+        raise GuardError("need at least one disorder sample")
+    n = samples[0].n
+    if any(d.n != n for d in samples):
+        raise GuardError("samples must share one system size")
+    _check_horizon(samples[0], kern)
+    w = np.stack([d.w_prefix for d in samples])
+    lz = np.stack([_log_rewards(d, p) for d in samples])
+    return _forward_batch(0, n, w, lz, kern.log_k, p.lam)
 
 
 def shifted_log_partition_curve(j: int, d: DisorderSample, p: ModelParams,
@@ -231,8 +323,7 @@ def shifted_log_partition_curve(j: int, d: DisorderSample, p: ModelParams,
     if stop is not None and not j < stop <= d.n:
         raise GuardError(f"stop must lie in (j, n], got {stop}")
     _check_horizon(d, kern)
-    lz = np.concatenate(([0.0], log_zeta(d.omega_tilde[1:], p)))
-    return _forward_from(j, d, p, kern, lz, stop=stop)
+    return _forward(j, d, p, kern, _log_rewards(d, p), stop=stop)
 
 
 def normalized_to_tilde(log_z: float, d: DisorderSample, p: ModelParams) -> float:
@@ -253,8 +344,7 @@ def segment_tables(j: int, d: DisorderSample, p: ModelParams,
     if tables is not None and j in tables._segments:
         return tables._segments[j]
     _check_horizon(d, kern)
-    lz = np.concatenate(([0.0], log_zeta(d.omega_tilde[1:], p)))
-    seg = _forward_from(j, d, p, kern, lz)
+    seg = _forward(j, d, p, kern, _log_rewards(d, p))
     seg.flags.writeable = False
     if tables is not None:
         tables._segments[j] = seg

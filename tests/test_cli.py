@@ -164,3 +164,27 @@ def test_output_root_env_var(tmp_path, monkeypatch):
     assert rc == 0
     assert (tmp_path / "envruns").exists()
     assert any((tmp_path / "envruns").iterdir())
+
+
+def test_phase_scan_negative_list_after_space(tmp_path):
+    # the README form: argparse would read "-0.5,0,0.5" as a flag
+    out = tmp_path / "runs"
+    rc = main(["phase-scan", "--out", str(out), "--n", "16", "--replicas",
+               "3", "--values1", "0.5", "--values2", "-0.5,0,0.5",
+               "--threads", "1"])
+    assert rc == 0
+    lines = (_only_run_dir(out) / "phase.csv").read_text().splitlines()
+    assert [float(l.split(",")[1]) for l in lines[1:]] == [-0.5, 0.0, 0.5]
+
+
+@pytest.mark.parametrize("argv", [
+    ["profile", "--n", "16", "--lam", "nan"],
+    ["free-energy", "--n", "16", "--replicas", "3", "--lam", "nan"],
+    ["profile", "--n", "16", "--h-tilde", "inf"],
+    ["free-energy", "--n", "16", "--replicas", "3", "--h-tilde", "inf"],
+])
+def test_non_finite_couplings_exit_one(tmp_path, argv):
+    out = tmp_path / "runs"
+    assert main([*argv, "--out", str(out)]) == 1
+    # no NaN CSV left behind
+    assert not out.exists() or not any(out.iterdir())

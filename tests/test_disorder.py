@@ -118,6 +118,13 @@ def test_validation_errors():
         freeze_zero_disorder(0, 0.0)
     with pytest.raises(ConfigError):
         disorder_from_arrays(np.ones(3), np.ones(4), 0.0)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ConfigError):
+            disorder_from_arrays(np.array([0.0, bad]), np.zeros(2), 0.0)
+        with pytest.raises(ConfigError):
+            disorder_from_arrays(np.zeros(2), np.array([bad, 1.0]), 0.0)
+        with pytest.raises(ConfigError):
+            disorder_from_arrays(np.zeros(2), np.zeros(2), bad)
 
 
 def test_samples_immutable():

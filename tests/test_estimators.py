@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import copolymer.estimators as est
 from copolymer.disorder import DisorderLaw
 from copolymer.errors import ConfigError, GuardError
 from copolymer.estimators import (VERDICT_BOUNDED, VERDICT_LOG_GROWTH,
@@ -297,3 +298,39 @@ def test_estimators_bit_identical_across_threads_and_reruns(srw512):
         assert x == y
     for x, y in zip(a, c):
         assert x == y
+
+
+@pytest.mark.parametrize("replicas,threads,cap,n_chunks", [
+    (10, 1, None, 1),
+    (10, 2, None, 2),
+    (1, 2, None, 1),
+    (33, 1, 31, 2),
+    (33, 2, 31, 2),
+    (16, 2, 127, 2),
+    (100, 2, 15, 7),
+    (2000, 2, 15, 134),
+])
+def test_chunk_indices_fewest_equal_chunks(replicas, threads, cap, n_chunks):
+    chunks = est._chunk_indices(replicas, threads, cap)
+    sizes = [len(c) for c in chunks]
+    assert len(chunks) == n_chunks
+    assert max(sizes) - min(sizes) <= 1
+    assert cap is None or max(sizes) <= cap
+    assert [r for c in chunks for r in c] == list(range(replicas))
+
+
+def test_phase_scan_starts_one_pool(srw64, monkeypatch):
+    pools = []
+
+    class CountingPool(est.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(est, "ProcessPoolExecutor", CountingPool)
+    pts = phase_scan("lam", "h_tilde", [0.0, 0.5], [-0.5, 0.5], V_STAR,
+                     srw64, GG, 32, 5, 3, threads=2)
+    assert len(pools) == 1
+    ref = phase_scan("lam", "h_tilde", [0.0, 0.5], [-0.5, 0.5], V_STAR,
+                     srw64, GG, 32, 5, 3, threads=1)
+    assert pts == ref

@@ -1,16 +1,20 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from copolymer.disorder import (DisorderLaw, disorder_from_arrays,
                                 freeze_zero_disorder, sample_disorder)
-from copolymer.errors import ConfigError, GuardError
+from copolymer.errors import ConfigError, GuardError, NumericsError
 from copolymer.kernel import build_srw_kernel
 from copolymer.logspace import logsumexp
 from copolymer.oracle import brute_force_partition, log_srw_mass
-from copolymer.partition import (ModelParams, excursion_log_weight,
-                                 forward_tables, log_partition_curve, log_zeta,
+from copolymer.partition import (ModelParams, _forward_batch, _log_rewards,
+                                 _log_weight_core, excursion_log_weight,
+                                 forward_tables, log_partition_curve,
+                                 log_partition_curves, log_zeta,
                                  normalized_to_tilde, segment_tables,
                                  shifted_log_partition_curve,
                                  single_excursion_log_lower_bound)
@@ -25,6 +29,11 @@ def test_model_params_validation():
         ModelParams(0.0, -1.0, 0.0, 0.0)
     with pytest.raises(ConfigError):
         ModelParams(0.0, 0.0, -0.5, 0.0)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ConfigError):
+            ModelParams(bad, 0.0, 0.0, 0.0)
+        with pytest.raises(ConfigError):
+            ModelParams(0.0, 0.0, 0.5, bad)
     # h_tilde may be negative
     ModelParams(0.0, 0.0, 0.5, -3.0)
 
@@ -218,3 +227,77 @@ def test_optional_cutoff_matches_exact(point):
     assert np.allclose(trunc, exact, rtol=0, atol=1e-9)
     loose = log_partition_curve(d, point, kern, cutoff=20.0)
     assert np.allclose(loose, exact, rtol=0, atol=1e-6)
+
+
+def _loop_forward(j, d, p, kern, stop):
+    """The single-sample site loop the batched kernel replaced, kept as the
+    bit-level reference."""
+    w, lk = d.w_prefix, kern.log_k
+    lz = _log_rewards(d, p)
+    seg = np.full(d.n + 1, np.nan)
+    seg[j] = 0.0
+    for t in range(j + 1, stop + 1):
+        x = seg[j:t] + _log_weight_core(lk[t - j:0:-1], w[t] - w[j:t], p.lam)
+        m = np.max(x)
+        seg[t] = lz[t] + m + np.log(np.sum(np.exp(x - m)))
+    return seg
+
+
+_LAMS = st.one_of(st.just(0.0), st.floats(min_value=0.05, max_value=2.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=9),
+       st.integers(min_value=1, max_value=64), _LAMS,
+       st.integers(min_value=0, max_value=2**32))
+def test_batched_curves_equal_single_curves(r, n, lam, seed):
+    kern = build_srw_kernel(64)
+    p = ModelParams(lam, 0.1, 0.8, 0.3)
+    samples = [sample_disorder(DisorderLaw.GAUSSIAN, DisorderLaw.RADEMACHER,
+                               n, p.h, seed, i) for i in range(r)]
+    batch = log_partition_curves(samples, p, kern)
+    assert batch.shape == (r, n + 1)
+    for row, d in zip(batch, samples):
+        single = log_partition_curve(d, p, kern)
+        assert np.array_equal(row, single)
+        assert np.array_equal(single, _loop_forward(0, d, p, kern, n))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=1, max_value=9),
+       st.integers(min_value=2, max_value=64), _LAMS, st.data())
+def test_batched_anchored_stop_equals_shifted_curve(r, n, lam, data):
+    kern = build_srw_kernel(64)
+    p = ModelParams(lam, 0.2, 1.1, -0.4)
+    j = data.draw(st.integers(min_value=0, max_value=n - 1))
+    stop = data.draw(st.integers(min_value=j + 1, max_value=n))
+    samples = [sample_disorder(DisorderLaw.UNIFORM_SYM, DisorderLaw.GAUSSIAN,
+                               n, p.h, 17, i) for i in range(r)]
+    w = np.stack([d.w_prefix for d in samples])
+    lz = np.stack([_log_rewards(d, p) for d in samples])
+    batch = _forward_batch(j, stop, w, lz, kern.log_k, p.lam)
+    for row, d in zip(batch, samples):
+        shifted = shifted_log_partition_curve(j, d, p, kern, stop=stop)
+        assert np.array_equal(row, shifted, equal_nan=True)
+        assert np.array_equal(shifted, _loop_forward(j, d, p, kern, stop),
+                              equal_nan=True)
+
+
+def test_batched_curves_guards(srw16):
+    with pytest.raises(GuardError):
+        log_partition_curves([], ZERO, srw16)
+    mixed = [freeze_zero_disorder(4, 0.0), freeze_zero_disorder(5, 0.0)]
+    with pytest.raises(GuardError):
+        log_partition_curves(mixed, ZERO, srw16)
+    with pytest.raises(GuardError):
+        log_partition_curves([freeze_zero_disorder(20, 0.0)], ZERO, srw16)
+
+
+def test_forward_backward_check_catches_nan(srw16):
+    # a sample built past the validators: NaN must fail the agreement check
+    d = freeze_zero_disorder(6, 0.0)
+    tilde = d.omega_tilde.copy()
+    tilde[3] = np.nan
+    with pytest.raises(NumericsError):
+        forward_tables(dataclasses.replace(d, omega_tilde=tilde),
+                       ModelParams(0.0, 0.0, 1.0, 0.0), srw16)
