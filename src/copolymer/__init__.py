@@ -19,7 +19,6 @@ from .partition import (ModelParams, PartitionTables, excursion_log_weight,
                         forward_tables, log_partition_curve,
                         log_partition_curves, log_zeta,
                         normalized_to_tilde, segment_tables,
-                        shifted_log_partition_curve,
                         single_excursion_log_lower_bound)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -92,36 +92,32 @@ def _write_csv(outdir, name, header, rows):
     return name
 
 
-def _parse_int_list(text):
+def _parse_list(val, kind):
+    """A list option: a comma string (flag or config file) or a JSON list."""
+    items = (str(val).replace(" ", "").split(",") if isinstance(val, str)
+             else val)
     try:
-        return [int(tok) for tok in str(text).replace(" ", "").split(",") if tok]
-    except ValueError as exc:
-        raise ConfigError(f"bad integer list {text!r}") from exc
+        return [kind(v) for v in items if v != ""]
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad {kind.__name__} list {val!r}") from exc
 
 
-def _parse_float_list(text):
-    try:
-        return [float(tok) for tok in str(text).replace(" ", "").split(",") if tok]
-    except ValueError as exc:
-        raise ConfigError(f"bad float list {text!r}") from exc
-
-
-def _parse_distances(text):
-    text = str(text).replace(" ", "")
-    if ":" in text:
-        lo, hi = text.split(":", 1)
+def _parse_distances(val):
+    """``lo:hi`` (inclusive range) or any list form ``_parse_list`` reads."""
+    if isinstance(val, str) and ":" in val:
+        lo, hi = val.replace(" ", "").split(":", 1)
         try:
             return list(range(int(lo), int(hi) + 1))
         except ValueError as exc:
-            raise ConfigError(f"bad distance range {text!r}") from exc
-    return _parse_int_list(text)
+            raise ConfigError(f"bad distance range {val!r}") from exc
+    return _parse_list(val, int)
 
 
 def _is_negative_list(token):
     if not token.startswith("-") or "," not in token:
         return False
     try:
-        _parse_float_list(token)
+        _parse_list(token, float)
     except ConfigError:
         return False
     return True
@@ -223,26 +219,16 @@ def _laws(cfg):
         raise ConfigError(f"unknown disorder law {exc}")
 
 
-def _laws_or_none(cfg):
-    if cfg.get("zero_disorder"):
-        return None
-    return _laws(cfg)
-
-
 def _ladder(cfg):
-    if cfg["n_ladder"]:
-        lad = (_parse_int_list(cfg["n_ladder"])
-               if isinstance(cfg["n_ladder"], str) else
-               [int(v) for v in cfg["n_ladder"]])
-    else:
-        lad = [int(cfg["n"])]
+    lad = (_parse_list(cfg["n_ladder"], int) if cfg["n_ladder"] is not None
+           else [int(cfg["n"])])
     if not lad or any(v < 1 for v in lad):
         raise ConfigError("ladder lengths must be positive")
     return sorted(lad)
 
 
 def _kernel_for(cfg, horizon):
-    n_max = int(cfg["n_max"]) if cfg["n_max"] else int(horizon)
+    n_max = int(cfg["n_max"] if cfg["n_max"] is not None else horizon)
     kind = KernelKind.SRW if cfg["kernel"] == "srw" else KernelKind.POWER_LAW
     return build_kernel(KernelSpec(kind=kind, n_max=n_max,
                                    alpha=float(cfg["alpha"])))
@@ -258,6 +244,19 @@ def _int_field(cfg, key, minimum):
     return val
 
 
+def _setup(cfg, min_n=None):
+    """(params, laws or None, kernel, sizes) of a command: sizes is the
+    sorted ladder, or N alone (at least ``min_n``) for one-size commands."""
+    p = _model(cfg)
+    laws = None if cfg.get("zero_disorder") else _laws(cfg)
+    if min_n is None:
+        sizes = _ladder(cfg)
+        horizon = max(sizes)
+    else:
+        sizes = horizon = _int_field(cfg, "n", min_n)
+    return p, laws, _kernel_for(cfg, horizon), sizes
+
+
 def _run_id(cfg):
     body = json.dumps(cfg, sort_keys=True, default=str) + "|" + __version__
     return hashlib.sha256(body.encode()).hexdigest()[:16]
@@ -267,9 +266,7 @@ def _run_id(cfg):
 # subcommand bodies: each returns a list of written file names
 
 def _cmd_free_energy(cfg, outdir):
-    p, laws = _model(cfg), _laws_or_none(cfg)
-    ladder = _ladder(cfg)
-    kern = _kernel_for(cfg, max(ladder))
+    p, laws, kern, ladder = _setup(cfg)
     seed, reps, thr = cfg["seed"], _int_field(cfg, "replicas", 2), cfg["threads"]
     ests = est.estimate_free_energy(p, kern, laws, ladder, reps, seed, thr)
     rows = [(e.n, e.replicas, e.f_hat, e.stderr, e.f_extrapolated) for e in ests]
@@ -279,9 +276,7 @@ def _cmd_free_energy(cfg, outdir):
 
 
 def _cmd_mu(cfg, outdir):
-    p, laws = _model(cfg), _laws_or_none(cfg)
-    ladder = _ladder(cfg)
-    kern = _kernel_for(cfg, max(ladder))
+    p, laws, kern, ladder = _setup(cfg)
     ests = est.estimate_mu(p, kern, laws, ladder,
                            _int_field(cfg, "replicas", 2), cfg["seed"],
                            cfg["threads"])
@@ -291,13 +286,8 @@ def _cmd_mu(cfg, outdir):
 
 
 def _cmd_profile(cfg, outdir):
-    p, laws = _model(cfg), _laws(cfg)
-    n = _int_field(cfg, "n", 1)
-    kern = _kernel_for(cfg, n)
-    if cfg.get("zero_disorder"):
-        d = freeze_zero_disorder(n, p.h)
-    else:
-        d = sample_disorder(laws[0], laws[1], n, p.h, cfg["seed"], 0)
+    p, laws, kern, n = _setup(cfg, 1)
+    d = est._draw_disorder(laws, n, p.h, cfg["seed"], 0)
     tables = forward_tables(d, p, kern)
     prof = contact_profile(tables, d, p, kern)
     rows = [(k, prof.p_contact[k], prof.p_neg[k]) for k in range(1, n + 1)]
@@ -306,9 +296,7 @@ def _cmd_profile(cfg, outdir):
 
 
 def _cmd_correlations(cfg, outdir):
-    p, laws = _model(cfg), _laws_or_none(cfg)
-    n = _int_field(cfg, "n", 8)
-    kern = _kernel_for(cfg, n)
+    p, laws, kern, n = _setup(cfg, 8)
     fit = est.fit_correlation_decay(p, kern, laws, n,
                                     _int_field(cfg, "replicas", 2),
                                     _parse_distances(cfg["distances"]),
@@ -324,12 +312,9 @@ def _cmd_correlations(cfg, outdir):
 
 
 def _cmd_boundary(cfg, outdir):
-    p, laws = _model(cfg), _laws_or_none(cfg)
-    n = _int_field(cfg, "n", 8)
-    kern = _kernel_for(cfg, n)
-    if cfg["k_list"]:
-        k_list = (_parse_int_list(cfg["k_list"])
-                  if isinstance(cfg["k_list"], str) else cfg["k_list"])
+    p, laws, kern, n = _setup(cfg, 8)
+    if cfg["k_list"] is not None:
+        k_list = _parse_list(cfg["k_list"], int)
     else:
         k_list = [k for k in (n // 8, n // 4, n // 2, 3 * n // 4) if k >= 2]
     rep = est.boundary_influence(p, kern, laws, n, k_list,
@@ -345,14 +330,13 @@ def _cmd_boundary(cfg, outdir):
 
 
 def _cmd_excursions(cfg, outdir):
-    p, laws = _model(cfg), _laws_or_none(cfg)
-    n = _int_field(cfg, "n", 8)
-    kern = _kernel_for(cfg, n)
-    k = int(cfg["site"]) if cfg["site"] else n // 2
+    p, laws, kern, n = _setup(cfg, 8)
+    k = int(cfg["site"]) if cfg["site"] is not None else n // 2
     rep = est.excursion_rate_check(p, kern, laws, n, k,
                                    _int_field(cfg, "replicas", 2),
                                    cfg["seed"], s_min=int(cfg["s_min"]),
-                                   s_max=(int(cfg["s_max"]) if cfg["s_max"]
+                                   s_max=(int(cfg["s_max"])
+                                          if cfg["s_max"] is not None
                                           else None),
                                    threads=cfg["threads"])
     files = [_write_csv(outdir, "excursion_law.csv", ["s", "mean_pmf"],
@@ -370,9 +354,7 @@ def _cmd_excursions(cfg, outdir):
 
 
 def _cmd_maxexc(cfg, outdir):
-    p, laws = _model(cfg), _laws_or_none(cfg)
-    ladder = _ladder(cfg)
-    kern = _kernel_for(cfg, max(ladder))
+    p, laws, kern, ladder = _setup(cfg)
     studies = est.max_excursion_study(p, kern, laws, ladder,
                                       _int_field(cfg, "replicas", 2),
                                       _int_field(cfg, "paths", 1),
@@ -397,17 +379,12 @@ def _cmd_maxexc(cfg, outdir):
 
 
 def _cmd_sample(cfg, outdir):
-    p, laws = _model(cfg), _laws_or_none(cfg)
-    n = _int_field(cfg, "n", 1)
-    kern = _kernel_for(cfg, n)
+    p, laws, kern, n = _setup(cfg, 1)
     reps = _int_field(cfg, "replicas", 1)
     paths = _int_field(cfg, "paths", 1)
     rows = []
     for r in range(reps):
-        if laws is None:
-            d = freeze_zero_disorder(n, p.h)
-        else:
-            d = sample_disorder(laws[0], laws[1], n, p.h, cfg["seed"], r)
+        d = est._draw_disorder(laws, n, p.h, cfg["seed"], r)
         tables = forward_tables(d, p, kern)
         for i in range(paths):
             path = sample_path(tables, d, p, kern, PathRng(cfg["seed"], r, i))
@@ -418,9 +395,7 @@ def _cmd_sample(cfg, outdir):
 
 
 def _cmd_clt(cfg, outdir):
-    p, laws = _model(cfg), _laws_or_none(cfg)
-    ladder = _ladder(cfg)
-    kern = _kernel_for(cfg, max(ladder))
+    p, laws, kern, ladder = _setup(cfg)
     rep = est.clt_study(p, kern, laws, ladder, _int_field(cfg, "replicas", 8),
                         cfg["seed"], cfg["threads"])
     rows = list(zip(rep.n_ladder, rep.var_over_n, rep.skewness,
@@ -430,20 +405,14 @@ def _cmd_clt(cfg, outdir):
 
 
 def _cmd_finite_size(cfg, outdir):
-    p, laws = _model(cfg), _laws_or_none(cfg)
-    ladder = _ladder(cfg)
-    kern = _kernel_for(cfg, max(ladder))
+    p, laws, kern, ladder = _setup(cfg)
     rep = est.finite_size_study(p, kern, laws, ladder,
                                 _int_field(cfg, "replicas", 2), cfg["seed"],
                                 cfg["threads"])
-    rows = []
-    for j, n in enumerate(rep.n_ladder):
-        if j < len(rep.pair_n):
-            rows.append((n, rep.f_n[j], rep.f_stderr[j], rep.scaled_gap[j],
-                         rep.gap_stderr[j]))
-        else:
-            rows.append((n, rep.f_n[j], rep.f_stderr[j], float("nan"),
-                         float("nan")))
+    # the top rung has no pair: its gap columns read NaN
+    rows = list(zip(rep.n_ladder, rep.f_n, rep.f_stderr,
+                    [*rep.scaled_gap, float("nan")],
+                    [*rep.gap_stderr, float("nan")]))
     files = [_write_csv(outdir, "finite_size.csv",
                         ["N", "f_hat", "stderr", "scaled_gap", "gap_stderr"],
                         rows)]
@@ -453,13 +422,12 @@ def _cmd_finite_size(cfg, outdir):
 
 
 def _cmd_entropy(cfg, outdir):
-    p, laws = _model(cfg), _laws(cfg)
-    n = _int_field(cfg, "n", 8)
-    kern = _kernel_for(cfg, n)
-    grid = (_parse_float_list(cfg["epsilons"])
-            if isinstance(cfg["epsilons"], str) else cfg["epsilons"])
-    rep = est.entropy_bound(p, kern, laws, _int_field(cfg, "replicas", 2), n,
-                            grid, cfg["seed"], cfg["threads"])
+    # the bound needs a Gaussian omega_tilde: --zero-disorder does not apply
+    p, _, kern, n = _setup(cfg, 8)
+    rep = est.entropy_bound(p, kern, _laws(cfg),
+                            _int_field(cfg, "replicas", 2), n,
+                            _parse_list(cfg["epsilons"], float), cfg["seed"],
+                            cfg["threads"])
     files = [_write_csv(outdir, "entropy.csv", ["epsilon", "bound", "stderr"],
                         list(zip(rep.epsilon_grid, rep.bound_values,
                                  rep.bound_stderr)))]
@@ -472,12 +440,9 @@ def _cmd_entropy(cfg, outdir):
 
 
 def _cmd_meet(cfg, outdir):
-    p, laws = _model(cfg), _laws_or_none(cfg)
-    n = _int_field(cfg, "n", 8)
-    kern = _kernel_for(cfg, n)
-    windows = (_parse_int_list(cfg["windows"])
-               if isinstance(cfg["windows"], str) else cfg["windows"])
-    rep = est.meet_probability(p, kern, laws, n, windows,
+    p, laws, kern, n = _setup(cfg, 8)
+    rep = est.meet_probability(p, kern, laws, n,
+                               _parse_list(cfg["windows"], int),
                                _int_field(cfg, "replicas", 2),
                                _int_field(cfg, "paths", 1), cfg["seed"],
                                cfg["threads"])
@@ -489,14 +454,10 @@ def _cmd_meet(cfg, outdir):
 
 
 def _cmd_phase_scan(cfg, outdir):
-    p, laws = _model(cfg), _laws_or_none(cfg)
-    n = _int_field(cfg, "n", 8)
-    kern = _kernel_for(cfg, n)
-    values1 = (_parse_float_list(cfg["values1"])
-               if isinstance(cfg["values1"], str) else cfg["values1"])
-    values2 = (_parse_float_list(cfg["values2"])
-               if isinstance(cfg["values2"], str) else cfg["values2"])
-    points = est.phase_scan(cfg["axis1"], cfg["axis2"], values1, values2, p,
+    p, laws, kern, n = _setup(cfg, 8)
+    points = est.phase_scan(cfg["axis1"], cfg["axis2"],
+                            _parse_list(cfg["values1"], float),
+                            _parse_list(cfg["values2"], float), p,
                             kern, laws, n, _int_field(cfg, "replicas", 2),
                             cfg["seed"], cfg["threads"])
     rows = [(pt.axis1_value, pt.axis2_value, pt.f_hat, pt.stderr,

@@ -18,7 +18,7 @@ from .errors import ConfigError, GuardError, NumericsError
 from .logspace import logsumexp, softplus
 from .observables import excursion_law, max_excursion, sample_path
 from .partition import (forward_tables, log_partition_curve,
-                        log_partition_curves, shifted_log_partition_curve)
+                        log_partition_curves, segment_tables)
 
 VERDICT_BOUNDED = "BoundedGap"
 VERDICT_LOG_GROWTH = "LogGrowth"
@@ -54,6 +54,8 @@ def _fan_out(worker, commons, replicas, threads, cap=None):
     """Run ``worker((common, chunk))`` for every common over the same
     replica chunks, all in one pool; per common, flatten the results back
     into replica order."""
+    if replicas < 1:
+        raise GuardError(f"need at least one replica, got {replicas}")
     chunks = _chunk_indices(replicas, threads, cap)
     tasks = [(common, c) for common in commons for c in chunks]
     if len(tasks) == 1 or threads <= 1:
@@ -71,6 +73,21 @@ def _mean_stderr(x):
     if x.size < 2:
         return float(np.mean(x)), 0.0
     return float(np.mean(x)), float(np.std(x, ddof=1) / math.sqrt(x.size))
+
+
+def _columns(rows):
+    """Per-replica result tuples as one array per field, replicas first."""
+    return [np.array(col) for col in zip(*rows)]
+
+
+def _log_coin(p, w):
+    """log(1 + e^{-2 lam W}): the log numerator of the mu estimator."""
+    return softplus(-2.0 * p.lam * w)
+
+
+def _mu_hat(log_terms, n):
+    """-(1/N) log of the replica mean of exp(log_terms)."""
+    return -(logsumexp(log_terms) - math.log(len(log_terms))) / n
 
 
 def _weighted_line_fit(x, y, w):
@@ -95,6 +112,22 @@ def _weighted_line_fit(x, y, w):
     return intercept, slope, r2
 
 
+def _exponential_fit(rows, x, floor, keep=True):
+    """Column mean and stderr of the replica rows, and the weighted line fit
+    (intercept, slope, r^2) of log(mean) against x over the ``keep`` columns
+    whose mean exceeds ``floor`` >= 0, weighted by 1/max(rel. stderr, 1e-3)^2;
+    the fit is None below two such columns."""
+    rows = np.stack(rows)
+    mean = rows.mean(axis=0)
+    se = (rows.std(axis=0, ddof=1) / math.sqrt(len(rows)) if len(rows) > 1
+          else np.zeros_like(mean))
+    keep = keep & (mean > floor)
+    if keep.sum() < 2:
+        return mean, se, None
+    wts = 1.0 / np.maximum(se[keep] / mean[keep], 1e-3) ** 2
+    return mean, se, _weighted_line_fit(x[keep], np.log(mean[keep]), wts)
+
+
 def _validate_ladder(n_ladder):
     ladder = [int(v) for v in n_ladder]
     if not ladder or any(v < 1 for v in ladder):
@@ -105,7 +138,18 @@ def _validate_ladder(n_ladder):
 
 
 # ---------------------------------------------------------------------------
-# shared replica workers (top level so they pickle)
+# replica workers (top level, like the per-sample functions, so they pickle)
+
+def _replica_task(task):
+    """Per replica of the chunk: draw the sample of length common["n"] and
+    return ``common["per_sample"](common, replica, sample)``. The common
+    also holds p, kern, laws, seed and the per-sample function's own keys."""
+    common, chunk = task
+    per_sample, p, n = common["per_sample"], common["p"], common["n"]
+    return [per_sample(common, r, _draw_disorder(common["laws"], n, p.h,
+                                                 common["seed"], r))
+            for r in chunk]
+
 
 def _curve_task(task):
     """Per replica: log Z and W at the requested prefix sites, from one
@@ -129,8 +173,7 @@ def _gather_curves(points, kern, laws, n_ladder, replicas, seed, threads):
     cap = max(1, _BATCH_CELLS // (int(sites[-1]) + 1))
     curves = []
     for rows in _fan_out(_curve_task, commons, replicas, threads, cap):
-        z = np.stack([r[0] for r in rows])
-        w = np.stack([r[1] for r in rows])
+        z, w = _columns(rows)
         if not np.all(np.isfinite(z)):
             # cannot happen with K(n) > 0; a kernel/table bug would surface
             raise NumericsError("log Z under/overflowed in a replica build")
@@ -197,12 +240,11 @@ def estimate_mu(p, kern, laws, n_ladder, replicas, seed, threads=1):
         raise GuardError("mu estimation needs replicas >= 2")
     sites, [(z, w)] = _gather_curves([p], kern, laws, n_ladder, replicas,
                                      seed, threads)
-    log_r = math.log(replicas)
     out = []
     for j, n in enumerate(sites):
-        terms = softplus(-2.0 * p.lam * w[:, j]) - z[:, j]
-        mu_hat = -(logsumexp(terms) - log_r) / n
-        mu_sym = -(logsumexp(-z[:, j]) - log_r) / n
+        terms = _log_coin(p, w[:, j]) - z[:, j]
+        mu_hat = _mu_hat(terms, n)
+        mu_sym = _mu_hat(-z[:, j], n)
         shift = float(np.max(terms))
         x = np.exp(terms - shift)
         mu_se = float(np.std(x, ddof=1) / (np.mean(x) * math.sqrt(replicas) * n))
@@ -227,25 +269,17 @@ class DecayFit:
     anchor: int
 
 
-def _decay_task(task):
-    common, chunk = task
-    p, kern, laws, seed = (common["p"], common["kern"], common["laws"],
-                           common["seed"])
-    n, anchor, dists = common["n"], common["anchor"], common["distances"]
-    stop = anchor + int(dists[-1])
-    out = []
-    for r in chunk:
-        d = _draw_disorder(laws, n, p.h, seed, r)
-        tables = forward_tables(d, p, kern)
-        seg = shifted_log_partition_curve(anchor, d, p, kern, stop=stop)
-        zf, zb = tables.log_zf, tables.log_zb
-        log_z = zf[n]
-        pj = math.exp(zf[anchor] + zb[anchor] - log_z)
-        sites = anchor + dists
-        joint = np.exp(zf[anchor] + seg[sites] + zb[sites] - log_z)
-        single = np.exp(zf[sites] + zb[sites] - log_z)
-        out.append(np.abs(joint - pj * single))
-    return out
+def _decay_sample(c, r, d):
+    p, kern, n, anchor = c["p"], c["kern"], c["n"], c["anchor"]
+    sites = anchor + c["distances"]
+    tables = forward_tables(d, p, kern)
+    seg = segment_tables(anchor, d, p, kern, stop=int(sites[-1]))
+    zf, zb = tables.log_zf, tables.log_zb
+    log_z = zf[n]
+    pj = math.exp(zf[anchor] + zb[anchor] - log_z)
+    joint = np.exp(zf[anchor] + seg[sites] + zb[sites] - log_z)
+    single = np.exp(zf[sites] + zb[sites] - log_z)
+    return np.abs(joint - pj * single)
 
 
 def fit_correlation_decay(p, kern, laws, n, replicas, distances, seed,
@@ -261,19 +295,13 @@ def fit_correlation_decay(p, kern, laws, n, replicas, distances, seed,
     anchor = n // 4
     if anchor < 1 or anchor + dists[-1] > n:
         raise GuardError("system too short for the requested distances")
-    common = dict(p=p, kern=kern, laws=laws, seed=seed, n=n,
-                  anchor=anchor, distances=dists)
-    rows = np.stack(_fan_out(_decay_task, [common], replicas, threads)[0])
-    mean = rows.mean(axis=0)
-    se = rows.std(axis=0, ddof=1) / math.sqrt(replicas) if replicas > 1 \
-        else np.zeros_like(mean)
-    keep = (dists >= 4) & (mean > 1e-14)
-    if keep.sum() < 2:
+    common = dict(per_sample=_decay_sample, p=p, kern=kern, laws=laws,
+                  seed=seed, n=n, anchor=anchor, distances=dists)
+    rows = _fan_out(_replica_task, [common], replicas, threads)[0]
+    mean, se, fit = _exponential_fit(rows, dists, 1e-14, keep=dists >= 4)
+    if fit is None:
         raise GuardError("not enough usable distances for the decay fit")
-    y = np.log(mean[keep])
-    rel = np.where(mean[keep] > 0, se[keep] / mean[keep], 0.0)
-    wts = 1.0 / np.maximum(rel, 1e-3) ** 2
-    intercept, slope, r2 = _weighted_line_fit(dists[keep], y, wts)
+    intercept, slope, r2 = fit
     return DecayFit(distances=dists, mean_abs_cov=mean, stderr=se,
                     c2_hat=-slope, c1_hat=math.exp(intercept),
                     r_squared=r2, anchor=anchor)
@@ -292,30 +320,23 @@ class BoundaryDecay:
     r_squared: float
 
 
-def _boundary_task(task):
-    common, chunk = task
-    p, kern, laws, seed = (common["p"], common["kern"], common["laws"],
-                           common["seed"])
-    n, k_list = common["n"], common["k_list"]
-    out = []
-    for r in chunk:
-        d = _draw_disorder(laws, n, p.h, seed, r)
-        tables = forward_tables(d, p, kern)
-        zf, zb = tables.log_zf, tables.log_zb
-        diffs = np.empty(len(k_list))
-        for i, k in enumerate(k_list):
-            m = k // 2
-            if k == n:
-                diffs[i] = 0.0  # same system, identically zero
-                continue
-            d_k = disorder_from_arrays(d.omega[1:k + 1], d.omega_tilde[1:k + 1],
-                                       p.h)
-            zb_k = forward_tables(d_k, p, kern).log_zb
-            big = math.exp(zf[m] + zb[m] - zf[n])
-            small = math.exp(zf[m] + zb_k[m] - zf[k])
-            diffs[i] = abs(big - small)
-        out.append(diffs)
-    return out
+def _boundary_sample(c, r, d):
+    p, kern, n, k_list = c["p"], c["kern"], c["n"], c["k_list"]
+    tables = forward_tables(d, p, kern)
+    zf, zb = tables.log_zf, tables.log_zb
+    diffs = np.empty(len(k_list))
+    for i, k in enumerate(k_list):
+        m = k // 2
+        if k == n:
+            diffs[i] = 0.0  # same system, identically zero
+            continue
+        d_k = disorder_from_arrays(d.omega[1:k + 1], d.omega_tilde[1:k + 1],
+                                   p.h)
+        zb_k = forward_tables(d_k, p, kern).log_zb
+        big = math.exp(zf[m] + zb[m] - zf[n])
+        small = math.exp(zf[m] + zb_k[m] - zf[k])
+        diffs[i] = abs(big - small)
+    return diffs
 
 
 def boundary_influence(p, kern, laws, n, k_list, replicas, seed, threads=1):
@@ -325,20 +346,12 @@ def boundary_influence(p, kern, laws, n, k_list, replicas, seed, threads=1):
     k_list = sorted(int(k) for k in k_list)
     if not k_list or k_list[0] < 2 or k_list[-1] > n:
         raise GuardError("each k must satisfy 2 <= k <= N")
-    common = dict(p=p, kern=kern, laws=laws, seed=seed, n=n, k_list=k_list)
-    rows = np.stack(_fan_out(_boundary_task, [common], replicas, threads)[0])
-    mean = rows.mean(axis=0)
-    se = rows.std(axis=0, ddof=1) / math.sqrt(replicas) if replicas > 1 \
-        else np.zeros_like(mean)
+    common = dict(per_sample=_boundary_sample, p=p, kern=kern, laws=laws,
+                  seed=seed, n=n, k_list=k_list)
+    rows = _fan_out(_replica_task, [common], replicas, threads)[0]
     dist = np.array([k - k // 2 for k in k_list], dtype=float)
-    keep = mean > 1e-14
-    if keep.sum() >= 2:
-        rel = np.where(mean[keep] > 0, se[keep] / mean[keep], 0.0)
-        wts = 1.0 / np.maximum(rel, 1e-3) ** 2
-        _, slope, r2 = _weighted_line_fit(dist[keep], np.log(mean[keep]), wts)
-        rate = -slope
-    else:
-        rate, r2 = math.nan, math.nan
+    mean, se, fit = _exponential_fit(rows, dist, 1e-14)
+    rate, r2 = (-fit[1], fit[2]) if fit else (math.nan, math.nan)
     return BoundaryDecay(k_values=np.asarray(k_list), distances=dist,
                          mean_abs_diff=mean, stderr=se, rate=rate,
                          r_squared=r2)
@@ -364,22 +377,13 @@ class MaxExcursionStudy:
 _DEFAULT_C_GRID = (0.5, 1.0, 1.5, 2.0, 2.5, 3.0)
 
 
-def _maxexc_task(task):
-    common, chunk = task
-    p, kern, laws, seed = (common["p"], common["kern"], common["laws"],
-                           common["seed"])
-    n, paths = common["n"], common["paths"]
-    out = []
-    for r in chunk:
-        d = _draw_disorder(laws, n, p.h, seed, r)
-        tables = forward_tables(d, p, kern)
-        deltas = np.empty(paths, dtype=int)
-        for i in range(paths):
-            rng = PathRng(seed, r, i)
-            deltas[i] = max_excursion(sample_path(tables, d, p, kern, rng))
-        out.append((float(tables.log_zf[n]),
-                    float(softplus(-2.0 * p.lam * d.w_prefix[n])), deltas))
-    return out
+def _maxexc_sample(c, r, d):
+    p, kern, n = c["p"], c["kern"], c["n"]
+    tables = forward_tables(d, p, kern)
+    deltas = np.array([max_excursion(sample_path(tables, d, p, kern,
+                                                 PathRng(c["seed"], r, i)))
+                       for i in range(c["paths"])], dtype=int)
+    return float(tables.log_zf[n]), _log_coin(p, d.w_prefix[n]), deltas
 
 
 def max_excursion_study(p, kern, laws, n_ladder, replicas, paths_per_replica,
@@ -389,17 +393,17 @@ def max_excursion_study(p, kern, laws, n_ladder, replicas, paths_per_replica,
 
     Expects localized parameters; the guard flag records whether
     f_hat > 5 stderr held. At mu_hat <= 0 the concentration fractions are
-    reported as NaN (out of the theorem's domain)."""
+    reported as NaN (out of the theorem's domain). Every rung runs in one
+    pool."""
+    ladder = _validate_ladder(n_ladder)
+    commons = [dict(per_sample=_maxexc_sample, p=p, kern=kern, laws=laws,
+                    seed=seed, n=n, paths=paths_per_replica) for n in ladder]
     out = []
-    for n in _validate_ladder(n_ladder):
-        common = dict(p=p, kern=kern, laws=laws, seed=seed, n=n,
-                      paths=paths_per_replica)
-        rows = _fan_out(_maxexc_task, [common], replicas, threads)[0]
-        log_z = np.array([row[0] for row in rows])
-        log_num = np.array([row[1] for row in rows])
-        deltas = np.stack([row[2] for row in rows])
+    for n, rows in zip(ladder, _fan_out(_replica_task, commons, replicas,
+                                        threads)):
+        log_z, log_num, deltas = _columns(rows)
         f_hat, f_se = _mean_stderr(log_z / n)
-        mu_hat = -(logsumexp(log_num - log_z) - math.log(replicas)) / n
+        mu_hat = _mu_hat(log_num - log_z, n)
         guard = f_hat > 5.0 * f_se
         ratio = deltas / math.log(n)
         frac_within = {}
@@ -436,20 +440,12 @@ class ExcursionRateCheck:
     mu_hat: float
 
 
-def _exc_rate_task(task):
-    common, chunk = task
-    p, kern, laws, seed = (common["p"], common["kern"], common["laws"],
-                           common["seed"])
-    n, k = common["n"], common["k"]
-    out = []
-    for r in chunk:
-        d = _draw_disorder(laws, n, p.h, seed, r)
-        tables = forward_tables(d, p, kern)
-        law = excursion_law(k, tables, d, p, kern)
-        out.append((float(tables.log_zf[n]),
-                    float(softplus(-2.0 * p.lam * d.w_prefix[n])),
-                    law.pmf.copy()))
-    return out
+def _exc_rate_sample(c, r, d):
+    p, kern, n = c["p"], c["kern"], c["n"]
+    tables = forward_tables(d, p, kern)
+    law = excursion_law(c["k"], tables, d, p, kern)
+    return (float(tables.log_zf[n]), _log_coin(p, d.w_prefix[n]),
+            law.pmf.copy())
 
 
 def excursion_rate_check(p, kern, laws, n, k, replicas, seed,
@@ -469,11 +465,10 @@ def excursion_rate_check(p, kern, laws, n, k, replicas, seed,
         s_max = min(n // 2, 64, k, n - k)
     if not 1 <= s_min < s_max <= min(k, n - k, n // 2):
         raise GuardError("s fit range must sit in the bulk around k")
-    common = dict(p=p, kern=kern, laws=laws, seed=seed, n=n, k=k)
-    rows = _fan_out(_exc_rate_task, [common], replicas, threads)[0]
-    log_z = np.array([row[0] for row in rows])
-    log_num = np.array([row[1] for row in rows])
-    pmfs = np.stack([row[2] for row in rows])
+    common = dict(per_sample=_exc_rate_sample, p=p, kern=kern, laws=laws,
+                  seed=seed, n=n, k=k)
+    rows = _fan_out(_replica_task, [common], replicas, threads)[0]
+    log_z, log_num, pmfs = _columns(rows)
     s = np.arange(s_min, s_max + 1)
     base = kern.log_k[s] + np.log(s + 1.0)
     ones = np.ones_like(s, dtype=float)
@@ -485,7 +480,7 @@ def excursion_rate_check(p, kern, laws, n, k, replicas, seed,
     _, slope_corr, _ = _weighted_line_fit(s, np.log(mean_pmf[s]) - base, ones)
     _, slope_raw, _ = _weighted_line_fit(s, np.log(mean_pmf[s]), ones)
     f_hat, f_se = _mean_stderr(log_z / n)
-    mu_hat = -(logsumexp(log_num - log_z) - math.log(replicas)) / n
+    mu_hat = _mu_hat(log_num - log_z, n)
     return ExcursionRateCheck(k=k, s_values=s, mean_pmf=mean_pmf,
                               annealed_rate_raw=-slope_raw,
                               annealed_rate=-slope_corr,
@@ -563,28 +558,20 @@ class FiniteSizeReport:
     verdict: str
 
 
-def _finite_size_task(task):
-    common, chunk = task
-    p, kern, laws, seed = (common["p"], common["kern"], common["laws"],
-                           common["seed"])
-    sites = common["sites"]
-    n_top = int(sites[-1])
-    out = []
-    for r in chunk:
-        d = _draw_disorder(laws, n_top, p.h, seed, r)
-        zf = log_partition_curve(d, p, kern)
-        xis = np.empty(len(sites) - 1)
-        for i, n in enumerate(sites[:-1]):
-            n = int(n)
-            window = disorder_from_arrays(d.omega[n + 1:2 * n + 1],
-                                          d.omega_tilde[n + 1:2 * n + 1], p.h)
-            z_shift = log_partition_curve(window, p, kern)[n]
-            xi = zf[2 * n] - zf[n] - z_shift
-            if not xi >= -1e-8 * max(1.0, abs(zf[2 * n])):
-                raise NumericsError(f"superadditivity violated: xi={xi}")
-            xis[i] = xi
-        out.append((zf[sites].copy(), xis))
-    return out
+def _finite_size_sample(c, r, d):
+    p, kern, sites = c["p"], c["kern"], c["sites"]
+    zf = log_partition_curve(d, p, kern)
+    xis = np.empty(len(sites) - 1)
+    for i, n in enumerate(sites[:-1]):
+        n = int(n)
+        window = disorder_from_arrays(d.omega[n + 1:2 * n + 1],
+                                      d.omega_tilde[n + 1:2 * n + 1], p.h)
+        z_shift = log_partition_curve(window, p, kern)[n]
+        xi = zf[2 * n] - zf[n] - z_shift
+        if not xi >= -1e-8 * max(1.0, abs(zf[2 * n])):
+            raise NumericsError(f"superadditivity violated: xi={xi}")
+        xis[i] = xi
+    return zf[sites].copy(), xis
 
 
 def _finite_size_verdict(gaps, errs):
@@ -616,10 +603,10 @@ def finite_size_study(p, kern, laws, n_ladder, replicas, seed, threads=1):
         raise GuardError("finite-size ladder must double at every rung")
     if len(sites) < 5:
         raise GuardError("need a ladder of at least 4 doublings")
-    common = dict(p=p, kern=kern, laws=laws, seed=seed, sites=sites)
-    rows = _fan_out(_finite_size_task, [common], replicas, threads)[0]
-    z = np.stack([row[0] for row in rows])
-    xi = np.stack([row[1] for row in rows])
+    common = dict(per_sample=_finite_size_sample, p=p, kern=kern, laws=laws,
+                  seed=seed, n=int(sites[-1]), sites=sites)
+    rows = _fan_out(_replica_task, [common], replicas, threads)[0]
+    z, xi = _columns(rows)
     f_n = np.empty(len(sites))
     f_se = np.empty(len(sites))
     for j, n in enumerate(sites):
@@ -655,20 +642,12 @@ class EntropyBoundReport:
     gap: float
 
 
-def _entropy_task(task):
-    common, chunk = task
-    p, kern, laws, seed = (common["p"], common["kern"], common["laws"],
-                           common["seed"])
-    n, eps_grid = common["n"], common["eps_grid"]
-    out = []
-    for r in chunk:
-        d = _draw_disorder(laws, n, p.h, seed, r)
-        z_eps = np.empty(len(eps_grid))
-        for i, eps in enumerate(eps_grid):
-            p_eps = p.replace(h_tilde=p.h_tilde - eps)
-            z_eps[i] = log_partition_curve(d, p_eps, kern)[n]
-        out.append((z_eps, float(softplus(-2.0 * p.lam * d.w_prefix[n]))))
-    return out
+def _entropy_sample(c, r, d):
+    p, kern, n = c["p"], c["kern"], c["n"]
+    z_eps = np.array([
+        log_partition_curve(d, p.replace(h_tilde=p.h_tilde - eps), kern)[n]
+        for eps in c["eps_grid"]])
+    return z_eps, _log_coin(p, d.w_prefix[n])
 
 
 def entropy_bound(p, kern, laws, replicas, n, epsilon_grid, seed, threads=1):
@@ -687,13 +666,13 @@ def entropy_bound(p, kern, laws, replicas, n, epsilon_grid, seed, threads=1):
         raise GuardError("epsilon grid must be non-empty")
     # eps = 0 is always evaluated: it is the base point for f_hat and mu_hat
     eps_full = eps_grid if 0.0 in eps_grid else np.sort(np.append(eps_grid, 0.0))
-    common = dict(p=p, kern=kern, laws=laws, seed=seed, n=n, eps_grid=eps_full)
-    rows = _fan_out(_entropy_task, [common], replicas, threads)[0]
-    z = np.stack([row[0] for row in rows])            # (R, |eps_full|)
-    log_num = np.array([row[1] for row in rows])
+    common = dict(per_sample=_entropy_sample, p=p, kern=kern, laws=laws,
+                  seed=seed, n=n, eps_grid=eps_full)
+    rows = _fan_out(_replica_task, [common], replicas, threads)[0]
+    z, log_num = _columns(rows)                       # z: (R, |eps_full|)
     zero_col = int(np.searchsorted(eps_full, 0.0))
     f_hat, f_se = _mean_stderr(z[:, zero_col] / n)
-    mu_hat = -(logsumexp(log_num - z[:, zero_col]) - math.log(replicas)) / n
+    mu_hat = _mu_hat(log_num - z[:, zero_col], n)
     cols = np.searchsorted(eps_full, eps_grid)
     bounds = np.empty(eps_grid.size)
     bound_se = np.empty(eps_grid.size)
@@ -723,27 +702,21 @@ class MeetDecay:
     r_squared: float
 
 
-def _meet_task(task):
-    common, chunk = task
-    p, kern, laws, seed = (common["p"], common["kern"], common["laws"],
-                           common["seed"])
-    n, windows, pairs = common["n"], common["windows"], common["pairs"]
-    out = []
-    for r in chunk:
-        d = _draw_disorder(laws, n, p.h, seed, r)
-        tables = forward_tables(d, p, kern)
-        freq = np.zeros(len(windows))
-        for i in range(pairs):
-            r1 = sample_path(tables, d, p, kern, PathRng(seed, r, 2 * i))
-            r2 = sample_path(tables, d, p, kern, PathRng(seed, r, 2 * i + 1))
-            shared = sorted(set(r1.returns) & set(r2.returns))
-            for wi, s in enumerate(windows):
-                a = (n - s) // 2
-                b = a + s
-                if not any(a < c < b for c in shared):
-                    freq[wi] += 1.0
-        out.append(freq / pairs)
-    return out
+def _meet_sample(c, r, d):
+    p, kern, n, seed = c["p"], c["kern"], c["n"], c["seed"]
+    windows, pairs = c["windows"], c["pairs"]
+    tables = forward_tables(d, p, kern)
+    freq = np.zeros(len(windows))
+    for i in range(pairs):
+        r1 = sample_path(tables, d, p, kern, PathRng(seed, r, 2 * i))
+        r2 = sample_path(tables, d, p, kern, PathRng(seed, r, 2 * i + 1))
+        shared = sorted(set(r1.returns) & set(r2.returns))
+        for wi, s in enumerate(windows):
+            a = (n - s) // 2
+            b = a + s
+            if not any(a < t < b for t in shared):
+                freq[wi] += 1.0
+    return freq / pairs
 
 
 def meet_probability(p, kern, laws, n, window_sizes, replicas,
@@ -756,21 +729,12 @@ def meet_probability(p, kern, laws, n, window_sizes, replicas,
         raise GuardError("window sizes must lie in 1..N")
     if paths_per_replica < 1:
         raise GuardError("need at least one path pair per replica")
-    common = dict(p=p, kern=kern, laws=laws, seed=seed, n=n,
-                  windows=windows, pairs=paths_per_replica)
-    rows = np.stack(_fan_out(_meet_task, [common], replicas, threads)[0])
-    mean = rows.mean(axis=0)
-    se = rows.std(axis=0, ddof=1) / math.sqrt(replicas) if replicas > 1 \
-        else np.zeros_like(mean)
-    keep = mean > 0
-    warr = np.asarray(windows, dtype=float)
-    if keep.sum() >= 2:
-        rel = np.where(mean[keep] > 0, se[keep] / np.maximum(mean[keep], 1e-300), 0.0)
-        wts = 1.0 / np.maximum(rel, 1e-3) ** 2
-        _, slope, r2 = _weighted_line_fit(warr[keep], np.log(mean[keep]), wts)
-        rate = -slope
-    else:
-        rate, r2 = math.nan, math.nan
+    common = dict(per_sample=_meet_sample, p=p, kern=kern, laws=laws,
+                  seed=seed, n=n, windows=windows, pairs=paths_per_replica)
+    rows = _fan_out(_replica_task, [common], replicas, threads)[0]
+    mean, se, fit = _exponential_fit(rows, np.asarray(windows, dtype=float),
+                                     0.0)
+    rate, r2 = (-fit[1], fit[2]) if fit else (math.nan, math.nan)
     return MeetDecay(window_sizes=np.asarray(windows), mean_prob=mean,
                      stderr=se, rate=rate, r_squared=r2)
 

@@ -44,7 +44,3 @@ def logsumexp(a):
         return float(m)
     return float(m + np.log(np.sum(np.exp(a - m))))
 
-
-def logmeanexp(a):
-    a = np.asarray(a, dtype=float)
-    return logsumexp(a) - np.log(a.size)

@@ -197,53 +197,6 @@ def _forward(j: int, d: DisorderSample, p: ModelParams, kern: ReturnKernel,
                           p.lam)[0]
 
 
-def _forward_cutoff(d: DisorderSample, p: ModelParams, kern: ReturnKernel,
-                    lz: np.ndarray, cutoff: float) -> np.ndarray:
-    """Forward recursion from the origin with the inner sum truncated.
-
-    ``cutoff`` (meant for runs beyond N ~ 2^14) drops inner terms provably
-    more than that many log-units below the running maximum: the scan
-    walks u downward from t-1 in blocks and stops once the remaining terms
-    are bounded by prefix-max(log Z) + log K(gap) below the threshold. With
-    a 60-unit budget the relative error is below N e^-60 ~ 1e-22.
-    """
-    j = 0
-    n = d.n
-    w = d.w_prefix
-    lk = kern.log_k
-    lam = p.lam
-    seg = np.full(d.n + 1, np.nan)
-    seg[j] = 0.0
-    prefix_max = np.full(d.n + 1, -np.inf)  # running max of seg[j..t]
-    prefix_max[j] = seg[j]
-    w_max = np.maximum.accumulate(w)        # bounds the sign-average factor
-    block = 512
-    for t in range(j + 1, n + 1):
-        total = -np.inf
-        best = -np.inf
-        hi = t
-        while hi > j:
-            lo = max(j, hi - block)
-            x = (seg[lo:hi]
-                 + _log_weight_core(lk[t - lo:t - hi:-1], w[t] - w[lo:hi], lam))
-            m = float(np.max(x))
-            chunk = m + np.log(np.sum(np.exp(x - m)))
-            total = np.logaddexp(total, chunk)
-            best = max(best, m)
-            if lo > j:
-                # every remaining term (u < lo) is bounded by the prefix max
-                # of seg plus the monotone kernel at the smallest remaining
-                # gap plus the largest possible sign-average boost
-                boost = (2.0 * lam * max(0.0, w_max[lo - 1] - w[t])
-                         if lam > 0.0 else 0.0)
-                if prefix_max[lo - 1] + lk[t - lo + 1] + boost < best - cutoff:
-                    break
-            hi = lo
-        seg[t] = lz[t] + total
-        prefix_max[t] = max(prefix_max[t - 1], seg[t])
-    return seg
-
-
 def _backward(d: DisorderSample, p: ModelParams, kern: ReturnKernel,
               lz: np.ndarray) -> np.ndarray:
     n = d.n
@@ -275,21 +228,11 @@ def forward_tables(d: DisorderSample, p: ModelParams,
 
 
 def log_partition_curve(d: DisorderSample, p: ModelParams,
-                        kern: ReturnKernel,
-                        cutoff: float | None = None) -> np.ndarray:
+                        kern: ReturnKernel) -> np.ndarray:
     """Forward table only: log Z_t for every prefix t (fast path for
-    estimators that never look backward).
-
-    ``cutoff`` enables the optional inner-sum truncation (drop terms more
-    than that many log-units below the running maximum). It is off by
-    default so enumeration oracles match exactly; 60 is a safe budget for
-    localized runs past N ~ 2^14.
-    """
+    estimators that never look backward)."""
     _check_horizon(d, kern)
-    lz = _log_rewards(d, p)
-    if cutoff is None:
-        return _forward(0, d, p, kern, lz)
-    return _forward_cutoff(d, p, kern, lz, cutoff)
+    return _forward(0, d, p, kern, _log_rewards(d, p))
 
 
 def log_partition_curves(samples, p: ModelParams,
@@ -313,41 +256,32 @@ def log_partition_curves(samples, p: ModelParams,
     return _forward_batch(0, n, w, lz, kern.log_k, p.lam)
 
 
-def shifted_log_partition_curve(j: int, d: DisorderSample, p: ModelParams,
-                                kern: ReturnKernel,
-                                stop: int | None = None) -> np.ndarray:
-    """Forward-only segment curve anchored at j, optionally stopping early
-    (fast path for estimators that need a bounded span)."""
-    if not 0 <= j < d.n:
-        raise GuardError(f"anchor j must satisfy 0 <= j < n, got {j}")
-    if stop is not None and not j < stop <= d.n:
-        raise GuardError(f"stop must lie in (j, n], got {stop}")
-    _check_horizon(d, kern)
-    return _forward(j, d, p, kern, _log_rewards(d, p), stop=stop)
-
-
 def normalized_to_tilde(log_z: float, d: DisorderSample, p: ModelParams) -> float:
     """Convert log Z to the tilted normalization log Z-tilde = log Z + lam W_n."""
     return float(log_z + p.lam * d.w_prefix[d.n])
 
 
 def segment_tables(j: int, d: DisorderSample, p: ModelParams,
-                   kern: ReturnKernel, tables: PartitionTables | None = None
-                   ) -> np.ndarray:
-    """log Z_seg(j, t) = log Z_{t-j} on disorder shifted by j, t in (j, n].
+                   kern: ReturnKernel, tables: PartitionTables | None = None,
+                   stop: int | None = None) -> np.ndarray:
+    """log Z_seg(j, t) = log Z_{t-j} on disorder shifted by j, t in (j, stop].
 
-    With j = 0 this is identical to the forward table. When ``tables`` is
-    given the result is cached on it (anchors are often revisited).
+    ``stop`` (default n) bounds the span; entries past it are NaN. With
+    j = 0 and no stop this is identical to the forward table. When
+    ``tables`` is given a full (unbounded) segment is cached on it, since
+    anchors are often revisited.
     """
     if not 0 <= j < d.n:
         raise GuardError(f"anchor j must satisfy 0 <= j < n, got {j}")
-    if tables is not None and j in tables._segments:
-        return tables._segments[j]
+    if stop is not None and not j < stop <= d.n:
+        raise GuardError(f"stop must lie in (j, n], got {stop}")
+    cache = tables._segments if tables is not None and stop is None else {}
+    if j in cache:
+        return cache[j]
     _check_horizon(d, kern)
-    seg = _forward(j, d, p, kern, _log_rewards(d, p))
+    seg = _forward(j, d, p, kern, _log_rewards(d, p), stop=stop)
     seg.flags.writeable = False
-    if tables is not None:
-        tables._segments[j] = seg
+    cache[j] = seg
     return seg
 
 

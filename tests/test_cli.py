@@ -188,3 +188,38 @@ def test_non_finite_couplings_exit_one(tmp_path, argv):
     assert main([*argv, "--out", str(out)]) == 1
     # no NaN CSV left behind
     assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("argv,code", [
+    # zero is a value, not "unset": each must reach its validator
+    (["excursions", "--n", "16", "--site", "0", "--replicas", "2"], 2),
+    (["excursions", "--n", "16", "--s-max", "0", "--replicas", "2"], 2),
+    (["free-energy", "--n", "16", "--n-max", "0", "--replicas", "2"], 1),
+    (["boundary", "--n", "16", "--k-list", "", "--replicas", "2"], 2),
+    (["mu", "--n", "16", "--n-ladder", "", "--replicas", "2"], 1),
+])
+def test_zero_valued_options_are_not_unset(tmp_path, argv, code):
+    out = tmp_path / "runs"
+    assert main([*argv, "--out", str(out)]) == code
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("args,key,listed,text,csv", [
+    (["meet", "--n", "24", "--paths", "2"], "windows", [4, 8], "4,8",
+     "meet.csv"),
+    (["correlations", "--n", "24"], "distances", [4, 5, 6], "4:6",
+     "decay.csv"),
+])
+def test_list_options_from_config_lists(tmp_path, args, key, listed, text,
+                                        csv):
+    # a JSON list in the config file and the flag's string give one run
+    args = [*args, "--replicas", "2"]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({key: listed}))
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert main([*args, "--config", str(path), "--out", str(a)]) == 0
+    assert main([*args, "--" + key, text, "--out", str(b)]) == 0
+    assert ((_only_run_dir(a) / csv).read_bytes()
+            == (_only_run_dir(b) / csv).read_bytes())
+    path.write_text(json.dumps({key: [4, "x"]}))
+    assert main([*args, "--config", str(path), "--out", str(a)]) == 1

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -334,3 +335,49 @@ def test_phase_scan_starts_one_pool(srw64, monkeypatch):
     ref = phase_scan("lam", "h_tilde", [0.0, 0.5], [-0.5, 0.5], V_STAR,
                      srw64, GG, 32, 5, 3, threads=1)
     assert pts == ref
+
+
+def test_maxexc_ladder_starts_one_pool(srw64, monkeypatch):
+    pools = []
+
+    class CountingPool(est.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(est, "ProcessPoolExecutor", CountingPool)
+    studies = max_excursion_study(V_STAR, srw64, GG, [32, 64], 3, 2, 5,
+                                  threads=2)
+    assert len(pools) == 1
+    ref = max_excursion_study(V_STAR, srw64, GG, [32, 64], 3, 2, 5,
+                              threads=1)
+    assert [s.n for s in studies] == [32, 64]
+    np.testing.assert_equal([dataclasses.asdict(s) for s in studies],
+                            [dataclasses.asdict(s) for s in ref])
+
+
+# the per-sample replica estimators, as (kernel, replicas) -> result
+_REPLICA_ESTIMATORS = {
+    "boundary_influence": lambda k, r: boundary_influence(
+        V_STAR, k, GG, 32, [8, 16], r, 1),
+    "fit_correlation_decay": lambda k, r: fit_correlation_decay(
+        V_STAR, k, GG, 32, r, [4, 5, 6], 1),
+    "meet_probability": lambda k, r: meet_probability(
+        V_STAR, k, GG, 32, [4, 8], r, 2, 1),
+    "max_excursion_study": lambda k, r: max_excursion_study(
+        V_STAR, k, GG, [32], r, 2, 1),
+    "excursion_rate_check": lambda k, r: excursion_rate_check(
+        V_STAR, k, GG, 32, 16, r, 1),
+    "finite_size_study": lambda k, r: finite_size_study(
+        V_STAR, k, GG, [2, 4, 8, 16, 32], r, 1),
+    "entropy_bound": lambda k, r: entropy_bound(
+        V_STAR, k, GG, r, 32, [0.1], 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_REPLICA_ESTIMATORS))
+def test_replica_estimators_need_one_replica(srw64, name):
+    for replicas in (0, -1):
+        with pytest.raises(GuardError, match="at least one replica"):
+            _REPLICA_ESTIMATORS[name](srw64, replicas)
+    _REPLICA_ESTIMATORS[name](srw64, 1)

@@ -1,9 +1,13 @@
 """Golden CSV digests: the reproducibility contract pinned to stored bytes.
 
 Each case runs one CLI subcommand at small N and compares the sha256 of
-every CSV it writes with a digest recorded before the forward DP was
-batched over replicas. A refactor that shifts every number consistently
-still passes a rerun-against-rerun comparison; it fails here.
+every CSV it writes with a stored digest. All 13 CSV-writing subcommands
+are pinned (``selftest`` checks itself). The digests of ``free-energy``,
+``mu``, ``clt``, ``phase-scan``, ``profile`` and ``maxexc`` were recorded
+before the forward DP was batched over replicas; those of the other seven
+before their replica workers were merged into one. A refactor that shifts
+every number consistently still passes a rerun-against-rerun comparison;
+it fails here.
 
 The digests hold for one numpy build and one set of CPU SIMD features
 (vectorised exp and log may round differently elsewhere). They were
@@ -34,68 +38,166 @@ CASES = {
                    "--replicas", "5"),
     "profile": ("profile", "--n", "32"),
     "maxexc": ("maxexc", "--n", "64", "--replicas", "3", "--paths", "3"),
+    "correlations": ("correlations", "--n", "48", "--replicas", "4",
+                     "--distances", "4:12"),
+    "boundary": ("boundary", "--n", "48", "--replicas", "4",
+                 "--k-list", "8,16,24,48"),
+    "excursions": ("excursions", "--n", "48", "--replicas", "4",
+                   "--site", "24", "--s-max", "16"),
+    "sample": ("sample", "--n", "24", "--replicas", "2", "--paths", "2"),
+    "finite-size": ("finite-size", "--n-ladder", "4,8,16,32,64",
+                    "--replicas", "4"),
+    # 0 is not in the grid, so the base point is added and left out again
+    "entropy-bound": ("entropy-bound", "--n", "32", "--replicas", "4",
+                      "--epsilons", "0.2,0.4"),
+    "meet": ("meet", "--n", "48", "--replicas", "3", "--paths", "3",
+             "--windows", "4,8,16"),
 }
 
 GOLDEN = {
-    ("clt", "lam0"): {
+    ('boundary', 'lam0'): {
+        "boundary.csv":
+            "b6b526dbdfb704bd62077f000c8e86fc98b58d55dc7bda7750ec91c0ef8a0b34",
+        "boundary_fit.csv":
+            "922110b7ed259672fd72fb0bfee23f2a06f7bfc32c793f5c917d2c40002ec209",
+    },
+    ('boundary', 'lam05'): {
+        "boundary.csv":
+            "4df58df969970d2300081f54359c9911e0ef134a4175b4258c4470927e897f0f",
+        "boundary_fit.csv":
+            "51b84df592978abee433a2584a2ad1125ba32723d85706e52cd12eb9210a8ec5",
+    },
+    ('clt', 'lam0'): {
         "clt.csv":
             "88d59bf34d3fea48e6a332c34812787bae6e703ee497c0e54988d4f46e398774",
     },
-    ("clt", "lam05"): {
+    ('clt', 'lam05'): {
         "clt.csv":
             "d082457b45c5aa7876c6918ab1dae550fc456ced58e24dde9d2cf4ec18403c64",
     },
-    ("free-energy", "lam0"): {
+    ('correlations', 'lam0'): {
+        "decay.csv":
+            "8fcc37e5d1656a808cb0b1618ca9dfdac76f844c30ac297c18576eba3e5547dd",
+        "decay_fit.csv":
+            "7e76639fbdb214e00756da1cbb78e3deccbd140c1b09a9c03a4b32e6f7ef7708",
+    },
+    ('correlations', 'lam05'): {
+        "decay.csv":
+            "b20a7912572e39028e01197d9e738656358e4df924ff7181da41776d712e608d",
+        "decay_fit.csv":
+            "51b11ea4c51d7de59fe53a3482a49ac055a37a7aa9f99e527d3878049be8d412",
+    },
+    ('entropy-bound', 'lam0'): {
+        "entropy.csv":
+            "9e08402db1e7f97dacabf971b87d6ee4e1c373ff8c654832fc2f1e922b64764f",
+        "entropy_summary.csv":
+            "941d9c12dd99297c5e61b0da771a40f65087f8e1afc7862fed56698f83afe601",
+    },
+    ('entropy-bound', 'lam05'): {
+        "entropy.csv":
+            "431874df4760d8e481725e66bb5cd8295d59dac2a5f8beea25e5287293c225cd",
+        "entropy_summary.csv":
+            "431f9f2056e67f06e80b43765b868fdbe51d5e867ec8d061ff4607090a843800",
+    },
+    ('excursions', 'lam0'): {
+        "excursion_law.csv":
+            "db5de3887879b0d603d6da87ded08dee8cb72ddfc95f956d780e9ad30ff4fa5a",
+        "excursion_rates.csv":
+            "15d12c9ea47c98aa4b2f2aca8c447c80856187790b0a0c97add805141c75dbb9",
+        "excursion_summary.csv":
+            "0ac4e695eb53916a4816e8190e1e57cafc48990c285ffb23bcdf4c6a317ad9b8",
+    },
+    ('excursions', 'lam05'): {
+        "excursion_law.csv":
+            "1890d6ffc5015f41b81508899c80a21a23a6c1017c96d6804a2a21f26cd69ae7",
+        "excursion_rates.csv":
+            "a2fe0e7aa893290302097da503d9a223083b5b232505849e9e6d2731960a71d4",
+        "excursion_summary.csv":
+            "14785140af1c36110a346acfc2e858517cdd6a42d655db7373d7eacb72b367b0",
+    },
+    ('finite-size', 'lam0'): {
+        "finite_size.csv":
+            "3b46513a51f0831db6b7aca96b6c5b205f0e3015d535f4a3065b5e5dbadd8575",
+        "finite_size_verdict.csv":
+            "e3ce68634307cf3fa54302157af621eec5f16fbd990ac198bed9242017556821",
+    },
+    ('finite-size', 'lam05'): {
+        "finite_size.csv":
+            "f6713883e312d22133110a685b4a293f3358e11b978ea53e4dd7ed5e8aee43c4",
+        "finite_size_verdict.csv":
+            "e3ce68634307cf3fa54302157af621eec5f16fbd990ac198bed9242017556821",
+    },
+    ('free-energy', 'lam0'): {
         "free_energy.csv":
             "b4b25c4bab4b4dd375259367e6b9a2ba29459a1f266589e48acf96f68be4fa49",
     },
-    ("free-energy", "lam05"): {
+    ('free-energy', 'lam05'): {
         "free_energy.csv":
             "1fb73053face7b0739f818dd33a3b424b9b8456cc848465c49db2e16c801f5f2",
     },
-    ("free-energy-2048", "lam0"): {
+    ('free-energy-2048', 'lam0'): {
         "free_energy.csv":
             "b9245fa96517bcc1632e0e9f292aab6efbe91cc9cf4b60f4026dc0bbed9ae99e",
     },
-    ("free-energy-2048", "lam05"): {
+    ('free-energy-2048', 'lam05'): {
         "free_energy.csv":
             "0e8127751c2d3363ba9bad1fbf4f0b75cd3f7dda55bac9e17173e7b417f132cc",
     },
-    ("maxexc", "lam0"): {
+    ('maxexc', 'lam0'): {
         "maxexc.csv":
             "f9c26288ce00979a15e724e63c2804430474be925fa786dafdccd2264d2f933c",
         "maxexc_summary.csv":
             "032b473244e30ebb002ce959a611d31647aba3cb762175b4c4313f24ed5855e8",
     },
-    ("maxexc", "lam05"): {
+    ('maxexc', 'lam05'): {
         "maxexc.csv":
             "935ff561dddb2b1009f3c45de7d69150170d1b665ebe1597bfd5dc179efda6e8",
         "maxexc_summary.csv":
             "98ad28e138f2941b4a623facd7c08c1ababed123bae96d2370bc91c1a36aacd4",
     },
-    ("mu", "lam0"): {
+    ('meet', 'lam0'): {
+        "meet.csv":
+            "65efb615470961ce5368b8d2d8f0d3e4ae8465186322aa3c8a9f54aacc27cbb3",
+        "meet_fit.csv":
+            "1829a4a54624799d78f20624cbc80d3fc99bdab59da7cb3b2f6402e2a9f63f6b",
+    },
+    ('meet', 'lam05'): {
+        "meet.csv":
+            "9bffd891e947500c828e7c74f2b28a90910530e57660abe2e4bfac21148fdf59",
+        "meet_fit.csv":
+            "6dd6bba8da8db0d84d1f536f10cadf2bc92960ce920d7ff8b5be7fb900b80a0a",
+    },
+    ('mu', 'lam0'): {
         "mu.csv":
             "a10b21c8bd1c3c003da539727263cf386a3ed5e79ba20f511977bc2781eb776b",
     },
-    ("mu", "lam05"): {
+    ('mu', 'lam05'): {
         "mu.csv":
             "049faec5364110cfa164bfa5e1da010fbd98448dd276b98c6415cfc1e722fe20",
     },
-    ("phase-scan", "lam0"): {
+    ('phase-scan', 'lam0'): {
         "phase.csv":
             "99281be305d9a72f7940f75342e5dea25f9d510dc965c0ed63ca814c68e159b2",
     },
-    ("phase-scan", "lam05"): {
+    ('phase-scan', 'lam05'): {
         "phase.csv":
             "242442e837d68b28f3fdf84cf1af756c9f6ff7cbd113799f28d12b7d5caac762",
     },
-    ("profile", "lam0"): {
+    ('profile', 'lam0'): {
         "profile.csv":
             "808d62cba576dc5525bb0d585b5db1900d07ece6ea5ff07a3e36ed49c993f2b6",
     },
-    ("profile", "lam05"): {
+    ('profile', 'lam05'): {
         "profile.csv":
             "acc9e190fb39d6b44e7ce90ed41a1ab51ecd6db0dc6c9f83547558170369dfed",
+    },
+    ('sample', 'lam0'): {
+        "sample.csv":
+            "e6c88cd044e6335454a070a116cd3c47d98ad0e5b903007a90d003ead0870af9",
+    },
+    ('sample', 'lam05'): {
+        "sample.csv":
+            "31e436c9618373d8ca03e04dfcd73a3375b85b067f11ff0ec02b543966dd7d4f",
     },
 }
 

@@ -16,7 +16,6 @@ from copolymer.partition import (ModelParams, _forward_batch, _log_rewards,
                                  forward_tables, log_partition_curve,
                                  log_partition_curves, log_zeta,
                                  normalized_to_tilde, segment_tables,
-                                 shifted_log_partition_curve,
                                  single_excursion_log_lower_bound)
 
 ZERO = ModelParams(0.0, 0.0, 0.0, 0.0)
@@ -190,12 +189,18 @@ def test_segment_tables_basics(srw16, make_instance):
 
 def test_shifted_curve_stop(srw64, make_instance):
     p, d = make_instance(6, 40)
-    full = shifted_log_partition_curve(10, d, p, srw64)
-    part = shifted_log_partition_curve(10, d, p, srw64, stop=20)
+    full = segment_tables(10, d, p, srw64)
+    part = segment_tables(10, d, p, srw64, stop=20)
     assert np.allclose(part[10:21], full[10:21], atol=0)
     assert np.all(np.isnan(part[21:]))
     with pytest.raises(GuardError):
-        shifted_log_partition_curve(10, d, p, srw64, stop=10)
+        segment_tables(10, d, p, srw64, stop=10)
+    # a bounded segment is never cached, so it cannot stand in for a full one
+    t = forward_tables(d, p, srw64)
+    assert np.array_equal(segment_tables(10, d, p, srw64, t, stop=20), part,
+                          equal_nan=True)
+    assert np.array_equal(segment_tables(10, d, p, srw64, t), full,
+                          equal_nan=True)
 
 
 def test_horizon_guard():
@@ -212,21 +217,6 @@ def test_prefix_of_curve_is_smaller_system(srw64, make_instance):
     d_short = disorder_from_arrays(d.omega[1:21], d.omega_tilde[1:21], p.h)
     zf_short = log_partition_curve(d_short, p, srw64)
     assert np.allclose(zf[:21], zf_short, atol=1e-12)
-
-
-@pytest.mark.parametrize("point", [ModelParams(0.0, 0.0, 1.0, 0.5),
-                                   ModelParams(0.7, 0.2, 0.9, 0.3)])
-def test_optional_cutoff_matches_exact(point):
-    # the 60-log-unit inner-sum truncation is indistinguishable from the
-    # full recursion at localized parameters
-    kern = build_srw_kernel(3000)
-    d = sample_disorder(DisorderLaw.GAUSSIAN, DisorderLaw.GAUSSIAN, 3000,
-                        point.h, 51, 0)
-    exact = log_partition_curve(d, point, kern)
-    trunc = log_partition_curve(d, point, kern, cutoff=60.0)
-    assert np.allclose(trunc, exact, rtol=0, atol=1e-9)
-    loose = log_partition_curve(d, point, kern, cutoff=20.0)
-    assert np.allclose(loose, exact, rtol=0, atol=1e-6)
 
 
 def _loop_forward(j, d, p, kern, stop):
@@ -277,7 +267,7 @@ def test_batched_anchored_stop_equals_shifted_curve(r, n, lam, data):
     lz = np.stack([_log_rewards(d, p) for d in samples])
     batch = _forward_batch(j, stop, w, lz, kern.log_k, p.lam)
     for row, d in zip(batch, samples):
-        shifted = shifted_log_partition_curve(j, d, p, kern, stop=stop)
+        shifted = segment_tables(j, d, p, kern, stop=stop)
         assert np.array_equal(row, shifted, equal_nan=True)
         assert np.array_equal(shifted, _loop_forward(j, d, p, kern, stop),
                               equal_nan=True)
