@@ -396,6 +396,8 @@ def max_excursion_study(p, kern, laws, n_ladder, replicas, paths_per_replica,
     reported as NaN (out of the theorem's domain). Every rung runs in one
     pool."""
     ladder = _validate_ladder(n_ladder)
+    if paths_per_replica < 1:
+        raise GuardError("need at least one path per replica")
     commons = [dict(per_sample=_maxexc_sample, p=p, kern=kern, laws=laws,
                     seed=seed, n=n, paths=paths_per_replica) for n in ladder]
     out = []

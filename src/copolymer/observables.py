@@ -17,7 +17,7 @@ import numpy as np
 from .disorder import DisorderSample, PathRng
 from .errors import GuardError, NumericsError
 from .kernel import ReturnKernel
-from .logspace import sigmoid
+from .logspace import scalar_sigmoid, sigmoid
 from .partition import (ModelParams, PartitionTables, _log_weight_core,
                         segment_tables)
 
@@ -176,6 +176,52 @@ def excursion_law(k: int, tables: PartitionTables, d: DisorderSample,
     return ExcursionLaw(k=k, pmf=pmf)
 
 
+# cdf entries a row keeps for repeat visits: the returns u = t-32..t-1,
+# i.e. excursions of length up to 32 closing at t. In the localized phase
+# excursion weights decay exponentially, so nearly every draw lands there.
+_TAIL_WIDTH = 32
+
+
+def _sampling_cdf(t, zf, w, lk, lam):
+    """Unnormalised cdf of the return u = 0..t-1 before a return at t:
+    cumulative Zf[u] * K(t-u) * coin(u, t), scaled by its largest term."""
+    x = zf[:t] + _log_weight_core(lk[t:0:-1], w[t] - w[:t], lam)
+    m = np.max(x)
+    return np.cumsum(np.exp(x - m))
+
+
+class _SamplingRows:
+    """What a repeat visit to site t needs of its sampling row: the row
+    total cdf[-1] (0 until t is first visited), the edge, i.e. the cdf
+    value just left of the last _TAIL_WIDTH entries (-inf when the whole
+    row fits), and those entries. O(N * _TAIL_WIDTH) floats in all."""
+
+    __slots__ = ("total", "edge", "tail")
+
+    def __init__(self, n):
+        self.total = np.zeros(n + 1)
+        self.edge = np.empty(n + 1)
+        self.tail = np.empty((n + 1, _TAIL_WIDTH))
+
+    def store(self, t, cdf):
+        width = min(t, _TAIL_WIDTH)
+        self.total[t] = cdf[-1]
+        self.edge[t] = cdf[t - width - 1] if t > width else -np.inf
+        self.tail[t, :width] = cdf[t - width:]
+
+
+def _sampling_rows(tables, d, p, kern):
+    """The rows cached on ``tables``, or None when (d, p, kern) is not the
+    triple the tables were built from: rows of one coupling never serve
+    another."""
+    src_d, src_p, src_kern = tables._source
+    if d is not src_d or kern is not src_kern or p != src_p:
+        return None
+    if tables._rows is None:
+        tables._rows = _SamplingRows(tables.n)
+    return tables._rows
+
+
 def sample_path(tables: PartitionTables, d: DisorderSample, p: ModelParams,
                 kern: ReturnKernel, rng: PathRng) -> PathSample:
     """Draw one path exactly from the polymer measure by backward sampling.
@@ -183,23 +229,44 @@ def sample_path(tables: PartitionTables, d: DisorderSample, p: ModelParams,
     From the pinned endpoint, the previous return u is drawn with
     probability proportional to Zf[u] * K(t-u) * coin(u, t); each excursion
     sign is then negative with its exact conditional probability.
+
+    The first visit of any path to site t computes its O(t) row and keeps
+    the row's total and its last _TAIL_WIDTH cdf entries on ``tables``. A
+    later visit whose target lands in that tail searches only the tail,
+    which gives the index the full row gives; any other target recomputes
+    the row. Paths are the same whatever their order or number.
     """
     n = tables.n
+    if d.n != n:
+        raise GuardError(f"sample has n = {d.n}, tables have n = {n}")
     zf = tables.log_zf
     w = d.w_prefix
     lk = kern.log_k
+    lam = p.lam
+    rows = _sampling_rows(tables, d, p, kern)
     t = n
     rev_returns = []
     rev_signs = []
     while t > 0:
-        x = zf[:t] + _log_weight_core(lk[t:0:-1], w[t] - w[:t], p.lam)
-        m = np.max(x)
-        cdf = np.cumsum(np.exp(x - m))
-        target = rng.uniform() * cdf[-1]
-        u = int(np.searchsorted(cdf, target))
+        cdf = None
+        if rows is not None and rows.total[t] > 0:
+            total = rows.total[t]
+        else:
+            cdf = _sampling_cdf(t, zf, w, lk, lam)
+            total = cdf[-1]
+            if rows is not None:
+                rows.store(t, cdf)
+        target = rng.uniform() * total
+        if cdf is None and target > rows.edge[t]:
+            width = min(t, _TAIL_WIDTH)
+            u = t - width + int(rows.tail[t, :width].searchsorted(target))
+        else:
+            if cdf is None:
+                cdf = _sampling_cdf(t, zf, w, lk, lam)
+            u = int(cdf.searchsorted(target))
         if u >= t:
             u = t - 1
-        frac_neg = sigmoid(-2.0 * p.lam * (w[t] - w[u]))
+        frac_neg = scalar_sigmoid(-2.0 * lam * (w[t] - w[u]))
         sign = -1 if rng.uniform() < frac_neg else 1
         rev_returns.append(t)
         rev_signs.append(sign)

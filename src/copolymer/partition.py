@@ -17,6 +17,8 @@ includes its zeta factor, the origin contributes none); the backward table
 carries log Z_{n-t} on shifted disorder, excluding the zeta factor of its
 left edge. Building a table is O(N^2) time, O(N) space, with no truncation
 of the inner sum, so brute-force enumeration matches it to rounding error.
+``forward_tables`` builds the forward table at once and the backward table
+when it is first read; the forward/backward agreement is checked then.
 """
 
 import math
@@ -62,22 +64,43 @@ class PartitionTables:
 
     log_zf[t] = log Z_t (forward, pinned at t), log_zf[0] = 0.
     log_zb[t] = log Z_{n-t} on disorder shifted by t, log_zb[n] = 0.
-    Identically log_zf[n] == log_zb[0]; checked at build time.
+    Identically log_zf[n] == log_zb[0]; checked when the backward table is
+    first read. The tables, and the segments and sampling rows cached on
+    them, are valid only with the (d, p, kern) they were built from, which
+    ``_source`` holds.
     """
 
     n: int
     log_zf: np.ndarray
-    log_zb: np.ndarray
     log_zeta_sites: np.ndarray
-    _segments: dict = field(default_factory=dict, repr=False, compare=False)
+    _source: tuple = field(repr=False, compare=False)
+    _log_zb: np.ndarray | None = field(default=None, init=False, repr=False,
+                                       compare=False)
+    _segments: dict = field(default_factory=dict, init=False, repr=False,
+                            compare=False)
+    # the path sampler's per-site rows, allocated on first use
+    _rows: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for arr in (self.log_zf, self.log_zb, self.log_zeta_sites):
+        for arr in (self.log_zf, self.log_zeta_sites):
             arr.flags.writeable = False
 
     @property
     def log_z(self) -> float:
         return float(self.log_zf[self.n])
+
+    @property
+    def log_zb(self) -> np.ndarray:
+        if self._log_zb is None:
+            d, p, kern = self._source
+            zb = _backward(d, p, kern, self.log_zeta_sites)
+            zf_n = self.log_zf[self.n]
+            if not abs(zf_n - zb[0]) <= 1e-8 * max(1.0, abs(zf_n)):
+                raise NumericsError(
+                    f"forward/backward disagree: {zf_n} vs {zb[0]}")
+            zb.flags.writeable = False
+            self._log_zb = zb
+        return self._log_zb
 
 
 def log_zeta(x, p: ModelParams):
@@ -215,16 +238,15 @@ def _backward(d: DisorderSample, p: ModelParams, kern: ReturnKernel,
 
 def forward_tables(d: DisorderSample, p: ModelParams,
                    kern: ReturnKernel) -> PartitionTables:
-    """Build both partition tables for one sample; O(N^2), exact."""
+    """Partition tables for one sample; O(N^2), exact. The forward table is
+    built here, the backward one on first read of ``log_zb``."""
     _check_horizon(d, kern)
     lz = _log_rewards(d, p)
     zf = _forward(0, d, p, kern, lz)
-    zb = _backward(d, p, kern, lz)
-    scale = max(1.0, abs(zf[d.n]))
-    if not abs(zf[d.n] - zb[0]) <= 1e-8 * scale:
-        raise NumericsError(
-            f"forward/backward disagree: {zf[d.n]} vs {zb[0]}")
-    return PartitionTables(n=d.n, log_zf=zf, log_zb=zb, log_zeta_sites=lz)
+    if not np.all(np.isfinite(zf)):
+        raise NumericsError("forward table has non-finite entries")
+    return PartitionTables(n=d.n, log_zf=zf, log_zeta_sites=lz,
+                           _source=(d, p, kern))
 
 
 def log_partition_curve(d: DisorderSample, p: ModelParams,

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 import copolymer.estimators as est
+import copolymer.partition as partition
+from copolymer.cli import main
 from copolymer.disorder import DisorderLaw
 from copolymer.errors import ConfigError, GuardError
 from copolymer.estimators import (VERDICT_BOUNDED, VERDICT_LOG_GROWTH,
@@ -381,3 +383,20 @@ def test_replica_estimators_need_one_replica(srw64, name):
         with pytest.raises(GuardError, match="at least one replica"):
             _REPLICA_ESTIMATORS[name](srw64, replicas)
     _REPLICA_ESTIMATORS[name](srw64, 1)
+
+
+def test_maxexc_needs_one_path(srw64):
+    for paths in (0, -1):
+        with pytest.raises(GuardError, match="at least one path"):
+            max_excursion_study(V_STAR, srw64, GG, [32], 2, paths, 1)
+
+
+def test_sampling_workers_skip_backward_table(srw64, tmp_path, monkeypatch):
+    def unread(*args):
+        raise AssertionError("the backward table was built")
+
+    monkeypatch.setattr(partition, "_backward", unread)
+    max_excursion_study(V_STAR, srw64, GG, [32, 64], 2, 3, 1)
+    meet_probability(V_STAR, srw64, GG, 48, [2, 4], 2, 2, 1)
+    assert main(["sample", "--n", "24", "--replicas", "2", "--paths", "2",
+                 "--out", str(tmp_path / "runs")]) == 0

@@ -5,9 +5,10 @@ every CSV it writes with a stored digest. All 13 CSV-writing subcommands
 are pinned (``selftest`` checks itself). The digests of ``free-energy``,
 ``mu``, ``clt``, ``phase-scan``, ``profile`` and ``maxexc`` were recorded
 before the forward DP was batched over replicas; those of the other seven
-before their replica workers were merged into one. A refactor that shifts
-every number consistently still passes a rerun-against-rerun comparison;
-it fails here.
+before their replica workers were merged into one; those of ``maxexc-256``,
+``meet-192`` and ``sample-deloc`` before the path sampler cached its rows.
+A refactor that shifts every number consistently still passes a
+rerun-against-rerun comparison; it fails here.
 
 The digests hold for one numpy build and one set of CPU SIMD features
 (vectorised exp and log may round differently elsewhere). They were
@@ -52,6 +53,18 @@ CASES = {
                       "--epsilons", "0.2,0.4"),
     "meet": ("meet", "--n", "48", "--replicas", "3", "--paths", "3",
              "--windows", "4,8,16"),
+    # N several times the 32 cdf entries the path sampler caches per site
+    "maxexc-256": ("maxexc", "--n", "256", "--replicas", "2", "--paths", "4"),
+    "meet-192": ("meet", "--n", "192", "--replicas", "2", "--paths", "3",
+                 "--windows", "2,3,4,6"),
+    "sample-deloc": ("sample", "--n", "256", "--replicas", "2",
+                     "--paths", "3"),
+}
+
+# couplings a case sets on top of its point: no return reward, so long
+# excursions are common and most draws fall in front of the cached tail
+OVERRIDES = {
+    "sample-deloc": ("--lam-tilde", "0", "--h-tilde", "-0.5"),
 }
 
 GOLDEN = {
@@ -155,6 +168,18 @@ GOLDEN = {
         "maxexc_summary.csv":
             "98ad28e138f2941b4a623facd7c08c1ababed123bae96d2370bc91c1a36aacd4",
     },
+    ('maxexc-256', 'lam0'): {
+        "maxexc.csv":
+            "8c039358d513829f542922ba37ad20c5d0f4c99439338ce4faaf53c4d71cf54a",
+        "maxexc_summary.csv":
+            "aec4cc01746ad2178b00ec257a3bc687c4872513651aeec19b2545fc349952b6",
+    },
+    ('maxexc-256', 'lam05'): {
+        "maxexc.csv":
+            "4e70beca702b8b57ceeb71477426c27db48a1107ba71388b96418ac88def4e18",
+        "maxexc_summary.csv":
+            "74d9ab192fcb28f4eacf81a68462254e151cf3b06d39f39c63d7641de7749f9e",
+    },
     ('meet', 'lam0'): {
         "meet.csv":
             "65efb615470961ce5368b8d2d8f0d3e4ae8465186322aa3c8a9f54aacc27cbb3",
@@ -166,6 +191,18 @@ GOLDEN = {
             "9bffd891e947500c828e7c74f2b28a90910530e57660abe2e4bfac21148fdf59",
         "meet_fit.csv":
             "6dd6bba8da8db0d84d1f536f10cadf2bc92960ce920d7ff8b5be7fb900b80a0a",
+    },
+    ('meet-192', 'lam0'): {
+        "meet.csv":
+            "f8634ae58ffaa808531a8649733de41b0da5475c800be3e55e15fdf3ef900616",
+        "meet_fit.csv":
+            "fba0e0f27431183c6d78cd2e67c3432ca1d09aa4ec3992eff82283730bd5b165",
+    },
+    ('meet-192', 'lam05'): {
+        "meet.csv":
+            "f272065cda2242ae6ddcd9f6437b80490af6fb154b162fdb39249e0b0428b7a7",
+        "meet_fit.csv":
+            "5f485aa112b55c01e940f4991cd36f004be35d40094f0c1c184302616884a43e",
     },
     ('mu', 'lam0'): {
         "mu.csv":
@@ -199,13 +236,21 @@ GOLDEN = {
         "sample.csv":
             "31e436c9618373d8ca03e04dfcd73a3375b85b067f11ff0ec02b543966dd7d4f",
     },
+    ('sample-deloc', 'lam0'): {
+        "sample.csv":
+            "e72375b0505e05af607b879631edeb1d32621c2cb95c5f60499f4a97b0dbc5c6",
+    },
+    ('sample-deloc', 'lam05'): {
+        "sample.csv":
+            "e030b8091ac449c8918be99521d843eb8d3835d3a905b2642d399c8b284cde6b",
+    },
 }
 
 
 def run_digests(out, case, point, threads):
     """sha256 of every CSV one run writes, keyed by file name."""
-    argv = [*CASES[case], *POINTS[point], "--seed", "3",
-            "--threads", str(threads), "--out", str(out)]
+    argv = [*CASES[case], *POINTS[point], *OVERRIDES.get(case, ()),
+            "--seed", "3", "--threads", str(threads), "--out", str(out)]
     assert main(argv) == 0
     (run,) = [p for p in out.iterdir() if p.is_dir()]
     return {f.name: hashlib.sha256(f.read_bytes()).hexdigest()

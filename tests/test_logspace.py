@@ -3,7 +3,8 @@ import math
 import numpy as np
 from hypothesis import given, strategies as st
 
-from copolymer.logspace import LOG2, log_coin_average, logsumexp, sigmoid, softplus
+from copolymer.logspace import (LOG2, log_coin_average, logsumexp,
+                                scalar_sigmoid, sigmoid, softplus)
 
 finite = st.floats(min_value=-700, max_value=700, allow_nan=False)
 
@@ -41,3 +42,14 @@ def test_logsumexp_edge_cases():
     assert math.isclose(logsumexp(np.array([-np.inf, 0.0])), 0.0)
     big = np.array([1e308, 1e308])
     assert math.isclose(logsumexp(big), 1e308 + LOG2)
+
+
+def test_scalar_sigmoid_bit_identical():
+    # the path sampler's sign probability: -2 lam dW over a wide range
+    rng = np.random.default_rng(5)
+    xs = np.concatenate((rng.normal(0.0, 3.0, 200_000),
+                         rng.uniform(-750.0, 750.0, 50_000),
+                         [0.0, -0.0, 1e-300, -1e-300, 745.0, -745.0,
+                          np.inf, -np.inf]))
+    for x in xs:
+        assert scalar_sigmoid(x) == sigmoid(x), x

@@ -4,17 +4,20 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+import copolymer.observables as obs
 from copolymer.disorder import (DisorderLaw, PathRng, freeze_zero_disorder,
                                 sample_disorder)
 from copolymer.errors import GuardError
+from copolymer.kernel import build_powerlaw_kernel
+from copolymer.logspace import sigmoid
 from copolymer.observables import (PathSample, contact_profile,
                                    excursion_cover, excursion_law,
                                    joint_contact_probability, log_z_gradients,
                                    max_excursion, sample_path, ursell,
                                    ursell_from_tables)
 from copolymer.oracle import brute_force_marginals
-from copolymer.partition import (ModelParams, forward_tables,
-                                 log_partition_curve)
+from copolymer.partition import (ModelParams, _log_weight_core,
+                                 forward_tables, log_partition_curve)
 
 ZERO = ModelParams(0.0, 0.0, 0.0, 0.0)
 
@@ -227,3 +230,84 @@ def test_max_excursion_values():
                                     signs=(1,) * 10)) == 1
     assert max_excursion(PathSample(returns=(10,), signs=(1,))) == 10
     assert max_excursion(PathSample(returns=(3, 10), signs=(1, -1))) == 7
+
+
+def _loop_sample_path(tables, d, p, kern, rng):
+    """The sampler before rows were cached: one full row per return, kept as
+    the bit-level reference."""
+    zf, w, lk = tables.log_zf, d.w_prefix, kern.log_k
+    t = tables.n
+    rev_returns = []
+    rev_signs = []
+    while t > 0:
+        x = zf[:t] + _log_weight_core(lk[t:0:-1], w[t] - w[:t], p.lam)
+        m = np.max(x)
+        cdf = np.cumsum(np.exp(x - m))
+        target = rng.uniform() * cdf[-1]
+        u = int(np.searchsorted(cdf, target))
+        if u >= t:
+            u = t - 1
+        frac_neg = sigmoid(-2.0 * p.lam * (w[t] - w[u]))
+        sign = -1 if rng.uniform() < frac_neg else 1
+        rev_returns.append(t)
+        rev_signs.append(sign)
+        t = u
+    return PathSample(returns=tuple(reversed(rev_returns)),
+                      signs=tuple(reversed(rev_signs)))
+
+
+# lam_tilde = 0 drops the return reward: long excursions are common there,
+# so repeat visits draw in front of the cached tail
+@pytest.mark.parametrize("p, localized", [
+    (ModelParams(0.0, 0.0, 1.0, 0.5), True),
+    (ModelParams(0.5, 0.1, 1.0, 0.5), True),
+    (ModelParams(0.0, 0.0, 0.0, -0.5), False),
+    (ModelParams(0.5, 0.1, 0.0, -0.5), False),
+])
+def test_sample_path_matches_loop_sampler(srw512, monkeypatch, p, localized):
+    n = 8 * obs._TAIL_WIDTH
+    d = sample_disorder(DisorderLaw.GAUSSIAN, DisorderLaw.GAUSSIAN, n, p.h,
+                        21, 0)
+    t = forward_tables(d, p, srw512)
+    calls = []
+    full_row = obs._sampling_cdf
+
+    def counted(site, *args):
+        calls.append(site)
+        return full_row(site, *args)
+
+    monkeypatch.setattr(obs, "_sampling_cdf", counted)
+    order = np.random.default_rng(4).permutation(30)
+    paths = {int(i): sample_path(t, d, p, srw512, PathRng(21, 0, int(i)))
+             for i in order}
+    for i, path in paths.items():
+        assert path == _loop_sample_path(t, d, p, srw512, PathRng(21, 0, i))
+    visited = {s for path in paths.values() for s in path.returns}
+    assert len(calls) >= len(visited)
+    if not localized:
+        # some repeat visit fell back to the full row
+        assert len(calls) > len(visited)
+
+
+def test_sample_path_rows_keyed_by_coupling(srw512):
+    p = ModelParams(0.5, 0.1, 1.0, 0.5)
+    d = sample_disorder(DisorderLaw.GAUSSIAN, DisorderLaw.GAUSSIAN, 128, p.h,
+                        8, 0)
+    t = forward_tables(d, p, srw512)
+    other_p = p.replace(lam=1.5)
+    other_kern = build_powerlaw_kernel(1.8, 512)
+    for i in range(6):
+        for pp, kern in ((p, srw512), (other_p, srw512), (p, other_kern)):
+            assert (sample_path(t, d, pp, kern, PathRng(8, 0, i))
+                    == _loop_sample_path(t, d, pp, kern, PathRng(8, 0, i)))
+
+
+def test_sample_path_rejects_mismatched_sample(srw64):
+    p = ModelParams(0.5, 0.1, 1.0, 0.5)
+    big = sample_disorder(DisorderLaw.GAUSSIAN, DisorderLaw.GAUSSIAN, 32, p.h,
+                          1, 0)
+    small = sample_disorder(DisorderLaw.GAUSSIAN, DisorderLaw.GAUSSIAN, 16,
+                            p.h, 1, 0)
+    t = forward_tables(big, p, srw64)
+    with pytest.raises(GuardError):
+        sample_path(t, small, p, srw64, PathRng(1))

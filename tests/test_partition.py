@@ -11,6 +11,7 @@ from copolymer.errors import ConfigError, GuardError, NumericsError
 from copolymer.kernel import build_srw_kernel
 from copolymer.logspace import logsumexp
 from copolymer.oracle import brute_force_partition, log_srw_mass
+import copolymer.partition as partition
 from copolymer.partition import (ModelParams, _forward_batch, _log_rewards,
                                  _log_weight_core, excursion_log_weight,
                                  forward_tables, log_partition_curve,
@@ -291,3 +292,22 @@ def test_forward_backward_check_catches_nan(srw16):
     with pytest.raises(NumericsError):
         forward_tables(dataclasses.replace(d, omega_tilde=tilde),
                        ModelParams(0.0, 0.0, 1.0, 0.0), srw16)
+
+
+def test_backward_table_checked_on_first_read(srw64, make_instance,
+                                              monkeypatch):
+    p, d = make_instance(5, 40)
+    exact = forward_tables(d, p, srw64).log_zb
+    original = partition._backward
+
+    def shifted(*args):
+        return original(*args) + 1e-6
+
+    monkeypatch.setattr(partition, "_backward", shifted)
+    t = forward_tables(d, p, srw64)
+    for _ in range(2):
+        with pytest.raises(NumericsError):
+            t.log_zb
+    monkeypatch.setattr(partition, "_backward", original)
+    assert np.array_equal(t.log_zb, exact)
+    assert t.log_zb is t.log_zb and not t.log_zb.flags.writeable
