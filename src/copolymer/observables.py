@@ -17,9 +17,9 @@ import numpy as np
 from .disorder import DisorderSample, PathRng
 from .errors import GuardError, NumericsError
 from .kernel import ReturnKernel
-from .logspace import scalar_sigmoid, sigmoid
-from .partition import (ModelParams, PartitionTables, _log_weight_core,
-                        segment_tables)
+from .logspace import scalar_sigmoid
+from .partition import (ModelParams, PartitionTables, _check_horizon,
+                        _log_weight_base, _log_weight_into, segment_tables)
 
 
 @dataclass(frozen=True)
@@ -48,51 +48,103 @@ class ExcursionLaw:
     pmf: np.ndarray
 
 
+def _check_tables(tables: PartitionTables, d: DisorderSample,
+                  kern: ReturnKernel):
+    """The sample must have the tables' length and fit the kernel horizon."""
+    if d.n != tables.n:
+        raise GuardError(f"sample has n = {d.n}, tables have n = {tables.n}")
+    _check_horizon(d, kern)
+
+
 def _excursion_probability_scan(tables, d, p, kern, weight_neg):
     """Accumulate per-site sums of excursion probabilities, O(N^2).
 
     For every excursion (u, t] the probability of seeing exactly that
     excursion is Zf[u] * K * coin * zeta_t * Zb[t] / Z_n; the contribution
     (optionally weighted by the excursion's negative-sign fraction) is
-    spread over the covered sites u+1..t with a difference array.
+    spread over the covered sites u+1..t with a difference array. Each row
+    runs in O(N) scratch buffers, and its sign fraction sigmoid(y) reuses
+    the exp(-|y|) of its log weight.
     """
     n = tables.n
     zf, zb, lz = tables.log_zf, tables.log_zb, tables.log_zeta_sites
     w = d.w_prefix
-    lk = kern.log_k
+    lam = p.lam
+    base = _log_weight_base(kern.log_k, lam)
+    # exp(-|y|) and y >= 0 feed sigmoid(y) only where it varies (lam > 0);
+    # at lam = 0 it is exactly 1/2
+    signed = weight_neg and lam != 0.0
+    buf, aux = np.empty(n), np.empty(n)
+    e_buf = np.empty(n) if signed else None
+    pos_buf = np.empty(n, dtype=bool) if signed else None
     diff = np.zeros(n + 2)
     for u in range(n):
-        dw = w[u + 1:] - w[u]
-        logp = (zf[u] + _log_weight_core(lk[1:n - u + 1], dw, p.lam)
-                + lz[u + 1:] + zb[u + 1:] - zf[n])
-        contrib = np.exp(logp)
-        if weight_neg:
-            contrib = contrib * sigmoid(-2.0 * p.lam * dw)
-        diff[u + 1] += contrib.sum()
-        diff[u + 2:] -= contrib
+        length = n - u
+        x = buf[:length]
+        a = aux[:length]
+        e = e_buf[:length] if signed else None
+        pos = pos_buf[:length] if signed else None
+        _log_weight_into(x, a, base[1:length + 1], w[u + 1:], w[u], lam,
+                         exp_out=e, pos_out=pos)
+        np.add(zf[u], x, out=x)
+        np.add(x, lz[u + 1:], out=x)
+        np.add(x, zb[u + 1:], out=x)
+        np.subtract(x, zf[n], out=x)
+        np.exp(x, out=x)
+        if signed:
+            # sigmoid(y): 1/(1 + e) where y >= 0, e/(1 + e) elsewhere
+            np.add(1.0, e, out=a)
+            np.divide(e, a, out=e)
+            np.divide(1.0, a, out=a)
+            np.copyto(e, a, where=pos)
+            np.multiply(x, e, out=x)
+        elif weight_neg:
+            np.multiply(x, 0.5, out=x)
+        diff[u + 1] += np.add.reduce(x)
+        tail = diff[u + 2:]
+        np.subtract(tail, x, out=tail)
     return np.cumsum(diff)[:n + 1]
 
 
 def contact_profile(tables: PartitionTables, d: DisorderSample,
                     p: ModelParams, kern: ReturnKernel) -> ContactProfile:
-    """Exact contact and negative-sign profiles for one sample."""
+    """Exact contact and negative-sign profiles for one sample.
+
+    When (d, p, kern) is the triple the tables were built from, the profile
+    is built once and cached on them, and its arrays are read-only.
+    """
+    _check_tables(tables, d, kern)
+    cached = tables.built_from(d, p, kern)
+    if cached and tables._profile is not None:
+        return tables._profile
     n = tables.n
     p_contact = np.exp(tables.log_zf + tables.log_zb - tables.log_zf[n])
     p_neg = _excursion_probability_scan(tables, d, p, kern, weight_neg=True)
-    return ContactProfile(p_contact=p_contact, p_neg=p_neg)
+    p_contact.flags.writeable = False
+    p_neg.flags.writeable = False
+    prof = ContactProfile(p_contact=p_contact, p_neg=p_neg)
+    if cached:
+        tables._profile = prof
+    return prof
 
 
 def excursion_cover(tables: PartitionTables, d: DisorderSample,
                     p: ModelParams, kern: ReturnKernel) -> np.ndarray:
     """Total excursion probability covering each site; identically 1 for
     every site >= 1 (partition of unity over excursions)."""
+    _check_tables(tables, d, kern)
     return _excursion_probability_scan(tables, d, p, kern, weight_neg=False)
 
 
 def joint_contact_probability(sites, tables: PartitionTables,
                               d: DisorderSample, p: ModelParams,
                               kern: ReturnKernel) -> float:
-    """P(S_site = 0 simultaneously at every listed site), exactly."""
+    """P(S_site = 0 simultaneously at every listed site), exactly.
+
+    Each consecutive pair (a, b) reads log Z_{b-a} from the segment at a
+    bounded at b, an O((b - a)^2) pass with the full segment's bits.
+    """
+    _check_tables(tables, d, kern)
     sites = list(sites)
     if not sites or any(not 1 <= s <= tables.n for s in sites):
         raise GuardError("sites must lie in 1..n")
@@ -101,7 +153,7 @@ def joint_contact_probability(sites, tables: PartitionTables,
     log_p = (tables.log_zf[sites[0]] + tables.log_zb[sites[-1]]
              - tables.log_zf[tables.n])
     for a, b in zip(sites[:-1], sites[1:]):
-        log_p += segment_tables(a, d, p, kern, tables)[b]
+        log_p += segment_tables(a, d, p, kern, tables, stop=b)[b]
     return float(np.exp(log_p))
 
 
@@ -157,21 +209,28 @@ def excursion_law(k: int, tables: PartitionTables, d: DisorderSample,
     r >= 1; its probability is the single-excursion bridge through the
     forward and backward tables.
     """
+    _check_tables(tables, d, kern)
     n = tables.n
     if not 1 <= k <= n - 1:
         raise GuardError(f"site must satisfy 1 <= k <= n-1, got {k}")
     zf, zb, lz = tables.log_zf, tables.log_zb, tables.log_zeta_sites
     w = d.w_prefix
-    lk = kern.log_k
+    base = _log_weight_base(kern.log_k, p.lam)
     pmf = np.zeros(n + 1)
-    t = np.arange(k + 1, n + 1)
+    # row u holds the excursions (u, t], t = k+1..n, of lengths t - u
+    x, aux = np.empty(n - k), np.empty(n - k)
     for u in range(k + 1):
-        logp = (zf[u] + _log_weight_core(lk[k + 1 - u:n - u + 1],
-                                         w[k + 1:] - w[u], p.lam)
-                + lz[k + 1:] + zb[k + 1:] - zf[n])
-        pmf[t - u] += np.exp(logp)
+        _log_weight_into(x, aux, base[k + 1 - u:n - u + 1], w[k + 1:], w[u],
+                         p.lam)
+        np.add(zf[u], x, out=x)
+        np.add(x, lz[k + 1:], out=x)
+        np.add(x, zb[k + 1:], out=x)
+        np.subtract(x, zf[n], out=x)
+        np.exp(x, out=x)
+        lengths = pmf[k + 1 - u:n - u + 1]
+        np.add(lengths, x, out=lengths)
     total = pmf.sum()
-    if abs(total - 1.0) > 1e-9:
+    if not abs(total - 1.0) <= 1e-9:
         raise NumericsError(f"excursion law at k={k} sums to {total}")
     return ExcursionLaw(k=k, pmf=pmf)
 
@@ -182,12 +241,16 @@ def excursion_law(k: int, tables: PartitionTables, d: DisorderSample,
 _TAIL_WIDTH = 32
 
 
-def _sampling_cdf(t, zf, w, lk, lam):
+def _sampling_cdf(t, zf, w, base, lam):
     """Unnormalised cdf of the return u = 0..t-1 before a return at t:
-    cumulative Zf[u] * K(t-u) * coin(u, t), scaled by its largest term."""
-    x = zf[:t] + _log_weight_core(lk[t:0:-1], w[t] - w[:t], lam)
-    m = np.max(x)
-    return np.cumsum(np.exp(x - m))
+    cumulative Zf[u] * K(t-u) * coin(u, t), scaled by its largest term.
+    ``base`` is ``partition._log_weight_base`` of the kernel."""
+    x = np.empty(t)
+    _log_weight_into(x, np.empty(t), base[t:0:-1], w[t], w[:t], lam)
+    np.add(zf[:t], x, out=x)
+    np.subtract(x, np.maximum.reduce(x), out=x)
+    np.exp(x, out=x)
+    return np.cumsum(x, out=x)
 
 
 class _SamplingRows:
@@ -214,8 +277,7 @@ def _sampling_rows(tables, d, p, kern):
     """The rows cached on ``tables``, or None when (d, p, kern) is not the
     triple the tables were built from: rows of one coupling never serve
     another."""
-    src_d, src_p, src_kern = tables._source
-    if d is not src_d or kern is not src_kern or p != src_p:
+    if not tables.built_from(d, p, kern):
         return None
     if tables._rows is None:
         tables._rows = _SamplingRows(tables.n)
@@ -236,13 +298,12 @@ def sample_path(tables: PartitionTables, d: DisorderSample, p: ModelParams,
     which gives the index the full row gives; any other target recomputes
     the row. Paths are the same whatever their order or number.
     """
+    _check_tables(tables, d, kern)
     n = tables.n
-    if d.n != n:
-        raise GuardError(f"sample has n = {d.n}, tables have n = {n}")
     zf = tables.log_zf
     w = d.w_prefix
-    lk = kern.log_k
     lam = p.lam
+    base = _log_weight_base(kern.log_k, lam)
     rows = _sampling_rows(tables, d, p, kern)
     t = n
     rev_returns = []
@@ -252,7 +313,7 @@ def sample_path(tables: PartitionTables, d: DisorderSample, p: ModelParams,
         if rows is not None and rows.total[t] > 0:
             total = rows.total[t]
         else:
-            cdf = _sampling_cdf(t, zf, w, lk, lam)
+            cdf = _sampling_cdf(t, zf, w, base, lam)
             total = cdf[-1]
             if rows is not None:
                 rows.store(t, cdf)
@@ -262,7 +323,7 @@ def sample_path(tables: PartitionTables, d: DisorderSample, p: ModelParams,
             u = t - width + int(rows.tail[t, :width].searchsorted(target))
         else:
             if cdf is None:
-                cdf = _sampling_cdf(t, zf, w, lk, lam)
+                cdf = _sampling_cdf(t, zf, w, base, lam)
             u = int(cdf.searchsorted(target))
         if u >= t:
             u = t - 1

@@ -65,9 +65,10 @@ class PartitionTables:
     log_zf[t] = log Z_t (forward, pinned at t), log_zf[0] = 0.
     log_zb[t] = log Z_{n-t} on disorder shifted by t, log_zb[n] = 0.
     Identically log_zf[n] == log_zb[0]; checked when the backward table is
-    first read. The tables, and the segments and sampling rows cached on
-    them, are valid only with the (d, p, kern) they were built from, which
-    ``_source`` holds.
+    first read. The tables, and the segments, sampling rows and contact
+    profile cached on them, are valid only with the (d, p, kern) they were
+    built from, which ``_source`` holds; ``built_from`` tells whether a
+    triple is that one.
     """
 
     n: int
@@ -80,10 +81,20 @@ class PartitionTables:
                             compare=False)
     # the path sampler's per-site rows, allocated on first use
     _rows: object = field(default=None, init=False, repr=False, compare=False)
+    # the read-only contact profile, built on first use
+    _profile: object = field(default=None, init=False, repr=False,
+                             compare=False)
 
     def __post_init__(self):
         for arr in (self.log_zf, self.log_zeta_sites):
             arr.flags.writeable = False
+
+    def built_from(self, d, p, kern) -> bool:
+        """Whether (d, p, kern) is the triple these tables were built from:
+        the one condition under which a cached segment, sampling row or
+        profile may serve a call."""
+        src_d, src_p, src_kern = self._source
+        return d is src_d and kern is src_kern and p == src_p
 
     @property
     def log_z(self) -> float:
@@ -142,6 +153,43 @@ def _log_rewards(d: DisorderSample, p: ModelParams) -> np.ndarray:
     return np.concatenate(([0.0], log_zeta(d.omega_tilde[1:], p)))
 
 
+def _log_weight_base(log_k: np.ndarray, lam: float) -> np.ndarray:
+    """The gap-only part of the excursion log weight for every gap: log K -
+    log 2 (the 1/2 of the coin average) at lam > 0, log K at lam = 0."""
+    return log_k if lam == 0.0 else log_k - LOG2
+
+
+def _log_weight_into(out, aux, base, w_hi, w_lo, lam, exp_out=None,
+                     pos_out=None):
+    """Excursion log weights into the caller's buffer ``out``.
+
+    ``base`` is ``_log_weight_base`` at the gaps of ``out``; w_hi - w_lo
+    (broadcast to out's shape) is each excursion's charge sum dw. Leaves
+    base + softplus(y), y = -2 lam dw, in ``out``, or base at lam = 0.
+    ``aux`` is scratch of out's shape. At lam > 0, ``exp_out`` and
+    ``pos_out`` (when given) receive exp(-|y|) and y >= 0, from which
+    ``sigmoid(y)``, the negative-sign probability, follows.
+
+    It applies the ufuncs of ``_log_weight_core`` in the same order, with
+    softplus as max(y, 0) + log1p(exp(-|y|)), so every entry has its bits.
+    """
+    if lam == 0.0:
+        np.copyto(out, base)
+        return
+    np.subtract(w_hi, w_lo, out=out)
+    np.multiply(-2.0 * lam, out, out=out)
+    if pos_out is not None:
+        np.greater_equal(out, 0.0, out=pos_out)
+    e = aux if exp_out is None else exp_out
+    np.abs(out, out=e)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    np.log1p(e, out=aux)
+    np.maximum(out, 0.0, out=out)
+    np.add(out, aux, out=out)
+    np.add(base, out, out=out)
+
+
 def _check_horizon(d: DisorderSample, kern: ReturnKernel):
     if d.n > kern.n_max:
         raise GuardError(
@@ -169,9 +217,7 @@ def _forward_batch(j: int, stop: int, w: np.ndarray, lz: np.ndarray,
     seg = np.full((r, width), np.nan)
     seg[:, j] = 0.0
     # gaps run t-j, ..., 1 for u = j, ..., t-1: the tail of a reversed slice
-    lk_rev = log_k[span:0:-1]
-    lk_coin = lk_rev - LOG2
-    scale = -2.0 * lam
+    base_rev = _log_weight_base(log_k, lam)[span:0:-1]
     flat = np.empty(r * span)
     flat_aux = np.empty(r * span) if lam != 0.0 else None
     m = np.empty(r)
@@ -185,20 +231,11 @@ def _forward_batch(j: int, stop: int, w: np.ndarray, lz: np.ndarray,
         x = flat[:r * length].reshape(r, length)
         prev = seg[:, j:t]
         if lam == 0.0:
-            np.add(prev, lk_rev[span - length:], out=x)
+            np.add(prev, base_rev[span - length:], out=x)
         else:
-            # prev + (log K - log 2 + softplus(-2 lam dw)), softplus as
-            # max(x, 0) + log1p(exp(-|x|))
-            b = flat_aux[:r * length].reshape(r, length)
-            np.subtract(w[:, t, None], w[:, j:t], out=x)
-            np.multiply(scale, x, out=x)
-            np.abs(x, out=b)
-            np.negative(b, out=b)
-            np.exp(b, out=b)
-            np.log1p(b, out=b)
-            np.maximum(x, 0.0, out=x)
-            np.add(x, b, out=x)
-            np.add(lk_coin[span - length:], x, out=x)
+            _log_weight_into(x, flat_aux[:r * length].reshape(r, length),
+                             base_rev[span - length:], w[:, t, None],
+                             w[:, j:t], lam)
             np.add(prev, x, out=x)
         # the reduce methods are what np.max and np.sum call, minus their
         # Python-level argument handling
@@ -222,17 +259,26 @@ def _forward(j: int, d: DisorderSample, p: ModelParams, kern: ReturnKernel,
 
 def _backward(d: DisorderSample, p: ModelParams, kern: ReturnKernel,
               lz: np.ndarray) -> np.ndarray:
+    """log zb[t] = log Z_{n-t} on disorder shifted by t: a log-sum-exp over
+    the first return after t, in two O(N) scratch buffers."""
     n = d.n
     w = d.w_prefix
-    lk = kern.log_k
-    lam = p.lam
+    base = _log_weight_base(kern.log_k, p.lam)
     zb = np.empty(n + 1)
     zb[n] = 0.0
+    buf = np.empty(n)
+    aux = np.empty(n)
     for t in range(n - 1, -1, -1):
-        x = (_log_weight_core(lk[1:n - t + 1], w[t + 1:] - w[t], lam)
-             + lz[t + 1:] + zb[t + 1:])
-        m = np.max(x)
-        zb[t] = m + np.log(np.sum(np.exp(x - m)))
+        length = n - t
+        x = buf[:length]
+        _log_weight_into(x, aux[:length], base[1:length + 1], w[t + 1:], w[t],
+                         p.lam)
+        np.add(x, lz[t + 1:], out=x)
+        np.add(x, zb[t + 1:], out=x)
+        m = np.maximum.reduce(x)
+        np.subtract(x, m, out=x)
+        np.exp(x, out=x)
+        zb[t] = m + np.log(np.add.reduce(x))
     return zb
 
 
@@ -288,16 +334,19 @@ def segment_tables(j: int, d: DisorderSample, p: ModelParams,
                    stop: int | None = None) -> np.ndarray:
     """log Z_seg(j, t) = log Z_{t-j} on disorder shifted by j, t in (j, stop].
 
-    ``stop`` (default n) bounds the span; entries past it are NaN. With
+    ``stop`` (default n) bounds the span; entries past it are NaN, and the
+    entries up to it are those of the full segment, bit for bit. With
     j = 0 and no stop this is identical to the forward table. When
-    ``tables`` is given a full (unbounded) segment is cached on it, since
-    anchors are often revisited.
+    ``tables`` is given and was built from (d, p, kern), a full (unbounded)
+    segment is cached on it, since anchors are often revisited.
     """
     if not 0 <= j < d.n:
         raise GuardError(f"anchor j must satisfy 0 <= j < n, got {j}")
     if stop is not None and not j < stop <= d.n:
         raise GuardError(f"stop must lie in (j, n], got {stop}")
-    cache = tables._segments if tables is not None and stop is None else {}
+    cached = (tables is not None and stop is None
+              and tables.built_from(d, p, kern))
+    cache = tables._segments if cached else {}
     if j in cache:
         return cache[j]
     _check_horizon(d, kern)

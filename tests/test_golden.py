@@ -6,7 +6,9 @@ are pinned (``selftest`` checks itself). The digests of ``free-energy``,
 ``mu``, ``clt``, ``phase-scan``, ``profile`` and ``maxexc`` were recorded
 before the forward DP was batched over replicas; those of the other seven
 before their replica workers were merged into one; those of ``maxexc-256``,
-``meet-192`` and ``sample-deloc`` before the path sampler cached its rows.
+``meet-192`` and ``sample-deloc`` before the path sampler cached its rows;
+those of ``profile-512`` and ``excursions-512`` before the backward table,
+the profile scan and the excursion law moved to scratch buffers.
 A refactor that shifts every number consistently still passes a
 rerun-against-rerun comparison; it fails here.
 
@@ -59,6 +61,10 @@ CASES = {
                  "--windows", "2,3,4,6"),
     "sample-deloc": ("sample", "--n", "256", "--replicas", "2",
                      "--paths", "3"),
+    # N large enough that the profile scan and the excursion law run their
+    # long rows through the scratch buffers
+    "profile-512": ("profile", "--n", "512"),
+    "excursions-512": ("excursions", "--n", "512", "--replicas", "3"),
 }
 
 # couplings a case sets on top of its point: no return reward, so long
@@ -156,6 +162,22 @@ GOLDEN = {
         "free_energy.csv":
             "0e8127751c2d3363ba9bad1fbf4f0b75cd3f7dda55bac9e17173e7b417f132cc",
     },
+    ('excursions-512', 'lam0'): {
+        "excursion_law.csv":
+            "5215e245e213d35911e7a2c344c23c19cc06698814a3dda3b345e03cf96e8814",
+        "excursion_rates.csv":
+            "49f1498eb6d10492e77e6474ae0d4514ba06c453eaee0b328e2c34564cfe5d85",
+        "excursion_summary.csv":
+            "4aa08b863ca699905aa9420395b575d7c5cf441e9ac7cb11e0c92e2a6b30f6e7",
+    },
+    ('excursions-512', 'lam05'): {
+        "excursion_law.csv":
+            "c61a43fb531b30fa14d7bf74692a7dbf2338c5dba8c178bbf6d565c677b059e6",
+        "excursion_rates.csv":
+            "695784c88e552b4f09ea70b1b30d0af74f24eec6848a4f9ebb17fe75554635c0",
+        "excursion_summary.csv":
+            "8123e440ce346b879a1a97a93fb9770b5dbcd426b17b0180e2f4c1594b0d36d2",
+    },
     ('maxexc', 'lam0'): {
         "maxexc.csv":
             "f9c26288ce00979a15e724e63c2804430474be925fa786dafdccd2264d2f933c",
@@ -227,6 +249,14 @@ GOLDEN = {
     ('profile', 'lam05'): {
         "profile.csv":
             "acc9e190fb39d6b44e7ce90ed41a1ab51ecd6db0dc6c9f83547558170369dfed",
+    },
+    ('profile-512', 'lam0'): {
+        "profile.csv":
+            "a960bb59f3e74328dcfbf30a1f580f9571412833ca0591d7521fa348a90105ad",
+    },
+    ('profile-512', 'lam05'): {
+        "profile.csv":
+            "b1b36da19aacb5aef94bb6780a855326fffeade822675f120f11ada2bf879dc0",
     },
     ('sample', 'lam0'): {
         "sample.csv":

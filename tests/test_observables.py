@@ -3,12 +3,13 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import copolymer.observables as obs
 from copolymer.disorder import (DisorderLaw, PathRng, freeze_zero_disorder,
                                 sample_disorder)
-from copolymer.errors import GuardError
-from copolymer.kernel import build_powerlaw_kernel
+from copolymer.errors import GuardError, NumericsError
+from copolymer.kernel import build_powerlaw_kernel, build_srw_kernel
 from copolymer.logspace import sigmoid
 from copolymer.observables import (PathSample, contact_profile,
                                    excursion_cover, excursion_law,
@@ -311,3 +312,135 @@ def test_sample_path_rejects_mismatched_sample(srw64):
     t = forward_tables(big, p, srw64)
     with pytest.raises(GuardError):
         sample_path(t, small, p, srw64, PathRng(1))
+
+
+def _loop_probability_scan(tables, d, p, kern, weight_neg):
+    """The profile scan before it ran in scratch buffers, kept as the
+    bit-level reference."""
+    n = tables.n
+    zf, zb, lz = tables.log_zf, tables.log_zb, tables.log_zeta_sites
+    w = d.w_prefix
+    lk = kern.log_k
+    diff = np.zeros(n + 2)
+    for u in range(n):
+        dw = w[u + 1:] - w[u]
+        logp = (zf[u] + _log_weight_core(lk[1:n - u + 1], dw, p.lam)
+                + lz[u + 1:] + zb[u + 1:] - zf[n])
+        contrib = np.exp(logp)
+        if weight_neg:
+            contrib = contrib * sigmoid(-2.0 * p.lam * dw)
+        diff[u + 1] += contrib.sum()
+        diff[u + 2:] -= contrib
+    return np.cumsum(diff)[:n + 1]
+
+
+def _loop_excursion_law(k, tables, d, p, kern):
+    """The excursion-law rows before they ran in scratch buffers, kept as
+    the bit-level reference."""
+    n = tables.n
+    zf, zb, lz = tables.log_zf, tables.log_zb, tables.log_zeta_sites
+    w = d.w_prefix
+    lk = kern.log_k
+    pmf = np.zeros(n + 1)
+    t = np.arange(k + 1, n + 1)
+    for u in range(k + 1):
+        logp = (zf[u] + _log_weight_core(lk[k + 1 - u:n - u + 1],
+                                         w[k + 1:] - w[u], p.lam)
+                + lz[k + 1:] + zb[k + 1:] - zf[n])
+        pmf[t - u] += np.exp(logp)
+    return pmf
+
+
+_LAMS = st.one_of(st.just(0.0), st.floats(min_value=0.05, max_value=2.0))
+# lam_tilde = 0 drops the return reward: the delocalized side
+_LAM_TILDES = st.one_of(st.just(0.0), st.floats(min_value=0.05, max_value=2.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=64), _LAMS, _LAM_TILDES,
+       st.integers(min_value=0, max_value=2**32))
+def test_scans_and_laws_equal_loops(n, lam, lam_tilde, seed):
+    kern = build_srw_kernel(64)
+    p = ModelParams(lam, 0.2, lam_tilde, 0.4)
+    d = sample_disorder(DisorderLaw.GAUSSIAN, DisorderLaw.UNIFORM_SYM, n, p.h,
+                        seed, 0)
+    t = forward_tables(d, p, kern)
+    prof = contact_profile(t, d, p, kern)
+    assert np.array_equal(prof.p_neg,
+                          _loop_probability_scan(t, d, p, kern, True))
+    assert np.array_equal(excursion_cover(t, d, p, kern),
+                          _loop_probability_scan(t, d, p, kern, False))
+    for k in range(1, n):
+        assert np.array_equal(excursion_law(k, t, d, p, kern).pmf,
+                              _loop_excursion_law(k, t, d, p, kern))
+
+
+def test_profile_cached_read_only_and_keyed_by_coupling(srw64, monkeypatch):
+    p = ModelParams(0.5, 0.1, 1.0, 0.5)
+    d = sample_disorder(DisorderLaw.GAUSSIAN, DisorderLaw.GAUSSIAN, 48, p.h,
+                        6, 0)
+    t = forward_tables(d, p, srw64)
+    scans = []
+    full_scan = obs._excursion_probability_scan
+
+    def counted(*args, **kwargs):
+        scans.append(args[2:4])  # (p, kern) of each scan
+        return full_scan(*args, **kwargs)
+
+    monkeypatch.setattr(obs, "_excursion_probability_scan", counted)
+    prof = contact_profile(t, d, p, srw64)
+    assert contact_profile(t, d, p, srw64) is prof
+    for arr in (prof.p_contact, prof.p_neg):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[1] = 0.0
+    # the gradients read the cached profile: no second scan
+    log_z_gradients(t, d, p, srw64)
+    assert len(scans) == 1
+    other_p = p.replace(lam=1.5)
+    other_kern = build_powerlaw_kernel(1.8, 64)
+    for pp, kern in ((other_p, srw64), (p, other_kern)):
+        got = contact_profile(t, d, pp, kern)
+        assert got is not prof
+        assert np.array_equal(got.p_neg,
+                              _loop_probability_scan(t, d, pp, kern, True))
+    assert len(scans) == 3
+    assert t._profile is prof
+
+
+_ENTRY_POINTS = {
+    "sample_path": lambda t, d, p, kern: sample_path(t, d, p, kern,
+                                                     PathRng(2)),
+    "contact_profile": contact_profile,
+    "excursion_cover": excursion_cover,
+    "excursion_law": lambda t, d, p, kern: excursion_law(8, t, d, p, kern),
+    "joint_contact_probability": lambda t, d, p, kern:
+        joint_contact_probability([4, 30], t, d, p, kern),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ENTRY_POINTS))
+def test_observables_guard_horizon_and_length(srw64, name):
+    call = _ENTRY_POINTS[name]
+    p = ModelParams(0.5, 0.1, 1.0, 0.5)
+    d = sample_disorder(DisorderLaw.GAUSSIAN, DisorderLaw.GAUSSIAN, 32, p.h,
+                        2, 0)
+    short = sample_disorder(DisorderLaw.GAUSSIAN, DisorderLaw.GAUSSIAN, 16,
+                            p.h, 2, 0)
+    t = forward_tables(d, p, srw64)
+    # a kernel horizon below n, and a sample of another length
+    with pytest.raises(GuardError):
+        call(t, d, p, build_srw_kernel(16))
+    with pytest.raises(GuardError):
+        call(t, short, p, srw64)
+    call(t, d, p, srw64)
+
+
+def test_excursion_law_check_catches_nan(srw64, make_instance):
+    p, d = make_instance(14, 24)
+    t = forward_tables(d, p, srw64)
+    zb = t.log_zb.copy()
+    zb[20] = np.nan
+    t._log_zb = zb
+    with pytest.raises(NumericsError):
+        excursion_law(12, t, d, p, srw64)

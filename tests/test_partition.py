@@ -12,8 +12,9 @@ from copolymer.kernel import build_srw_kernel
 from copolymer.logspace import logsumexp
 from copolymer.oracle import brute_force_partition, log_srw_mass
 import copolymer.partition as partition
-from copolymer.partition import (ModelParams, _forward_batch, _log_rewards,
-                                 _log_weight_core, excursion_log_weight,
+from copolymer.partition import (ModelParams, _backward, _forward_batch,
+                                 _log_rewards, _log_weight_core,
+                                 excursion_log_weight,
                                  forward_tables, log_partition_curve,
                                  log_partition_curves, log_zeta,
                                  normalized_to_tilde, segment_tables,
@@ -204,6 +205,37 @@ def test_shifted_curve_stop(srw64, make_instance):
                           equal_nan=True)
 
 
+def test_segment_cache_keyed_by_coupling(srw64):
+    # a segment cached for the tables' own coupling never serves another
+    p = ModelParams(0.5, 0.1, 1.0, 0.5)
+    d = sample_disorder(DisorderLaw.GAUSSIAN, DisorderLaw.GAUSSIAN, 32, p.h,
+                        3, 0)
+    t = forward_tables(d, p, srw64)
+    own = segment_tables(5, d, p, srw64, t)
+    assert segment_tables(5, d, p, srw64, t) is own
+    other_p = p.replace(lam=1.5)
+    other_kern = build_srw_kernel(64)
+    for pp, kern in ((other_p, srw64), (p, other_kern)):
+        fresh = segment_tables(5, d, pp, kern)
+        got = segment_tables(5, d, pp, kern, t)
+        assert np.array_equal(got, fresh, equal_nan=True)
+        assert np.array_equal(got, _loop_forward(5, d, pp, kern, 32),
+                              equal_nan=True)
+    assert not np.array_equal(segment_tables(5, d, other_p, srw64, t)[20:],
+                              own[20:])
+    assert list(t._segments) == [5] and t._segments[5] is own
+
+
+def test_bounded_segment_is_full_segment_prefix(srw64, make_instance):
+    p, d = make_instance(8, 48)
+    p = p.replace(lam=0.7)
+    for a in (0, 5, 23, 40):
+        full = segment_tables(a, d, p, srw64)
+        for b in range(a + 1, 49):
+            bounded = segment_tables(a, d, p, srw64, stop=b)
+            assert np.array_equal(bounded[a:b + 1], full[a:b + 1])
+
+
 def test_horizon_guard():
     d = freeze_zero_disorder(10, 0.0)
     small = build_srw_kernel(5)
@@ -234,7 +266,40 @@ def _loop_forward(j, d, p, kern, stop):
     return seg
 
 
+def _loop_backward(d, p, kern, lz):
+    """The backward row loop before it ran in scratch buffers, kept as the
+    bit-level reference."""
+    n = d.n
+    w = d.w_prefix
+    lk = kern.log_k
+    lam = p.lam
+    zb = np.empty(n + 1)
+    zb[n] = 0.0
+    for t in range(n - 1, -1, -1):
+        x = (_log_weight_core(lk[1:n - t + 1], w[t + 1:] - w[t], lam)
+             + lz[t + 1:] + zb[t + 1:])
+        m = np.max(x)
+        zb[t] = m + np.log(np.sum(np.exp(x - m)))
+    return zb
+
+
 _LAMS = st.one_of(st.just(0.0), st.floats(min_value=0.05, max_value=2.0))
+# lam_tilde = 0 drops the return reward: the delocalized side
+_LAM_TILDES = st.one_of(st.just(0.0), st.floats(min_value=0.05, max_value=2.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=64), _LAMS, _LAM_TILDES,
+       st.integers(min_value=0, max_value=2**32))
+def test_backward_equals_loop(n, lam, lam_tilde, seed):
+    kern = build_srw_kernel(64)
+    p = ModelParams(lam, 0.1, lam_tilde, -0.3)
+    d = sample_disorder(DisorderLaw.GAUSSIAN, DisorderLaw.RADEMACHER, n, p.h,
+                        seed, 0)
+    lz = _log_rewards(d, p)
+    ref = _loop_backward(d, p, kern, lz)
+    assert np.array_equal(_backward(d, p, kern, lz), ref)
+    assert np.array_equal(forward_tables(d, p, kern).log_zb, ref)
 
 
 @settings(max_examples=60, deadline=None)
