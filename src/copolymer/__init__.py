@@ -17,8 +17,7 @@ from .observables import (ContactProfile, ExcursionLaw, PathSample,
                           ursell_from_tables)
 from .partition import (ModelParams, PartitionTables, excursion_log_weight,
                         forward_tables, log_partition_curve,
-                        log_partition_curves, log_zeta,
-                        normalized_to_tilde, segment_tables,
+                        log_partition_curves, log_zeta, segment_tables,
                         single_excursion_log_lower_bound)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

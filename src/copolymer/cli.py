@@ -28,10 +28,6 @@ from .oracle import (brute_force_partition, homogeneous_pinning_free_energy,
                      inequality_suite, log_srw_mass)
 from .partition import ModelParams, forward_tables, log_partition_curve
 
-_COMMANDS = ("free-energy", "mu", "profile", "correlations", "boundary",
-             "excursions", "maxexc", "sample", "clt", "finite-size",
-             "entropy-bound", "meet", "phase-scan", "selftest")
-
 _DEFAULTS = {
     "seed": 1,
     "replicas": 100,
@@ -141,7 +137,7 @@ def build_parser():
                      description="Disordered copolymer-with-adsorption toolkit")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
+    for name in _DISPATCH:
         sp = sub.add_parser(name, add_help=True)
         sp.add_argument("--config", help="flat JSON config file")
         sp.add_argument("--seed", type=int)
@@ -202,13 +198,33 @@ def resolve_config(args):
     return cfg
 
 
-def _model(cfg) -> ModelParams:
+def _int_field(cfg, key, minimum=None):
+    """cfg[key] as an int of at least ``minimum``: an int, or a float with
+    an integral value; strings, bools and fractions are config errors."""
+    val = cfg[key]
+    if isinstance(val, float) and val.is_integer():
+        val = int(val)
+    if type(val) is not int:   # JSON and argparse give no other int types
+        raise ConfigError(f"{key} must be an integer, got {val!r}")
+    if minimum is not None and val < minimum:
+        raise ConfigError(f"{key} must be >= {minimum}, got {val}")
+    return val
+
+
+def _float_field(cfg, key):
+    """cfg[key] as a finite float."""
     try:
-        return ModelParams(lam=float(cfg["lam"]), h=float(cfg["h"]),
-                           lam_tilde=float(cfg["lam_tilde"]),
-                           h_tilde=float(cfg["h_tilde"]))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc))
+        val = float(cfg[key])
+    except (TypeError, ValueError):
+        raise ConfigError(f"{key} must be a number, got {cfg[key]!r}")
+    if not np.isfinite(val):
+        raise ConfigError(f"{key} must be finite, got {val}")
+    return val
+
+
+def _model(cfg) -> ModelParams:
+    return ModelParams(*(_float_field(cfg, key)
+                         for key in ("lam", "h", "lam_tilde", "h_tilde")))
 
 
 def _laws(cfg):
@@ -221,27 +237,20 @@ def _laws(cfg):
 
 def _ladder(cfg):
     lad = (_parse_list(cfg["n_ladder"], int) if cfg["n_ladder"] is not None
-           else [int(cfg["n"])])
+           else [_int_field(cfg, "n", 1)])
     if not lad or any(v < 1 for v in lad):
         raise ConfigError("ladder lengths must be positive")
     return sorted(lad)
 
 
 def _kernel_for(cfg, horizon):
-    n_max = int(cfg["n_max"] if cfg["n_max"] is not None else horizon)
-    kind = KernelKind.SRW if cfg["kernel"] == "srw" else KernelKind.POWER_LAW
-    return build_kernel(KernelSpec(kind=kind, n_max=n_max,
-                                   alpha=float(cfg["alpha"])))
-
-
-def _int_field(cfg, key, minimum):
+    n_max = horizon if cfg["n_max"] is None else _int_field(cfg, "n_max", 1)
     try:
-        val = int(cfg[key])
+        kind = KernelKind(cfg["kernel"])
     except (TypeError, ValueError):
-        raise ConfigError(f"{key} must be an integer")
-    if val < minimum:
-        raise ConfigError(f"{key} must be >= {minimum}, got {val}")
-    return val
+        raise ConfigError(f"unknown kernel {cfg['kernel']!r}")
+    return build_kernel(KernelSpec(kind=kind, n_max=n_max,
+                                   alpha=_float_field(cfg, "alpha")))
 
 
 def _setup(cfg, min_n=None):
@@ -331,14 +340,12 @@ def _cmd_boundary(cfg, outdir):
 
 def _cmd_excursions(cfg, outdir):
     p, laws, kern, n = _setup(cfg, 8)
-    k = int(cfg["site"]) if cfg["site"] is not None else n // 2
+    k = n // 2 if cfg["site"] is None else _int_field(cfg, "site")
+    s_max = None if cfg["s_max"] is None else _int_field(cfg, "s_max")
     rep = est.excursion_rate_check(p, kern, laws, n, k,
                                    _int_field(cfg, "replicas", 2),
-                                   cfg["seed"], s_min=int(cfg["s_min"]),
-                                   s_max=(int(cfg["s_max"])
-                                          if cfg["s_max"] is not None
-                                          else None),
-                                   threads=cfg["threads"])
+                                   cfg["seed"], s_min=_int_field(cfg, "s_min"),
+                                   s_max=s_max, threads=cfg["threads"])
     files = [_write_csv(outdir, "excursion_law.csv", ["s", "mean_pmf"],
                         [(int(s), rep.mean_pmf[s]) for s in rep.s_values])]
     files.append(_write_csv(outdir, "excursion_rates.csv",
@@ -549,8 +556,9 @@ def run_command(cfg) -> str:
     command = cfg["command"]
     _model(cfg)   # early validation: model params
     _laws(cfg)    # early validation: laws
-    _int_field(cfg, "seed", -(1 << 63))
-    _int_field(cfg, "threads", 1)
+    # the commands read these two directly
+    cfg["seed"] = _int_field(cfg, "seed", -(1 << 63))
+    cfg["threads"] = _int_field(cfg, "threads", 1)
     run_id = _run_id(cfg)
     outdir = os.path.join(str(cfg["out"]), run_id)
     os.makedirs(outdir, exist_ok=True)

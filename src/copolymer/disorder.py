@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import ConfigError
 
@@ -96,6 +95,8 @@ def _draw(law: DisorderLaw, key: int, indices: np.ndarray) -> np.ndarray:
         return np.where(bit == np.uint64(1), 1.0, -1.0)
     u = _uniforms(key, indices)
     if law == DisorderLaw.GAUSSIAN:
+        # imported here: scipy.special is most of the package's import time
+        from scipy.special import ndtri
         return ndtri(u)
     if law == DisorderLaw.UNIFORM_SYM:
         return (2.0 * u - 1.0) * _SQRT3

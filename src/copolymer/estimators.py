@@ -17,8 +17,7 @@ from .disorder import (DisorderLaw, PathRng, disorder_from_arrays,
 from .errors import ConfigError, GuardError, NumericsError
 from .logspace import logsumexp, softplus
 from .observables import excursion_law, max_excursion, sample_path
-from .partition import (forward_tables, log_partition_curve,
-                        log_partition_curves, segment_tables)
+from .partition import forward_tables, log_partition_curves, segment_tables
 
 VERDICT_BOUNDED = "BoundedGap"
 VERDICT_LOG_GROWTH = "LogGrowth"
@@ -29,6 +28,11 @@ _LOCALIZED_FLOOR = 1e-3
 # float64 cells per array of one batched forward pass: at 2^16 cells
 # (512 KiB) a batch adds little to a worker's resident memory
 _BATCH_CELLS = 1 << 16
+
+
+def _batch_cap(n):
+    """Replicas per batched forward pass over samples of length n."""
+    return max(1, _BATCH_CELLS // (int(n) + 1))
 
 
 def _draw_disorder(laws, n, h, seed, replica):
@@ -73,6 +77,11 @@ def _mean_stderr(x):
     if x.size < 2:
         return float(np.mean(x)), 0.0
     return float(np.mean(x)), float(np.std(x, ddof=1) / math.sqrt(x.size))
+
+
+def _column_mean_stderr(x):
+    """``_mean_stderr`` of every column of x, as two arrays."""
+    return np.array([_mean_stderr(col) for col in x.T]).T
 
 
 def _columns(rows):
@@ -157,8 +166,7 @@ def _curve_task(task):
     common, chunk = task
     p, kern, laws, seed, sites = (common["p"], common["kern"], common["laws"],
                                   common["seed"], common["sites"])
-    n_top = max(sites)
-    samples = [_draw_disorder(laws, n_top, p.h, seed, r) for r in chunk]
+    samples = [_draw_disorder(laws, sites[-1], p.h, seed, r) for r in chunk]
     zf = log_partition_curves(samples, p, kern)[:, sites]
     return [(z, d.w_prefix[sites]) for z, d in zip(zf, samples)]
 
@@ -170,9 +178,9 @@ def _gather_curves(points, kern, laws, n_ladder, replicas, seed, threads):
     sites = np.asarray(_validate_ladder(n_ladder))
     commons = [dict(p=p, kern=kern, laws=laws, seed=seed, sites=sites)
                for p in points]
-    cap = max(1, _BATCH_CELLS // (int(sites[-1]) + 1))
     curves = []
-    for rows in _fan_out(_curve_task, commons, replicas, threads, cap):
+    for rows in _fan_out(_curve_task, commons, replicas, threads,
+                         _batch_cap(sites[-1])):
         z, w = _columns(rows)
         if not np.all(np.isfinite(z)):
             # cannot happen with K(n) > 0; a kernel/table bug would surface
@@ -560,20 +568,28 @@ class FiniteSizeReport:
     verdict: str
 
 
-def _finite_size_sample(c, r, d):
-    p, kern, sites = c["p"], c["kern"], c["sites"]
-    zf = log_partition_curve(d, p, kern)
-    xis = np.empty(len(sites) - 1)
-    for i, n in enumerate(sites[:-1]):
-        n = int(n)
-        window = disorder_from_arrays(d.omega[n + 1:2 * n + 1],
-                                      d.omega_tilde[n + 1:2 * n + 1], p.h)
-        z_shift = log_partition_curve(window, p, kern)[n]
-        xi = zf[2 * n] - zf[n] - z_shift
-        if not xi >= -1e-8 * max(1.0, abs(zf[2 * n])):
-            raise NumericsError(f"superadditivity violated: xi={xi}")
-        xis[i] = xi
-    return zf[sites].copy(), xis
+def _finite_size_task(task):
+    """Per replica: log Z at the ladder sites and the superadditivity gaps
+    xi_n = log Z_2n - log Z_n - log Z_n(shifted by n) of every rung below
+    the top, from one batched pass over the chunk's full samples and one
+    per rung over their windows (n, 2n]."""
+    common, chunk = task
+    p, kern, sites = common["p"], common["kern"], common["sites"]
+    samples = [_draw_disorder(common["laws"], sites[-1], p.h, common["seed"],
+                              r) for r in chunk]
+    zf = log_partition_curves(samples, p, kern)
+    xis = []
+    for n in sites[:-1]:
+        windows = [disorder_from_arrays(d.omega[n + 1:2 * n + 1],
+                                        d.omega_tilde[n + 1:2 * n + 1], p.h)
+                   for d in samples]
+        z_shift = log_partition_curves(windows, p, kern)[:, n]
+        xi = zf[:, 2 * n] - zf[:, n] - z_shift
+        broken = ~(xi >= -1e-8 * np.maximum(1.0, np.abs(zf[:, 2 * n])))
+        if np.any(broken):
+            raise NumericsError(f"superadditivity violated: xi={xi[broken][0]}")
+        xis.append(xi)
+    return list(zip(zf[:, sites], np.stack(xis, axis=1)))
 
 
 def _finite_size_verdict(gaps, errs):
@@ -605,22 +621,13 @@ def finite_size_study(p, kern, laws, n_ladder, replicas, seed, threads=1):
         raise GuardError("finite-size ladder must double at every rung")
     if len(sites) < 5:
         raise GuardError("need a ladder of at least 4 doublings")
-    common = dict(per_sample=_finite_size_sample, p=p, kern=kern, laws=laws,
-                  seed=seed, n=int(sites[-1]), sites=sites)
-    rows = _fan_out(_replica_task, [common], replicas, threads)[0]
-    z, xi = _columns(rows)
-    f_n = np.empty(len(sites))
-    f_se = np.empty(len(sites))
-    for j, n in enumerate(sites):
-        f_n[j], f_se[j] = _mean_stderr(z[:, j] / n)
-    gaps = np.empty(len(sites) - 1)
-    gap_se = np.empty(len(sites) - 1)
-    diff = np.empty(len(sites) - 1)
-    diff_se = np.empty(len(sites) - 1)
-    for i, n in enumerate(sites[:-1]):
-        gaps[i], gap_se[i] = _mean_stderr(0.5 * xi[:, i])
-        per = z[:, i + 1] / (2 * n) - z[:, i] / n
-        diff[i], diff_se[i] = _mean_stderr(per)
+    common = dict(p=p, kern=kern, laws=laws, seed=seed, sites=sites)
+    z, xi = _columns(_fan_out(_finite_size_task, [common], replicas, threads,
+                              _batch_cap(sites[-1]))[0])
+    f_n, f_se = _column_mean_stderr(z / sites)
+    gaps, gap_se = _column_mean_stderr(0.5 * xi)
+    diff, diff_se = _column_mean_stderr(z[:, 1:] / (2 * sites[:-1])
+                                        - z[:, :-1] / sites[:-1])
     verdict = _finite_size_verdict(gaps, gap_se)
     return FiniteSizeReport(n_ladder=sites, f_n=f_n, f_stderr=f_se,
                             pair_n=sites[:-1].copy(), scaled_gap=gaps,
@@ -644,14 +651,6 @@ class EntropyBoundReport:
     gap: float
 
 
-def _entropy_sample(c, r, d):
-    p, kern, n = c["p"], c["kern"], c["n"]
-    z_eps = np.array([
-        log_partition_curve(d, p.replace(h_tilde=p.h_tilde - eps), kern)[n]
-        for eps in c["eps_grid"]])
-    return z_eps, _log_coin(p, d.w_prefix[n])
-
-
 def entropy_bound(p, kern, laws, replicas, n, epsilon_grid, seed, threads=1):
     """Gaussian-shift upper bound on mu: min_eps eps^2/2 + F(h_tilde - eps).
 
@@ -668,20 +667,16 @@ def entropy_bound(p, kern, laws, replicas, n, epsilon_grid, seed, threads=1):
         raise GuardError("epsilon grid must be non-empty")
     # eps = 0 is always evaluated: it is the base point for f_hat and mu_hat
     eps_full = eps_grid if 0.0 in eps_grid else np.sort(np.append(eps_grid, 0.0))
-    common = dict(per_sample=_entropy_sample, p=p, kern=kern, laws=laws,
-                  seed=seed, n=n, eps_grid=eps_full)
-    rows = _fan_out(_replica_task, [common], replicas, threads)[0]
-    z, log_num = _columns(rows)                       # z: (R, |eps_full|)
-    zero_col = int(np.searchsorted(eps_full, 0.0))
-    f_hat, f_se = _mean_stderr(z[:, zero_col] / n)
-    mu_hat = _mu_hat(log_num - z[:, zero_col], n)
-    cols = np.searchsorted(eps_full, eps_grid)
-    bounds = np.empty(eps_grid.size)
-    bound_se = np.empty(eps_grid.size)
-    for i, (eps, c) in enumerate(zip(eps_grid, cols)):
-        f_i, se_i = _mean_stderr(z[:, c] / n)
-        bounds[i] = 0.5 * eps * eps + f_i
-        bound_se[i] = se_i
+    points = [p.replace(h_tilde=p.h_tilde - eps) for eps in eps_full]
+    _, curves = _gather_curves(points, kern, laws, [n], replicas, seed,
+                               threads)
+    f = {eps: _mean_stderr(z[:, 0] / n) for eps, (z, _) in zip(eps_full, curves)}
+    f_hat, f_se = f[0.0]
+    # the charges, and so W_n, are those of every point
+    z0, w = curves[int(np.searchsorted(eps_full, 0.0))]
+    mu_hat = _mu_hat(_log_coin(p, w[:, 0]) - z0[:, 0], n)
+    bounds = np.array([0.5 * eps * eps + f[eps][0] for eps in eps_grid])
+    bound_se = np.array([f[eps][1] for eps in eps_grid])
     best = int(np.argmin(bounds))
     return EntropyBoundReport(epsilon_grid=eps_grid, bound_values=bounds,
                               bound_stderr=bound_se,

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import ConfigError
 
@@ -75,6 +74,8 @@ def build_srw_kernel(n_max: int) -> ReturnKernel:
     K(n) = C(2n, n) / ((2n - 1) 4^n), evaluated through log-factorials so
     the table stays finite up to horizons of 2^20 and beyond.
     """
+    from scipy.special import gammaln  # slow to import; needed only here
+
     if n_max < 1:
         raise ConfigError(f"n_max must be >= 1, got {n_max}")
     n = np.arange(1, n_max + 1, dtype=float)

@@ -35,11 +35,6 @@ def scalar_sigmoid(x: float) -> float:
     return 1.0 / (1.0 + e) if x >= 0 else e / (1.0 + e)
 
 
-def log_coin_average(x):
-    """log(0.5 * (1 + e^x)) = -log 2 + softplus(x)."""
-    return softplus(x) - LOG2
-
-
 def logsumexp(a):
     """log sum(e^a) over a 1-d array, max-shifted; -inf for empty/all-zero mass."""
     a = np.asarray(a, dtype=float)

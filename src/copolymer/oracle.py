@@ -12,14 +12,13 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .disorder import DisorderSample, disorder_from_arrays
-from .errors import ConfigError, GuardError
+from .errors import ConfigError, GuardError, NumericsError
 from .kernel import KernelKind, ReturnKernel, build_powerlaw_kernel, build_srw_kernel
 from .logspace import LOG2, logsumexp, sigmoid, softplus
-from .partition import (ModelParams, excursion_log_weight, forward_tables,
-                        log_zeta, segment_tables,
+from .partition import (ModelParams, PartitionTables, _forward_batch,
+                        excursion_log_weight, log_zeta,
                         single_excursion_log_lower_bound)
 
 _HARD_MAX_PATHS = 20
@@ -122,6 +121,8 @@ def brute_force_marginals(d: DisorderSample, p: ModelParams,
 
 
 def _rademacher_grid(p: ModelParams, n: int):
+    """(charges, W, log zeta) of all 2^n charge rows: bit s of row i is the
+    sign of site s + 1, and W and log zeta carry site 0 too."""
     m = 1 << n
     bits = ((np.arange(m)[:, None] >> np.arange(n)[None, :]) & 1)
     charges = np.where(bits == 1, 1.0, -1.0)          # (m, n), site 1..n
@@ -129,7 +130,7 @@ def _rademacher_grid(p: ModelParams, n: int):
                         np.cumsum(charges + p.h, axis=1)], axis=1)
     lz_sites = np.concatenate([np.zeros((m, 1)),
                                log_zeta(charges, p)], axis=1)
-    return w, lz_sites
+    return charges, w, lz_sites
 
 
 def _path_terms(p, kern, n, w, lz_sites):
@@ -158,7 +159,7 @@ def enumerate_rademacher(p: ModelParams, kern: ReturnKernel, n: int,
     if n > budget.max_n_disorder:
         raise GuardError(
             f"n = {n} exceeds disorder-enumeration budget {budget.max_n_disorder}")
-    w, lz_sites = _rademacher_grid(p, n)
+    _, w, lz_sites = _rademacher_grid(p, n)
     m = 1 << n
     log_z = np.full((m, m), -np.inf)
     for _, a, b in _path_terms(p, kern, n, w, lz_sites):
@@ -187,7 +188,7 @@ def exact_disorder_expectation(tag: str, p: ModelParams, kern: ReturnKernel,
     if tag == "mu_ratio":
         return float(np.mean(np.exp(softplus(-2.0 * p.lam * w_n)[:, None] - log_z)))
     if tag == "contact":
-        w, lz_sites = _rademacher_grid(p, n)
+        _, w, lz_sites = _rademacher_grid(p, n)
         m = 1 << n
         log_z = np.full((m, m), -np.inf)
         log_zk = np.full((n + 1, m, m), -np.inf)
@@ -206,6 +207,8 @@ def exact_disorder_expectation(tag: str, p: ModelParams, kern: ReturnKernel,
 
 def log_srw_mass(n) -> float:
     """Exact log of C(2n, n) 4^-n, the SRW renewal mass u_n."""
+    from scipy.special import gammaln  # slow to import; needed only here
+
     n = np.asarray(n, dtype=float)
     out = gammaln(2 * n + 1) - 2 * gammaln(n + 1) - n * np.log(4.0)
     if out.ndim == 0:
@@ -304,18 +307,19 @@ def inequality_suite(p: ModelParams, kern: ReturnKernel, n: int,
     if n > budget.max_n_disorder:
         raise GuardError(
             f"n = {n} exceeds disorder-enumeration budget {budget.max_n_disorder}")
+    if n > kern.n_max:
+        raise GuardError(f"system size {n} exceeds kernel horizon {kern.n_max}")
     out = {}
     m_ratio = np.empty(n + 1)
     for size in range(1, n + 1):
         log_z, w_last, _ = enumerate_rademacher(p, kern, size, budget)
         m_ratio[size] = np.mean(np.exp(softplus(-2.0 * p.lam * w_last)[:, None]
                                        - log_z))
-        if size == n:
-            inv_z = float(np.mean(np.exp(-log_z)))
-            exp_ratio = float(np.mean(np.exp(-2.0 * p.lam * w_last[:, None]
-                                             - log_z)))
-            mean_log_z = float(np.mean(log_z))
-            mean_z = float(np.mean(np.exp(log_z)))
+    # log_z and w_last are those of size n
+    inv_z = float(np.mean(np.exp(-log_z)))
+    exp_ratio = float(np.mean(np.exp(-2.0 * p.lam * w_last[:, None] - log_z)))
+    mean_log_z = float(np.mean(log_z))
+    mean_z = float(np.mean(np.exp(log_z)))
     out["mumu_exp_le_inv"] = exp_ratio - inv_z
     out["chain_lower"] = np.log(inv_z) - np.log(m_ratio[n])
     out["chain_upper"] = np.log(m_ratio[n]) - np.log(inv_z) - LOG2
@@ -324,34 +328,35 @@ def inequality_suite(p: ModelParams, kern: ReturnKernel, n: int,
         for m in range(1, n))
     out["jensen"] = mean_log_z - np.log(mean_z)
 
-    patterns = list(factorization_patterns(n, 3))
+    # realization i = (omega row i // 2^n, tilde row i % 2^n) of the grid
+    charges, w_grid, lz_grid = _rademacher_grid(p, n)
+    m = 1 << n
+    w = np.repeat(w_grid, m, axis=0)
+    lz = np.tile(lz_grid, (m, 1))
+    # seg[j][:, t] = log Z on (j, t]; anchor 0 is the forward table
+    seg = [_forward_batch(j, n, w, lz, kern.log_k, p.lam) for j in range(n)]
+    zf = seg[0]
+    if not np.all(np.isfinite(zf)):
+        raise NumericsError("forward table has non-finite entries")
+    zb = np.empty_like(zf)
+    single = np.empty(m * m)
+    for i in range(m * m):
+        d = disorder_from_arrays(charges[i // m], charges[i % m], p.h)
+        zb[i] = PartitionTables(n=n, log_zf=zf[i], log_zeta_sites=lz[i],
+                                _source=(d, p, kern)).log_zb
+        single[i] = single_excursion_log_lower_bound(d, p, kern)
+    out["single_excursion"] = np.max(single - zf[:, n])
+    out["factorization"] = max(
+        np.max(zf[:, pat[0]]
+               + sum(seg[a][:, b] for a, b in zip(pat[:-1], pat[1:]))
+               + zb[:, pat[-1]] - zf[:, n])
+        for pat in factorization_patterns(n, 3))
     c_k = _pinned_kernel_constant(kern, n)
-    worst_single = -np.inf
-    worst_fact = -np.inf
     worst_pin = -np.inf
-    for bits_o in range(1 << n):
-        omega = np.where((bits_o >> np.arange(n)) & 1, 1.0, -1.0)
-        for bits_t in range(1 << n):
-            tilde = np.where((bits_t >> np.arange(n)) & 1, 1.0, -1.0)
-            d = disorder_from_arrays(omega, tilde, p.h)
-            tables = forward_tables(d, p, kern)
-            zf, zb = tables.log_zf, tables.log_zb
-            worst_single = max(worst_single,
-                               single_excursion_log_lower_bound(d, p, kern)
-                               - zf[n])
-            segmat = np.full((n + 1, n + 1), np.nan)
-            for j in range(n):
-                segmat[j] = segment_tables(j, d, p, kern, tables)
-            for pat in patterns:
-                inner = sum(segmat[a, b] for a, b in zip(pat[:-1], pat[1:]))
-                worst_fact = max(worst_fact,
-                                 zf[pat[0]] + inner + zb[pat[-1]] - zf[n])
-            for k in range(1, n):
-                log_pk = zf[k] + zb[k] - zf[n]
-                bound = -np.log1p(2.0 * c_k * min(k, n - k) ** (2 * kern.alpha)
-                                  * np.exp(-tables.log_zeta_sites[k]))
-                worst_pin = max(worst_pin, bound - log_pk)
-    out["single_excursion"] = worst_single
-    out["factorization"] = worst_fact
+    for k in range(1, n):
+        log_pk = zf[:, k] + zb[:, k] - zf[:, n]
+        bound = -np.log1p(2.0 * c_k * min(k, n - k) ** (2 * kern.alpha)
+                          * np.exp(-lz[:, k]))
+        worst_pin = max(worst_pin, np.max(bound - log_pk))
     out["pin_lower_bound"] = worst_pin
     return out

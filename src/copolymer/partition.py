@@ -297,8 +297,8 @@ def forward_tables(d: DisorderSample, p: ModelParams,
 
 def log_partition_curve(d: DisorderSample, p: ModelParams,
                         kern: ReturnKernel) -> np.ndarray:
-    """Forward table only: log Z_t for every prefix t (fast path for
-    estimators that never look backward)."""
+    """Forward table only: log Z_t for every prefix t of one sample (the
+    estimators batch theirs through ``log_partition_curves``)."""
     _check_horizon(d, kern)
     return _forward(0, d, p, kern, _log_rewards(d, p))
 
@@ -322,11 +322,6 @@ def log_partition_curves(samples, p: ModelParams,
     w = np.stack([d.w_prefix for d in samples])
     lz = np.stack([_log_rewards(d, p) for d in samples])
     return _forward_batch(0, n, w, lz, kern.log_k, p.lam)
-
-
-def normalized_to_tilde(log_z: float, d: DisorderSample, p: ModelParams) -> float:
-    """Convert log Z to the tilted normalization log Z-tilde = log Z + lam W_n."""
-    return float(log_z + p.lam * d.w_prefix[d.n])
 
 
 def segment_tables(j: int, d: DisorderSample, p: ModelParams,

@@ -87,6 +87,26 @@ def test_invalid_config_exits_one(tmp_path):
         (p / "manifest.json").exists() for p in out.iterdir())
 
 
+@pytest.mark.parametrize("command,cfg", [
+    ("free-energy", {"seed": "5"}),
+    ("free-energy", {"seed": 1.5}),
+    ("free-energy", {"threads": "2"}),
+    ("free-energy", {"replicas": 3.7}),
+    ("free-energy", {"kernel": "bogus"}),
+    ("free-energy", {"alpha": "x"}),
+    ("excursions", {"site": "x"}),
+    ("excursions", {"s_min": "4"}),
+    ("excursions", {"s_max": 6.5}),
+])
+def test_config_file_values_are_validated(tmp_path, capsys, command, cfg):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"n": 16, "replicas": 2, **cfg}))
+    out = tmp_path / "runs"
+    assert main([command, "--config", str(path), "--out", str(out)]) == 1
+    assert "config error:" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_guard_violation_exits_two(tmp_path):
     out = tmp_path / "runs"
     rc = main(["correlations", "--out", str(out), "--n", "64",

@@ -7,8 +7,8 @@ import pytest
 import copolymer.estimators as est
 import copolymer.partition as partition
 from copolymer.cli import main
-from copolymer.disorder import DisorderLaw
-from copolymer.errors import ConfigError, GuardError
+from copolymer.disorder import DisorderLaw, disorder_from_arrays
+from copolymer.errors import ConfigError, GuardError, NumericsError
 from copolymer.estimators import (VERDICT_BOUNDED, VERDICT_LOG_GROWTH,
                                   boundary_influence, clt_study, entropy_bound,
                                   estimate_free_energy, estimate_mu,
@@ -19,7 +19,7 @@ from copolymer.kernel import build_srw_kernel
 from copolymer.logspace import LOG2
 from copolymer.oracle import (homogeneous_pinning_free_energy, log_srw_mass,
                               renewal_mass_curve)
-from copolymer.partition import ModelParams
+from copolymer.partition import ModelParams, log_partition_curve
 
 ZERO = ModelParams(0.0, 0.0, 0.0, 0.0)
 V_STAR = ModelParams(0.0, 0.0, 1.0, 0.5)
@@ -400,3 +400,80 @@ def test_sampling_workers_skip_backward_table(srw64, tmp_path, monkeypatch):
     meet_probability(V_STAR, srw64, GG, 48, [2, 4], 2, 2, 1)
     assert main(["sample", "--n", "24", "--replicas", "2", "--paths", "2",
                  "--out", str(tmp_path / "runs")]) == 0
+
+
+# one replica at a time, one forward curve per call: the references for the
+# batched entropy-bound and finite-size paths
+
+def _entropy_sample(c, r, d):
+    p, kern, n = c["p"], c["kern"], c["n"]
+    z_eps = np.array([
+        log_partition_curve(d, p.replace(h_tilde=p.h_tilde - eps), kern)[n]
+        for eps in c["eps_grid"]])
+    return z_eps, est._log_coin(p, d.w_prefix[n])
+
+
+def _finite_size_sample(c, r, d):
+    p, kern, sites = c["p"], c["kern"], c["sites"]
+    zf = log_partition_curve(d, p, kern)
+    xis = np.empty(len(sites) - 1)
+    for i, n in enumerate(sites[:-1]):
+        n = int(n)
+        window = disorder_from_arrays(d.omega[n + 1:2 * n + 1],
+                                      d.omega_tilde[n + 1:2 * n + 1], p.h)
+        z_shift = log_partition_curve(window, p, kern)[n]
+        xi = zf[2 * n] - zf[n] - z_shift
+        if not xi >= -1e-8 * max(1.0, abs(zf[2 * n])):
+            raise NumericsError(f"superadditivity violated: xi={xi}")
+        xis[i] = xi
+    return zf[sites].copy(), xis
+
+
+def _loop_columns(per_sample, common, n, replicas, seed):
+    p = common["p"]
+    return est._columns([per_sample(common, r, est._draw_disorder(
+        GG, n, p.h, seed, r)) for r in range(replicas)])
+
+
+def _stats(x):
+    # one contiguous column at a time, as the per-rung loops passed them
+    return np.array([est._mean_stderr(col.copy()) for col in x.T])
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("lam", [0.0, 0.5])
+def test_entropy_bound_matches_loop(srw64, monkeypatch, threads, lam):
+    n, replicas, seed = 48, 11, 6
+    p = V_STAR.replace(lam=lam, h=0.2 * lam)
+    eps = np.array([0.0, 0.15, 0.4])
+    # at most 3 replicas per batched pass: several batches per run
+    monkeypatch.setattr(est, "_BATCH_CELLS", 3 * (n + 1))
+    z, log_num = _loop_columns(_entropy_sample,
+                               dict(p=p, kern=srw64, n=n, eps_grid=eps),
+                               n, replicas, seed)
+    rep = entropy_bound(p, srw64, GG, replicas, n, eps, seed, threads)
+    stats = _stats(z / n)
+    assert np.array_equal(rep.bound_values, 0.5 * eps * eps + stats[:, 0])
+    assert np.array_equal(rep.bound_stderr, stats[:, 1])
+    assert (rep.f_hat, rep.f_stderr) == tuple(stats[0])
+    assert rep.mu_hat == est._mu_hat(log_num - z[:, 0], n)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("lam", [0.0, 0.5])
+def test_finite_size_matches_loop(srw64, monkeypatch, threads, lam):
+    sites, replicas, seed = np.array([2, 4, 8, 16, 32]), 13, 8
+    p = V_STAR.replace(lam=lam, h=0.2 * lam)
+    monkeypatch.setattr(est, "_BATCH_CELLS", 3 * (sites[-1] + 1))
+    z, xi = _loop_columns(_finite_size_sample,
+                          dict(p=p, kern=srw64, sites=sites),
+                          sites[-1], replicas, seed)
+    rep = finite_size_study(p, srw64, GG, sites, replicas, seed, threads)
+    assert np.array_equal(np.stack([rep.f_n, rep.f_stderr], axis=1),
+                          _stats(z / sites))
+    assert np.array_equal(np.stack([rep.scaled_gap, rep.gap_stderr], axis=1),
+                          _stats(0.5 * xi))
+    diff = np.stack([z[:, i + 1] / (2 * n) - z[:, i] / n
+                     for i, n in enumerate(sites[:-1])], axis=1)
+    assert np.array_equal(np.stack([rep.diff_mean, rep.diff_stderr], axis=1),
+                          _stats(diff))

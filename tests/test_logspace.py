@@ -3,7 +3,7 @@ import math
 import numpy as np
 from hypothesis import given, strategies as st
 
-from copolymer.logspace import (LOG2, log_coin_average, logsumexp,
+from copolymer.logspace import (LOG2, logsumexp,
                                 scalar_sigmoid, sigmoid, softplus)
 
 finite = st.floats(min_value=-700, max_value=700, allow_nan=False)
@@ -21,13 +21,6 @@ def test_softplus_bounds_and_shift(x):
 def test_sigmoid_complement(x):
     assert math.isclose(sigmoid(x) + sigmoid(-x), 1.0, abs_tol=1e-12)
     assert 0.0 <= sigmoid(x) <= 1.0
-
-
-def test_coin_average_matches_direct():
-    for x in (-30.0, -2.0, 0.0, 1.5, 40.0):
-        direct = math.log(0.5 * (1.0 + math.exp(x))) if x < 700 else x - LOG2
-        assert math.isclose(log_coin_average(x), direct, rel_tol=1e-13)
-    assert log_coin_average(0.0) == 0.0
 
 
 @given(st.lists(st.floats(min_value=-50, max_value=50), min_size=1, max_size=30))

@@ -7,14 +7,16 @@ from copolymer.disorder import disorder_from_arrays, freeze_zero_disorder
 from copolymer.errors import ConfigError, GuardError
 from copolymer.kernel import build_powerlaw_kernel, build_srw_kernel
 from copolymer.logspace import LOG2, softplus
-from copolymer.oracle import (EnumerationBudget, brute_force_marginals,
+from copolymer.oracle import (EnumerationBudget, _pinned_kernel_constant,
+                              brute_force_marginals,
                               brute_force_partition, enumerate_rademacher,
                               exact_disorder_expectation,
                               factorization_patterns,
                               homogeneous_pinning_free_energy,
                               inequality_suite, log_srw_mass,
                               renewal_mass_curve, return_configurations)
-from copolymer.partition import ModelParams
+from copolymer.partition import (ModelParams, forward_tables, segment_tables,
+                                 single_excursion_log_lower_bound)
 
 ZERO = ModelParams(0.0, 0.0, 0.0, 0.0)
 
@@ -168,3 +170,74 @@ def test_inequality_suite_small():
     assert set(suite) == {"mumu_exp_le_inv", "chain_lower", "chain_upper",
                           "submult", "jensen", "single_excursion",
                           "factorization", "pin_lower_bound"}
+
+
+def _loop_inequality_suite(p, kern, n):
+    """The suite one realization at a time, with a tables object and its
+    segments per realization: the reference for the batched version."""
+    out = {}
+    m_ratio = np.empty(n + 1)
+    for size in range(1, n + 1):
+        log_z, w_last, _ = enumerate_rademacher(p, kern, size)
+        m_ratio[size] = np.mean(np.exp(softplus(-2.0 * p.lam * w_last)[:, None]
+                                       - log_z))
+        if size == n:
+            inv_z = float(np.mean(np.exp(-log_z)))
+            exp_ratio = float(np.mean(np.exp(-2.0 * p.lam * w_last[:, None]
+                                             - log_z)))
+            mean_log_z = float(np.mean(log_z))
+            mean_z = float(np.mean(np.exp(log_z)))
+    out["mumu_exp_le_inv"] = exp_ratio - inv_z
+    out["chain_lower"] = np.log(inv_z) - np.log(m_ratio[n])
+    out["chain_upper"] = np.log(m_ratio[n]) - np.log(inv_z) - LOG2
+    out["submult"] = max(
+        np.log(m_ratio[n]) - np.log(m_ratio[m]) - np.log(m_ratio[n - m])
+        for m in range(1, n))
+    out["jensen"] = mean_log_z - np.log(mean_z)
+
+    patterns = list(factorization_patterns(n, 3))
+    c_k = _pinned_kernel_constant(kern, n)
+    worst_single = -np.inf
+    worst_fact = -np.inf
+    worst_pin = -np.inf
+    for bits_o in range(1 << n):
+        omega = np.where((bits_o >> np.arange(n)) & 1, 1.0, -1.0)
+        for bits_t in range(1 << n):
+            tilde = np.where((bits_t >> np.arange(n)) & 1, 1.0, -1.0)
+            d = disorder_from_arrays(omega, tilde, p.h)
+            tables = forward_tables(d, p, kern)
+            zf, zb = tables.log_zf, tables.log_zb
+            worst_single = max(worst_single,
+                               single_excursion_log_lower_bound(d, p, kern)
+                               - zf[n])
+            segmat = np.full((n + 1, n + 1), np.nan)
+            for j in range(n):
+                segmat[j] = segment_tables(j, d, p, kern, tables)
+            for pat in patterns:
+                inner = sum(segmat[a, b] for a, b in zip(pat[:-1], pat[1:]))
+                worst_fact = max(worst_fact,
+                                 zf[pat[0]] + inner + zb[pat[-1]] - zf[n])
+            for k in range(1, n):
+                log_pk = zf[k] + zb[k] - zf[n]
+                bound = -np.log1p(2.0 * c_k * min(k, n - k) ** (2 * kern.alpha)
+                                  * np.exp(-tables.log_zeta_sites[k]))
+                worst_pin = max(worst_pin, bound - log_pk)
+    out["single_excursion"] = worst_single
+    out["factorization"] = worst_fact
+    out["pin_lower_bound"] = worst_pin
+    return out
+
+
+@pytest.mark.parametrize("p,kern,n", [
+    (ModelParams(0.0, 0.0, 0.8, 0.1), build_srw_kernel(8), 3),
+    (ModelParams(0.0, 0.2, 1.1, -0.3), build_powerlaw_kernel(2.2, 8), 5),
+    (ModelParams(1.3, 0.0, 0.3, -0.4), build_srw_kernel(8), 6),
+])
+def test_inequality_suite_matches_loop(p, kern, n):
+    assert inequality_suite(p, kern, n) == _loop_inequality_suite(p, kern, n)
+
+
+def test_inequality_suite_guards_horizon():
+    with pytest.raises(GuardError, match="kernel horizon"):
+        inequality_suite(ModelParams(0.4, 0.1, 0.6, 0.2),
+                         build_srw_kernel(4), 5)

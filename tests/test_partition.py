@@ -17,7 +17,7 @@ from copolymer.partition import (ModelParams, _backward, _forward_batch,
                                  excursion_log_weight,
                                  forward_tables, log_partition_curve,
                                  log_partition_curves, log_zeta,
-                                 normalized_to_tilde, segment_tables,
+                                 segment_tables,
                                  single_excursion_log_lower_bound)
 
 ZERO = ModelParams(0.0, 0.0, 0.0, 0.0)
@@ -118,26 +118,6 @@ def test_forward_backward_agree(srw512, make_instance):
         p, d = make_instance(i + 50, 300)
         t = forward_tables(d, p, srw512)
         assert abs(t.log_zf[300] - t.log_zb[0]) <= 1e-10 * max(1, abs(t.log_z))
-
-
-def test_normalized_to_tilde():
-    d = freeze_zero_disorder(4, 0.5)
-    p0 = ModelParams(0.0, 0.5, 0.0, 0.0)
-    assert normalized_to_tilde(-1.25, d, p0) == pytest.approx(-1.25)
-    p1 = ModelParams(1.0, 0.5, 0.0, 0.0)
-    # W_4 = 2.0 at h = 0.5 with zero charges
-    assert normalized_to_tilde(-1.25, d, p1) == pytest.approx(-1.25 + 2.0)
-
-
-def test_normalized_to_tilde_lln():
-    # (1/N)(log Ztilde - log Z) = lam W_N / N -> lam h
-    n = 10**5
-    lam, h = 0.8, 0.3
-    p = ModelParams(lam, h, 0.0, 0.0)
-    d = sample_disorder(DisorderLaw.UNIFORM_SYM, DisorderLaw.UNIFORM_SYM,
-                        n, h, 31, 0)
-    gap = (normalized_to_tilde(0.0, d, p) - 0.0) / n
-    assert abs(gap - lam * h) <= 5.0 * lam / math.sqrt(n)
 
 
 def test_single_excursion_lower_bound(srw16, make_instance):
