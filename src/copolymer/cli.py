@@ -88,12 +88,24 @@ def _write_csv(outdir, name, header, rows):
     return name
 
 
+def _as_int(val):
+    """An int, or a float with an integral value, as an int; strings, bools
+    and fractions raise TypeError."""
+    if isinstance(val, float) and val.is_integer():
+        val = int(val)
+    if type(val) is not int:   # JSON and argparse give no other int types
+        raise TypeError(f"not an integer: {val!r}")
+    return val
+
+
 def _parse_list(val, kind):
-    """A list option: a comma string (flag or config file) or a JSON list."""
+    """A list option: a comma string (flag or config file) or a JSON list,
+    whose numbers keep their JSON type (an int list takes no fractions)."""
     items = (str(val).replace(" ", "").split(",") if isinstance(val, str)
              else val)
+    parse = _as_int if kind is int and not isinstance(val, str) else kind
     try:
-        return [kind(v) for v in items if v != ""]
+        return [parse(v) for v in items if v != ""]
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad {kind.__name__} list {val!r}") from exc
 
@@ -201,11 +213,10 @@ def resolve_config(args):
 def _int_field(cfg, key, minimum=None):
     """cfg[key] as an int of at least ``minimum``: an int, or a float with
     an integral value; strings, bools and fractions are config errors."""
-    val = cfg[key]
-    if isinstance(val, float) and val.is_integer():
-        val = int(val)
-    if type(val) is not int:   # JSON and argparse give no other int types
-        raise ConfigError(f"{key} must be an integer, got {val!r}")
+    try:
+        val = _as_int(cfg[key])
+    except TypeError:
+        raise ConfigError(f"{key} must be an integer, got {cfg[key]!r}")
     if minimum is not None and val < minimum:
         raise ConfigError(f"{key} must be >= {minimum}, got {val}")
     return val
@@ -257,7 +268,10 @@ def _setup(cfg, min_n=None):
     """(params, laws or None, kernel, sizes) of a command: sizes is the
     sorted ladder, or N alone (at least ``min_n``) for one-size commands."""
     p = _model(cfg)
-    laws = None if cfg.get("zero_disorder") else _laws(cfg)
+    zero = cfg["zero_disorder"]
+    if type(zero) is not bool:   # by truthiness "no" would switch it on
+        raise ConfigError(f"zero_disorder must be true or false, got {zero!r}")
+    laws = None if zero else _laws(cfg)
     if min_n is None:
         sizes = _ladder(cfg)
         horizon = max(sizes)
@@ -489,7 +503,8 @@ def _cmd_selftest(cfg, outdir):
             failures.append(check)
 
     # DP vs enumeration on randomized instances
-    rng = np.random.default_rng(cfg["seed"])
+    # default_rng takes no negative seed; the residue keeps seeds >= 0
+    rng = np.random.default_rng(cfg["seed"] % 2**64)
     kern12 = build_srw_kernel(16)
     worst = 0.0
     laws_cycle = itertools.cycle(list(DisorderLaw))
@@ -551,6 +566,22 @@ _DISPATCH = {
 }
 
 
+def _platform():
+    """The numpy build, its BLAS and the SIMD features numpy dispatches to
+    on this CPU: the CSV bytes depend on all three."""
+    try:
+        config = np.show_config(mode="dicts")
+    except TypeError:   # numpy before 1.26 only prints its configuration
+        config = {}
+    blas = config.get("Build Dependencies", {}).get("blas", {})
+    simd = config.get("SIMD Extensions", {})
+    return {"numpy": np.__version__,
+            "blas": {key: blas.get(key)
+                     for key in ("name", "version", "openblas configuration")},
+            "simd": {"baseline": simd.get("baseline"),
+                     "found": simd.get("found")}}
+
+
 def run_command(cfg) -> str:
     """Validate, run, write artifacts; returns the run directory."""
     command = cfg["command"]
@@ -580,6 +611,7 @@ def run_command(cfg) -> str:
         "timings": {"command_s": command_done - started,
                     "total_s": time.perf_counter() - started},
         "outputs": outputs,
+        "platform": _platform(),
     }
     tmp = os.path.join(outdir, "manifest.json.tmp")
     with open(tmp, "w") as fh:

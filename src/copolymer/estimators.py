@@ -25,9 +25,11 @@ VERDICT_INCONCLUSIVE = "Inconclusive"
 
 _LOCALIZED_FLOOR = 1e-3
 
-# float64 cells per array of one batched forward pass: at 2^16 cells
-# (512 KiB) a batch adds little to a worker's resident memory
-_BATCH_CELLS = 1 << 16
+# float64 cells per array of one batched forward pass. The blocked DP's
+# cross-block products gain with R (at N = 4096 a batch of 63 curves took
+# 5.4 ms per curve, one of 8 took 13.4 ms, on a 2-core x86-64 host), and
+# at 2^18 cells (2 MiB) an array stays small beside a worker's memory
+_BATCH_CELLS = 1 << 18
 
 
 def _batch_cap(n):

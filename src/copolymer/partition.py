@@ -17,6 +17,8 @@ includes its zeta factor, the origin contributes none); the backward table
 carries log Z_{n-t} on shifted disorder, excluding the zeta factor of its
 left edge. Building a table is O(N^2) time, O(N) space, with no truncation
 of the inner sum, so brute-force enumeration matches it to rounding error.
+The forward recursion sums the sites of earlier blocks of ``_BLOCK`` sites
+through BLAS products in linear domain (see ``_forward_batch``).
 ``forward_tables`` builds the forward table at once and the backward table
 when it is first read; the forward/backward agreement is checked then.
 """
@@ -25,6 +27,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .disorder import DisorderSample
 from .errors import ConfigError, GuardError, NumericsError
@@ -196,6 +199,123 @@ def _check_horizon(d: DisorderSample, kern: ReturnKernel):
             f"system size {d.n} exceeds kernel horizon {kern.n_max}")
 
 
+# Sites per block of the forward DP. A site sums the earlier sites of its
+# own block in log domain, as one log-sum-exp, and those of earlier blocks
+# through ``_CrossBlockSums``: one linear-domain (R x B).(B x B) product per
+# source block. Spans below _BLOCK are one block, so they keep the bits of
+# the plain log-sum-exp recursion.
+#
+# Rounding bound. Every sum in either form has positive terms, so each site
+# adds to Z_t a relative error of at most about (B + ceil(s/B) + c) units
+# of 2^-52: at most B + 1 in-block terms or a B-term dot product,
+# ceil(s/B) logaddexp steps over the source blocks, and c (8 covers it)
+# for exp, log and the scale arithmetic, whose log-domain inputs carry
+# absolute errors of order max(1, |log Z|) 2^-52. As each Z_t carries the
+# errors of the Z_u it sums, the errors add along the chain: at
+# s = t - j sites from the anchor, log Z_t of either form lies within
+# s (B + ceil(s/B) + 8) 2^-52 max(1, max_{u <= t} |log Z_u|) of the exact
+# value. At s = 4096 that is 1.5e-10 relative; measured differences
+# between the two forms stay near 1e-15.
+_BLOCK = 128
+
+# Rows per BLAS product of ``_CrossBlockSums``, at least two each. OpenBLAS
+# computes a one-row product (gemv) with other bits than a product of
+# several rows (gemm), and it spreads a product above 2^18 multiply-adds
+# (17 rows of 128 x 128) over its threads, whose spinning then competes
+# with the worker processes for the cores: on a 2-core x86-64 host, two
+# processes at 63 rows each ran 5x slower than with products of at most
+# 16 rows.
+_PRODUCT_ROWS = 8
+
+
+class _CrossBlockSums:
+    """Linear-domain sums over the completed blocks of one forward pass.
+
+    The forward sum at target t = j + bB + k over a source block
+    a = b - d < b is sum_i Z_{j + aB + i} K(dB + k - i): a product of the
+    block's Z row with the Toeplitz matrix T_d[i, k] = K(dB + k - i),
+    which depends on d alone. Each completed block is stored linearly,
+    divided by a per-(row, block) log scale (the block max), and each T_d
+    by its own log scale, so nothing overflows; the products are combined
+    over source blocks by a running logaddexp. T_d is a strided view of
+    one (n_blocks - 1, 2B - 1) strip of kernel values, copied into one
+    B x B buffer per product.
+
+    At lam > 0 the coin average splits the weight in two sums,
+    1/2 [sum_u Z_u K + e^{-2 lam W_t} sum_u Z_u e^{2 lam W_u} K]; their
+    rows are stacked, so one product serves both. The products run in
+    chunks of 2 to ``_PRODUCT_ROWS`` rows (one row is padded to two), so a
+    row's bits depend neither on R nor on the rows beside it.
+    """
+
+    def __init__(self, r: int, span: int, log_k: np.ndarray, lam: float):
+        b = _BLOCK
+        n_src = span // b
+        self.r = r
+        self.lam = lam
+        self.n_rows = r if lam == 0.0 else 2 * r
+        rows = max(2, self.n_rows)
+        n_chunks = -(-rows // _PRODUCT_ROWS)
+        bounds = [round(i * rows / n_chunks) for i in range(n_chunks + 1)]
+        self.chunks = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+        # strip row d - 1 holds K at the gaps (d-1)B + 1 .. (d+1)B - 1 of
+        # T_d, divided by its max; gaps past the table weigh 0
+        size = (n_src + 1) * b
+        log_k = np.concatenate((log_k[:size],
+                                np.full(max(0, size - len(log_k)), -np.inf)))
+        log_strip = sliding_window_view(log_k[1:], 2 * b - 1)[::b]
+        self.k_scale = np.max(log_strip, axis=1)
+        self.k_scale[self.k_scale == -np.inf] = 0.0
+        strip = log_strip - self.k_scale[:, None]
+        np.exp(strip, out=strip)
+        # windows[d-1, s, m] = strip[d-1, s + m], so T_d = windows[d-1, ::-1]
+        self.toeplitz = sliding_window_view(strip, b, axis=1)[:, ::-1]
+        self.src = np.zeros((n_src, rows, b))
+        self.scale = np.zeros((n_src, rows))
+        self.t_buf = np.empty((b, b))
+        self.prod = np.empty((rows, b))
+        self.acc = np.empty((rows, b))
+
+    def add_source(self, a: int, log_z: np.ndarray, w: np.ndarray):
+        """Store completed block a from its (R, B) log Z and prefix sums."""
+        n, r = self.n_rows, self.r
+        blk = self.src[a, :n]
+        scale = self.scale[a, :n]
+        blk[:r] = log_z
+        if self.lam != 0.0:
+            np.multiply(2.0 * self.lam, w, out=blk[r:])
+            np.add(blk[r:], log_z, out=blk[r:])
+        np.maximum.reduce(blk, axis=1, out=scale)
+        np.subtract(blk, scale[:, None], out=blk)
+        np.exp(blk, out=blk)
+
+    def log_sums(self, b: int, w: np.ndarray) -> np.ndarray:
+        """log of the excursion-weighted sums over blocks 0..b-1 at the
+        targets of block b, whose prefix sums are ``w`` (R, h): (R, h)."""
+        acc, prod = self.acc, self.prod
+        acc.fill(-np.inf)
+        # a product of 0 (a kernel with gaps of weight 0) is log 0
+        with np.errstate(divide="ignore"):
+            for a in range(b):
+                d = b - a
+                np.copyto(self.t_buf, self.toeplitz[d - 1])
+                for rows in self.chunks:
+                    np.matmul(self.src[a, rows], self.t_buf, out=prod[rows])
+                np.log(prod, out=prod)
+                np.add(prod, self.scale[a, :, None], out=prod)
+                np.add(prod, self.k_scale[d - 1], out=prod)
+                np.logaddexp(acc, prod, out=acc)
+        r, h = self.r, w.shape[1]
+        if self.lam == 0.0:
+            return acc[:r, :h]
+        out = acc[r:2 * r, :h]
+        np.multiply(-2.0 * self.lam, w, out=prod[:r, :h])
+        np.add(out, prod[:r, :h], out=out)
+        np.logaddexp(acc[:r, :h], out, out=out)
+        np.subtract(out, LOG2, out=out)
+        return out
+
+
 def _forward_batch(j: int, stop: int, w: np.ndarray, lz: np.ndarray,
                    log_k: np.ndarray, lam: float) -> np.ndarray:
     """Exact forward recursion restarted at pinned site j, for R samples
@@ -204,48 +324,68 @@ def _forward_batch(j: int, stop: int, w: np.ndarray, lz: np.ndarray,
     ``w`` and ``lz`` are (R, n+1) stacks of prefix sums and log return
     rewards. Returns seg of the same shape with seg[:, j] = 0 and
     seg[:, t] = log Z_{t-j} on disorder shifted by j for t in (j, stop];
-    entries outside are NaN. Site t costs one R x (t-j) log-sum-exp.
+    entries outside are NaN.
 
-    Row r is bit-identical to the pass run on sample r alone: each site
-    applies the ufuncs of ``_log_weight_core`` and of the max-shifted
-    log-sum-exp in the same order, elementwise or along rows of
-    C-contiguous buffers (carved from flat scratch arrays), so neither R
-    nor the batch a sample shares changes its bits.
+    The span is cut into blocks of ``_BLOCK`` sites counted from j. Site t
+    costs one R x (t - lo) log-sum-exp over the earlier sites of its block
+    (lo its first site), plus one term for the earlier blocks from
+    ``_CrossBlockSums``. Each site applies the ufuncs of
+    ``_log_weight_core`` and of the max-shifted log-sum-exp in the same
+    order, elementwise or along rows of C-contiguous buffers, and each
+    product row's bits do not depend on the rows beside it, so neither R
+    nor the batch a sample shares changes a row's bits. A span below
+    ``_BLOCK`` has no second block and keeps the bits of the plain
+    recursion.
     """
     r, width = w.shape
     span = stop - j
     seg = np.full((r, width), np.nan)
     seg[:, j] = 0.0
-    # gaps run t-j, ..., 1 for u = j, ..., t-1: the tail of a reversed slice
+    # gaps run t-lo, ..., 1 for u = lo, ..., t-1: the tail of a reversed slice
     base_rev = _log_weight_base(log_k, lam)[span:0:-1]
-    flat = np.empty(r * span)
-    flat_aux = np.empty(r * span) if lam != 0.0 else None
+    # at most B - 1 in-block terms plus the cross term, or span terms
+    size = r * min(span, _BLOCK)
+    flat = np.empty(size)
+    flat_aux = np.empty(size) if lam != 0.0 else None
     m = np.empty(r)
     m_col = m[:, None]
     s = np.empty(r)
     # rows of the transposes are the site columns, without a view per site
     seg_cols = seg.T
     lz_cols = lz.T
-    for t in range(j + 1, stop + 1):
-        length = t - j
-        x = flat[:r * length].reshape(r, length)
-        prev = seg[:, j:t]
-        if lam == 0.0:
-            np.add(prev, base_rev[span - length:], out=x)
-        else:
-            _log_weight_into(x, flat_aux[:r * length].reshape(r, length),
-                             base_rev[span - length:], w[:, t, None],
-                             w[:, j:t], lam)
-            np.add(prev, x, out=x)
-        # the reduce methods are what np.max and np.sum call, minus their
-        # Python-level argument handling
-        np.maximum.reduce(x, axis=1, out=m)
-        np.subtract(x, m_col, out=x)
-        np.exp(x, out=x)
-        np.add.reduce(x, axis=1, out=s)
-        np.log(s, out=s)
-        np.add(lz_cols[t], m, out=m)
-        np.add(m, s, out=seg_cols[t])
+    cross = _CrossBlockSums(r, span, log_k, lam) if span >= _BLOCK else None
+    for b, lo in enumerate(range(j, stop + 1, _BLOCK)):
+        hi = min(lo + _BLOCK, stop + 1)
+        # the earlier blocks' sums, one extra log-sum-exp term per site
+        extra = b > 0
+        if extra:
+            cross_cols = cross.log_sums(b, w[:, lo:hi]).T
+        for t in range(max(lo, j + 1), hi):
+            length = t - lo
+            x = flat[:r * (length + extra)].reshape(r, length + extra)
+            terms = x[:, :length]
+            prev = seg[:, lo:t]
+            if lam == 0.0:
+                np.add(prev, base_rev[span - length:], out=terms)
+            else:
+                _log_weight_into(terms,
+                                 flat_aux[:r * length].reshape(r, length),
+                                 base_rev[span - length:], w[:, t, None],
+                                 w[:, lo:t], lam)
+                np.add(prev, terms, out=terms)
+            if extra:
+                x[:, length] = cross_cols[t - lo]
+            # the reduce methods are what np.max and np.sum call, minus
+            # their Python-level argument handling
+            np.maximum.reduce(x, axis=1, out=m)
+            np.subtract(x, m_col, out=x)
+            np.exp(x, out=x)
+            np.add.reduce(x, axis=1, out=s)
+            np.log(s, out=s)
+            np.add(lz_cols[t], m, out=m)
+            np.add(m, s, out=seg_cols[t])
+        if hi <= stop:
+            cross.add_source(b, seg[:, lo:hi], w[:, lo:hi])
     return seg
 
 
@@ -309,8 +449,9 @@ def log_partition_curves(samples, p: ModelParams,
 
     Row r of the (R, n+1) result is ``log_partition_curve(samples[r], p,
     kern)``, bit for bit. Besides the result it allocates about four
-    arrays of the same size (stacked inputs and scratch), so callers with
-    many long samples pass them in batches.
+    arrays of the same size (stacked inputs and the linear blocks of the
+    cross-block sums), so callers with many long samples pass them in
+    batches.
     """
     samples = list(samples)
     if not samples:

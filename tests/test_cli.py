@@ -97,6 +97,14 @@ def test_invalid_config_exits_one(tmp_path):
     ("excursions", {"site": "x"}),
     ("excursions", {"s_min": "4"}),
     ("excursions", {"s_max": 6.5}),
+    # only a JSON boolean switches disorder off; "no" would read as true
+    ("free-energy", {"zero_disorder": "no"}),
+    ("free-energy", {"zero_disorder": 0}),
+    # integer lists take no fractions, as the scalar fields
+    ("free-energy", {"n_ladder": [16.5, 32]}),
+    ("boundary", {"k_list": [8, 12.5]}),
+    ("meet", {"windows": [4, 8.5]}),
+    ("correlations", {"distances": [4, 5.5]}),
 ])
 def test_config_file_values_are_validated(tmp_path, capsys, command, cfg):
     path = tmp_path / "cfg.json"
@@ -105,6 +113,20 @@ def test_config_file_values_are_validated(tmp_path, capsys, command, cfg):
     assert main([command, "--config", str(path), "--out", str(out)]) == 1
     assert "config error:" in capsys.readouterr().err
     assert not out.exists() or not any(out.iterdir())
+
+
+def test_config_booleans_and_integral_floats(tmp_path):
+    # a JSON true is the flag; integral floats in an int list are ints
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"zero_disorder": True,
+                                "n_ladder": [16.0, 32]}))
+    a, b = tmp_path / "a", tmp_path / "b"
+    args = ["free-energy", "--replicas", "2"]
+    assert main([*args, "--config", str(path), "--out", str(a)]) == 0
+    assert main([*args, "--zero-disorder", "--n-ladder", "16,32",
+                 "--out", str(b)]) == 0
+    assert ((_only_run_dir(a) / "free_energy.csv").read_bytes()
+            == (_only_run_dir(b) / "free_energy.csv").read_bytes())
 
 
 def test_guard_violation_exits_two(tmp_path):
@@ -135,6 +157,26 @@ def test_selftest_passes(tmp_path):
     assert lines[0] == "check,max_violation,status"
     assert all(line.endswith("PASS") for line in lines[1:])
     assert len(lines) == 5
+
+
+def test_selftest_negative_seed(tmp_path):
+    out = tmp_path / "runs"
+    assert main(["selftest", "--out", str(out), "--seed", "-1"]) == 0
+    lines = (_only_run_dir(out) / "selftest.csv").read_text().splitlines()
+    assert all(line.endswith("PASS") for line in lines[1:])
+
+
+def test_manifest_records_platform(tmp_path):
+    import numpy as np
+
+    out = tmp_path / "runs"
+    assert main(["profile", "--out", str(out), "--n", "8"]) == 0
+    manifest = json.loads((_only_run_dir(out) / "manifest.json").read_text())
+    platform = manifest["platform"]
+    assert platform["numpy"] == np.__version__
+    assert set(platform["blas"]) == {"name", "version",
+                                     "openblas configuration"}
+    assert isinstance(platform["simd"]["found"], list)
 
 
 def test_profile_and_sample_outputs(tmp_path):

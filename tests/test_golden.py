@@ -9,12 +9,20 @@ before their replica workers were merged into one; those of ``maxexc-256``,
 ``meet-192`` and ``sample-deloc`` before the path sampler cached its rows;
 those of ``profile-512`` and ``excursions-512`` before the backward table,
 the profile scan and the excursion law moved to scratch buffers.
+Those of ``free-energy-2048``, ``maxexc-256``, ``profile-512`` and
+``excursions-512`` were re-recorded when the forward DP went to blocks of
+128 sites (its spans of 128 sites or more round differently; no integer
+column moved and no float by more than 2.5e-14 relative), and
+``free-energy-2048`` then also took 130 replicas, so that it still spans
+two batches at the raised cap. The other cases' spans stay below one
+block and kept their digests.
 A refactor that shifts every number consistently still passes a
 rerun-against-rerun comparison; it fails here.
 
-The digests hold for one numpy build and one set of CPU SIMD features
-(vectorised exp and log may round differently elsewhere). They were
-recorded with numpy 2.4.6 on an x86-64 host with AVX-512.
+The digests hold for one numpy build, its BLAS and one set of CPU SIMD
+features (vectorised exp and log, and the BLAS products of the blocked
+forward DP, may round differently elsewhere). They were recorded with
+numpy 2.4.6 and OpenBLAS 0.3.31 on an x86-64 host with AVX-512.
 """
 
 import hashlib
@@ -30,10 +38,11 @@ POINTS = {
 }
 
 # case name -> argv; "free-energy-2048" holds more replicas than one batch
-# of N = 2048 curves, so it also pins the split into several batches
+# of N = 2048 curves (127 at 2^18 cells), so it also pins the split into
+# several batches
 CASES = {
     "free-energy": ("free-energy", "--n-ladder", "16,32,64", "--replicas", "7"),
-    "free-energy-2048": ("free-energy", "--n", "2048", "--replicas", "33"),
+    "free-energy-2048": ("free-energy", "--n", "2048", "--replicas", "130"),
     "mu": ("mu", "--n-ladder", "16,32,64", "--replicas", "7"),
     "clt": ("clt", "--n-ladder", "32,64", "--replicas", "11"),
     "phase-scan": ("phase-scan", "--axis1", "lam_tilde", "--axis2", "h_tilde",
@@ -156,27 +165,27 @@ GOLDEN = {
     },
     ('free-energy-2048', 'lam0'): {
         "free_energy.csv":
-            "b9245fa96517bcc1632e0e9f292aab6efbe91cc9cf4b60f4026dc0bbed9ae99e",
+            "487283d33dde2b8fa72ed7510ce5c6586daceb8e097f165c17780ec63782950c",
     },
     ('free-energy-2048', 'lam05'): {
         "free_energy.csv":
-            "0e8127751c2d3363ba9bad1fbf4f0b75cd3f7dda55bac9e17173e7b417f132cc",
+            "84c21c1e3c585c95d214afeb119b74e09e110b01d6ca7c8eadf1029ca6e62aa9",
     },
     ('excursions-512', 'lam0'): {
         "excursion_law.csv":
-            "5215e245e213d35911e7a2c344c23c19cc06698814a3dda3b345e03cf96e8814",
+            "a099d8078f63e30b9e93991e16171fc3acaac094c077407c368a7a83f1127559",
         "excursion_rates.csv":
-            "49f1498eb6d10492e77e6474ae0d4514ba06c453eaee0b328e2c34564cfe5d85",
+            "b99300604a3dff860ec5b8158dc41840436463d4a6dee71e917e655d1d0cd4b8",
         "excursion_summary.csv":
-            "4aa08b863ca699905aa9420395b575d7c5cf441e9ac7cb11e0c92e2a6b30f6e7",
+            "b4ef159afc7236332424c5705e37af9308c2f6dfe46f9d61b75b3a60b2099dfa",
     },
     ('excursions-512', 'lam05'): {
         "excursion_law.csv":
-            "c61a43fb531b30fa14d7bf74692a7dbf2338c5dba8c178bbf6d565c677b059e6",
+            "dc1de5bf22df7dfba96db3dc8c98e99d17241eab2d3c9ff73b3a89ecba995548",
         "excursion_rates.csv":
-            "695784c88e552b4f09ea70b1b30d0af74f24eec6848a4f9ebb17fe75554635c0",
+            "f20db4102ad7f62c9e10dc4a8c63a70463ab4e6f9a70d437932c1e2365c0fce0",
         "excursion_summary.csv":
-            "8123e440ce346b879a1a97a93fb9770b5dbcd426b17b0180e2f4c1594b0d36d2",
+            "5440afbe3cd7d0a0c648808b3dbd8da17a2dde819ed9719f980b9f2b213dfd5b",
     },
     ('maxexc', 'lam0'): {
         "maxexc.csv":
@@ -194,13 +203,13 @@ GOLDEN = {
         "maxexc.csv":
             "8c039358d513829f542922ba37ad20c5d0f4c99439338ce4faaf53c4d71cf54a",
         "maxexc_summary.csv":
-            "aec4cc01746ad2178b00ec257a3bc687c4872513651aeec19b2545fc349952b6",
+            "dd734fa9692124cad436471a3c0a4a3649c6f94e285c67793a3d9e2f81fe9d33",
     },
     ('maxexc-256', 'lam05'): {
         "maxexc.csv":
             "4e70beca702b8b57ceeb71477426c27db48a1107ba71388b96418ac88def4e18",
         "maxexc_summary.csv":
-            "74d9ab192fcb28f4eacf81a68462254e151cf3b06d39f39c63d7641de7749f9e",
+            "0960c3129eaf5bf080f531fdecb7c406f4d6c2a67a9b5732027b776e6b478337",
     },
     ('meet', 'lam0'): {
         "meet.csv":
@@ -252,11 +261,11 @@ GOLDEN = {
     },
     ('profile-512', 'lam0'): {
         "profile.csv":
-            "a960bb59f3e74328dcfbf30a1f580f9571412833ca0591d7521fa348a90105ad",
+            "5c1e17fda9f9aa78403f7867c9f89489488ceff8cf8c34404a50f1c92367111f",
     },
     ('profile-512', 'lam05'): {
         "profile.csv":
-            "b1b36da19aacb5aef94bb6780a855326fffeade822675f120f11ada2bf879dc0",
+            "ff196dcc059fe3cb6f49b0c7866844ff3f97bc5ec9afc0bd8fb7409bfcedf52c",
     },
     ('sample', 'lam0'): {
         "sample.csv":

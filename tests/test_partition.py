@@ -1,5 +1,8 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -356,3 +359,177 @@ def test_backward_table_checked_on_first_read(srw64, make_instance,
     monkeypatch.setattr(partition, "_backward", original)
     assert np.array_equal(t.log_zb, exact)
     assert t.log_zb is t.log_zb and not t.log_zb.flags.writeable
+
+
+# ---------------------------------------------------------------------------
+# the blocked engine: spans of several blocks
+
+def _rounding_bound(ref, j, b=None):
+    """The a-priori bound documented at ``partition._BLOCK`` for a curve
+    anchored at j, in blocks of b sites: s (b + ceil(s/b) + 8) 2^-52
+    max(1, max |log Z|) at s sites from the anchor."""
+    b = partition._BLOCK if b is None else b
+    s = np.arange(len(ref) - j)
+    scale = np.maximum(1.0, np.maximum.accumulate(np.abs(ref[j:])))
+    return s * (b + np.ceil(s / b) + 8) * 2.0 ** -52 * scale
+
+
+def _stack(samples, p):
+    return (np.stack([d.w_prefix for d in samples]),
+            np.stack([_log_rewards(d, p) for d in samples]))
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.8])
+@pytest.mark.parametrize("law", list(DisorderLaw))
+def test_small_blocks_match_brute_force(srw16, monkeypatch, law, lam):
+    # blocks of 4 sites: up to four blocks, cross sums at distances 1..2
+    monkeypatch.setattr(partition, "_BLOCK", 4)
+    for n in range(1, 13):
+        p = ModelParams(lam, 0.3, 0.9, -0.2)
+        d = sample_disorder(law, DisorderLaw.GAUSSIAN, n, p.h, 77, n)
+        got = log_partition_curve(d, p, srw16)[n]
+        assert got == pytest.approx(brute_force_partition(d, p, srw16),
+                                    abs=1e-9)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=2, max_value=64), _LAMS, st.data())
+def test_small_blocks_anchored_match_loop(n, lam, data):
+    kern = build_srw_kernel(64)
+    p = ModelParams(lam, 0.2, 1.1, -0.4)
+    j = data.draw(st.integers(min_value=0, max_value=n - 1))
+    stop = data.draw(st.integers(min_value=j + 1, max_value=n))
+    samples = [sample_disorder(DisorderLaw.UNIFORM_SYM, DisorderLaw.GAUSSIAN,
+                               n, p.h, 19, i) for i in range(3)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(partition, "_BLOCK", 4)
+        batch = _forward_batch(j, stop, *_stack(samples, p), kern.log_k,
+                               p.lam)
+    for row, d in zip(batch, samples):
+        ref = _loop_forward(j, d, p, kern, stop)
+        assert np.all(np.isnan(row[:j])) and np.all(np.isnan(row[stop + 1:]))
+        assert np.all(np.abs(row[j:stop + 1] - ref[j:stop + 1])
+                      <= _rounding_bound(ref[:stop + 1], j, 4))
+
+
+@pytest.mark.parametrize("n,j,stop,lam,r", [
+    (4096, 0, 4096, 0.0, 2),
+    (4096, 0, 4096, 0.5, 1),
+    (1000, 37, 900, 0.5, 3),
+    (700, 129, 700, 0.0, 3),
+    (600, 300, 556, 1.2, 2),
+])
+def test_blocked_forward_within_rounding_bound(n, j, stop, lam, r):
+    kern = build_srw_kernel(n)
+    p = ModelParams(lam, 0.1, 1.0, 0.5)
+    samples = [sample_disorder(DisorderLaw.GAUSSIAN, DisorderLaw.GAUSSIAN, n,
+                               p.h, 5, i) for i in range(r)]
+    w, lz = _stack(samples, p)
+    batch = _forward_batch(j, stop, w, lz, kern.log_k, p.lam)
+    # a bounded span is the prefix of the full one, bit for bit
+    full = _forward_batch(j, n, w, lz, kern.log_k, p.lam)
+    assert np.array_equal(batch[:, :stop + 1], full[:, :stop + 1],
+                          equal_nan=True)
+    for row, d in zip(batch, samples):
+        ref = _loop_forward(j, d, p, kern, stop)
+        # the first block has no cross sums: the loop's bits
+        first = j + partition._BLOCK
+        assert np.array_equal(row[:first], ref[:first], equal_nan=True)
+        err = np.abs(row[j:stop + 1] - ref[j:stop + 1])
+        assert np.all(err <= _rounding_bound(ref[:stop + 1], j))
+
+
+def test_kernel_without_far_gaps_weighs_zero():
+    # K = 0 past gap 100: strip rows two and more blocks away are all -inf
+    # and must add nothing, not NaN
+    n = 400
+    kern = build_srw_kernel(n)
+    log_k = kern.log_k.copy()
+    log_k[101:] = -np.inf
+    short = dataclasses.replace(kern, log_k=log_k)
+    p = ModelParams(0.5, 0.1, 1.0, 0.5)
+    samples = [sample_disorder(DisorderLaw.GAUSSIAN, DisorderLaw.GAUSSIAN, n,
+                               p.h, 8, i) for i in range(2)]
+    batch = _forward_batch(0, n, *_stack(samples, p), log_k, p.lam)
+    assert np.all(np.isfinite(batch))
+    for row, d in zip(batch, samples):
+        ref = _loop_forward(0, d, p, short, n)
+        assert np.all(np.abs(row - ref) <= _rounding_bound(ref, 0))
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.5])
+def test_blocked_rows_do_not_depend_on_batch(lam):
+    n = 300   # three blocks
+    kern = build_srw_kernel(n)
+    p = ModelParams(lam, 0.1, 1.0, 0.5)
+    samples = [sample_disorder(DisorderLaw.GAUSSIAN, DisorderLaw.GAUSSIAN, n,
+                               p.h, 21, i) for i in range(64)]
+    full = log_partition_curves(samples, p, kern)
+    for r in (1, 2, 3, 7, 16, 17, 40, 64):
+        # a batch of r samples starting at offset 64 - r
+        got = log_partition_curves(samples[64 - r:], p, kern)
+        assert np.array_equal(got, full[64 - r:])
+    assert np.array_equal(log_partition_curve(samples[5], p, kern), full[5])
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.5])
+def test_cross_block_sums_do_not_depend_on_rows(lam):
+    # log Z near 0 keeps the last bits of each product in the log sums,
+    # where a whole curve would round most of them away
+    b, n_src = partition._BLOCK, 4
+    rng = np.random.default_rng(3)
+    kern = build_srw_kernel((n_src + 1) * b)
+    log_z = -5.0 * rng.random((64, (n_src + 1) * b))
+    w = np.cumsum(rng.normal(size=log_z.shape), axis=1)
+
+    def sums(rows):
+        cross = partition._CrossBlockSums(len(log_z[rows]), n_src * b,
+                                          kern.log_k, lam)
+        for a in range(n_src):
+            block = slice(a * b, (a + 1) * b)
+            cross.add_source(a, log_z[rows, block], w[rows, block])
+        return cross.log_sums(n_src, w[rows, n_src * b:]).copy()
+
+    full = sums(slice(0, 64))
+    assert np.all(np.isfinite(full))
+    for r in (1, 2, 3, 7, 16, 17, 40, 64):
+        assert np.array_equal(sums(slice(64 - r, 64)), full[64 - r:])
+
+
+_THREADS_SCRIPT = """
+import hashlib
+import numpy as np
+from copolymer import (DisorderLaw, ModelParams, build_srw_kernel,
+                       sample_disorder)
+from copolymer.partition import _BLOCK, _CrossBlockSums, log_partition_curves
+kern = build_srw_kernel(300)
+rng = np.random.default_rng(3)
+log_z = -5.0 * rng.random((17, 3 * _BLOCK))
+w = np.cumsum(rng.normal(size=log_z.shape), axis=1)
+for lam in (0.0, 0.5):
+    p = ModelParams(lam, 0.1, 1.0, 0.5)
+    samples = [sample_disorder(DisorderLaw.GAUSSIAN, DisorderLaw.GAUSSIAN,
+                               300, p.h, 21, i) for i in range(17)]
+    z = log_partition_curves(samples, p, kern)
+    print(hashlib.sha256(z.tobytes()).hexdigest())
+    cross = _CrossBlockSums(17, 2 * _BLOCK, kern.log_k, lam)
+    for a in range(2):
+        block = slice(a * _BLOCK, (a + 1) * _BLOCK)
+        cross.add_source(a, log_z[:, block], w[:, block])
+    sums = cross.log_sums(2, w[:, 2 * _BLOCK:])
+    print(hashlib.sha256(sums.tobytes()).hexdigest())
+"""
+
+
+def test_blocked_rows_do_not_depend_on_blas_threads():
+    src = os.path.dirname(os.path.dirname(partition.__file__))
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH",
+                                                                ""))
+        done = subprocess.run([sys.executable, "-c", _THREADS_SCRIPT],
+                              env=env, capture_output=True, text=True,
+                              timeout=120, check=True)
+        digests.append(done.stdout)
+    assert len(digests[0].split()) == 4 and digests[0] == digests[1]
