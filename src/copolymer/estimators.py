@@ -340,11 +340,10 @@ def _boundary_sample(c, r, d):
         if k == n:
             diffs[i] = 0.0  # same system, identically zero
             continue
-        d_k = disorder_from_arrays(d.omega[1:k + 1], d.omega_tilde[1:k + 1],
-                                   p.h)
-        zb_k = forward_tables(d_k, p, kern).log_zb
+        # the prefix system's log Z_{k-m} after m: one segment, bounded at k
+        zb_k = segment_tables(m, d, p, kern, stop=k)[k]
         big = math.exp(zf[m] + zb[m] - zf[n])
-        small = math.exp(zf[m] + zb_k[m] - zf[k])
+        small = math.exp(zf[m] + zb_k - zf[k])
         diffs[i] = abs(big - small)
     return diffs
 

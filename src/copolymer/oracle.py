@@ -17,7 +17,7 @@ from .disorder import DisorderSample, disorder_from_arrays
 from .errors import ConfigError, GuardError, NumericsError
 from .kernel import KernelKind, ReturnKernel, build_powerlaw_kernel, build_srw_kernel
 from .logspace import LOG2, logsumexp, sigmoid, softplus
-from .partition import (ModelParams, PartitionTables, _forward_batch,
+from .partition import (ModelParams, _forward_batch, _log_zb_rows,
                         excursion_log_weight, log_zeta,
                         single_excursion_log_lower_bound)
 
@@ -338,12 +338,10 @@ def inequality_suite(p: ModelParams, kern: ReturnKernel, n: int,
     zf = seg[0]
     if not np.all(np.isfinite(zf)):
         raise NumericsError("forward table has non-finite entries")
-    zb = np.empty_like(zf)
+    zb = _log_zb_rows(w, lz, zf[:, n], kern.log_k, p.lam)
     single = np.empty(m * m)
     for i in range(m * m):
         d = disorder_from_arrays(charges[i // m], charges[i % m], p.h)
-        zb[i] = PartitionTables(n=n, log_zf=zf[i], log_zeta_sites=lz[i],
-                                _source=(d, p, kern)).log_zb
         single[i] = single_excursion_log_lower_bound(d, p, kern)
     out["single_excursion"] = np.max(single - zf[:, n])
     out["factorization"] = max(

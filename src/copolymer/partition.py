@@ -17,10 +17,11 @@ includes its zeta factor, the origin contributes none); the backward table
 carries log Z_{n-t} on shifted disorder, excluding the zeta factor of its
 left edge. Building a table is O(N^2) time, O(N) space, with no truncation
 of the inner sum, so brute-force enumeration matches it to rounding error.
-The forward recursion sums the sites of earlier blocks of ``_BLOCK`` sites
-through BLAS products in linear domain (see ``_forward_batch``).
-``forward_tables`` builds the forward table at once and the backward table
-when it is first read; the forward/backward agreement is checked then.
+One recursion, ``_forward_batch``, builds every table: it sums earlier
+blocks of ``_BLOCK`` sites through BLAS products in linear domain, and the
+backward table is the same pass on the reversed sample (``_log_zb_rows``),
+within the same bound. ``forward_tables`` builds the forward table at once
+and the backward table, checked against it, when it is first read.
 """
 
 import math
@@ -66,12 +67,12 @@ class PartitionTables:
     """Forward/backward log partition arrays for one disorder sample.
 
     log_zf[t] = log Z_t (forward, pinned at t), log_zf[0] = 0.
-    log_zb[t] = log Z_{n-t} on disorder shifted by t, log_zb[n] = 0.
-    Identically log_zf[n] == log_zb[0]; checked when the backward table is
-    first read. The tables, and the segments, sampling rows and contact
-    profile cached on them, are valid only with the (d, p, kern) they were
-    built from, which ``_source`` holds; ``built_from`` tells whether a
-    triple is that one.
+    log_zb[t] = log Z_{n-t} on disorder shifted by t, log_zb[n] = 0: the
+    forward DP on the reversed sample, built on first read and checked then
+    against log_zf[n] == log_zb[0]. The tables, and the segments, sampling
+    rows and contact profile cached on them, are valid only with the
+    (d, p, kern) they were built from, which ``_source`` holds;
+    ``built_from`` tells whether a triple is that one.
     """
 
     n: int
@@ -107,11 +108,8 @@ class PartitionTables:
     def log_zb(self) -> np.ndarray:
         if self._log_zb is None:
             d, p, kern = self._source
-            zb = _backward(d, p, kern, self.log_zeta_sites)
-            zf_n = self.log_zf[self.n]
-            if not abs(zf_n - zb[0]) <= 1e-8 * max(1.0, abs(zf_n)):
-                raise NumericsError(
-                    f"forward/backward disagree: {zf_n} vs {zb[0]}")
+            zb = _log_zb_rows(d.w_prefix[None], self.log_zeta_sites[None],
+                              self.log_zf[None, self.n], kern.log_k, p.lam)[0]
             zb.flags.writeable = False
             self._log_zb = zb
         return self._log_zb
@@ -216,6 +214,12 @@ def _check_horizon(d: DisorderSample, kern: ReturnKernel):
 # s (B + ceil(s/B) + 8) 2^-52 max(1, max_{u <= t} |log Z_u|) of the exact
 # value. At s = 4096 that is 1.5e-10 relative; measured differences
 # between the two forms stay near 1e-15.
+#
+# The backward table, this recursion on the reversed sample, obeys the
+# bound at s = n - t sites from the end, read on the reversed curve
+# log Z_{n-t} + lz[t] - lz[n], plus s 4 lam max|W| 2^-52: its charge sums
+# come from the reversed prefix sums W_n - W_u, which round once more.
+# Measured differences from a per-site backward loop stay near 2e-15.
 _BLOCK = 128
 
 # Rows per BLAS product of ``_CrossBlockSums``, at least two each. OpenBLAS
@@ -397,28 +401,26 @@ def _forward(j: int, d: DisorderSample, p: ModelParams, kern: ReturnKernel,
                           p.lam)[0]
 
 
-def _backward(d: DisorderSample, p: ModelParams, kern: ReturnKernel,
-              lz: np.ndarray) -> np.ndarray:
-    """log zb[t] = log Z_{n-t} on disorder shifted by t: a log-sum-exp over
-    the first return after t, in two O(N) scratch buffers."""
-    n = d.n
-    w = d.w_prefix
-    base = _log_weight_base(kern.log_k, p.lam)
-    zb = np.empty(n + 1)
-    zb[n] = 0.0
-    buf = np.empty(n)
-    aux = np.empty(n)
-    for t in range(n - 1, -1, -1):
-        length = n - t
-        x = buf[:length]
-        _log_weight_into(x, aux[:length], base[1:length + 1], w[t + 1:], w[t],
-                         p.lam)
-        np.add(x, lz[t + 1:], out=x)
-        np.add(x, zb[t + 1:], out=x)
-        m = np.maximum.reduce(x)
-        np.subtract(x, m, out=x)
-        np.exp(x, out=x)
-        zb[t] = m + np.log(np.add.reduce(x))
+def _log_zb_rows(w: np.ndarray, lz: np.ndarray, log_z: np.ndarray,
+                 log_k: np.ndarray, lam: float) -> np.ndarray:
+    """The (R, n+1) backward tables of R samples from their prefix sums
+    ``w`` and log rewards ``lz``; NumericsError unless each row's log_zb[0]
+    is its log Z, ``log_z[r]``, within 1e-8 max(1, |log Z|).
+
+    This is ``_forward_batch`` on the reversed sample (prefix sums
+    W_n - W_{n-s}, rewards lz[n-s]), which collects each excursion's reward
+    at its left end t and none at n; - lz[t] + lz[n] moves it to the right.
+    """
+    n = w.shape[1] - 1
+    w_rev = w[:, n:] - w[:, ::-1]
+    lz_rev = np.ascontiguousarray(lz[:, ::-1])
+    zb = (_forward_batch(0, n, w_rev, lz_rev, log_k, lam)[:, ::-1]
+          - lz + lz[:, n:])
+    agree = np.abs(log_z - zb[:, 0]) <= 1e-8 * np.maximum(1.0, np.abs(log_z))
+    if not np.all(agree):
+        r = int(np.argmin(agree))
+        raise NumericsError(
+            f"forward/backward disagree: {log_z[r]} vs {zb[r, 0]}")
     return zb
 
 

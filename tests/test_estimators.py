@@ -395,7 +395,7 @@ def test_sampling_workers_skip_backward_table(srw64, tmp_path, monkeypatch):
     def unread(*args):
         raise AssertionError("the backward table was built")
 
-    monkeypatch.setattr(partition, "_backward", unread)
+    monkeypatch.setattr(partition, "_log_zb_rows", unread)
     max_excursion_study(V_STAR, srw64, GG, [32, 64], 2, 3, 1)
     meet_probability(V_STAR, srw64, GG, 48, [2, 4], 2, 2, 1)
     assert main(["sample", "--n", "24", "--replicas", "2", "--paths", "2",

@@ -15,7 +15,7 @@ from copolymer.kernel import build_srw_kernel
 from copolymer.logspace import logsumexp
 from copolymer.oracle import brute_force_partition, log_srw_mass
 import copolymer.partition as partition
-from copolymer.partition import (ModelParams, _backward, _forward_batch,
+from copolymer.partition import (ModelParams, _forward_batch,
                                  _log_rewards, _log_weight_core,
                                  excursion_log_weight,
                                  forward_tables, log_partition_curve,
@@ -250,8 +250,8 @@ def _loop_forward(j, d, p, kern, stop):
 
 
 def _loop_backward(d, p, kern, lz):
-    """The backward row loop before it ran in scratch buffers, kept as the
-    bit-level reference."""
+    """The per-site backward loop that the reversed forward pass replaced,
+    kept as the reference: a log-sum-exp over the first return after t."""
     n = d.n
     w = d.w_prefix
     lk = kern.log_k
@@ -281,8 +281,9 @@ def test_backward_equals_loop(n, lam, lam_tilde, seed):
                         seed, 0)
     lz = _log_rewards(d, p)
     ref = _loop_backward(d, p, kern, lz)
-    assert np.array_equal(_backward(d, p, kern, lz), ref)
-    assert np.array_equal(forward_tables(d, p, kern).log_zb, ref)
+    # the reversed pass sums in another order: not the loop's bits
+    err = np.abs(forward_tables(d, p, kern).log_zb - ref)
+    assert np.all(err <= _backward_bound(ref, lz, d.w_prefix, lam))
 
 
 @settings(max_examples=60, deadline=None)
@@ -346,17 +347,18 @@ def test_backward_table_checked_on_first_read(srw64, make_instance,
                                               monkeypatch):
     p, d = make_instance(5, 40)
     exact = forward_tables(d, p, srw64).log_zb
-    original = partition._backward
+    original = partition._log_zb_rows
 
-    def shifted(*args):
-        return original(*args) + 1e-6
+    def shifted(w, lz, log_z, log_k, lam):
+        # the backward table checked against a log Z 1e-6 off
+        return original(w, lz, log_z + 1e-6, log_k, lam)
 
-    monkeypatch.setattr(partition, "_backward", shifted)
+    monkeypatch.setattr(partition, "_log_zb_rows", shifted)
     t = forward_tables(d, p, srw64)
     for _ in range(2):
         with pytest.raises(NumericsError):
             t.log_zb
-    monkeypatch.setattr(partition, "_backward", original)
+    monkeypatch.setattr(partition, "_log_zb_rows", original)
     assert np.array_equal(t.log_zb, exact)
     assert t.log_zb is t.log_zb and not t.log_zb.flags.writeable
 
@@ -372,6 +374,17 @@ def _rounding_bound(ref, j, b=None):
     s = np.arange(len(ref) - j)
     scale = np.maximum(1.0, np.maximum.accumulate(np.abs(ref[j:])))
     return s * (b + np.ceil(s / b) + 8) * 2.0 ** -52 * scale
+
+
+def _backward_bound(ref, lz, w, lam):
+    """The bound at ``partition._BLOCK`` for a backward table: that of the
+    reversed forward curve log Z + lz[t] - lz[n], plus s 4 lam max|W| 2^-52
+    for its reversed prefix sums, at s = n - t sites from the end."""
+    n = len(ref) - 1
+    s = np.arange(n + 1)
+    reversed_curve = (ref + lz - lz[n])[::-1]
+    return (_rounding_bound(reversed_curve, 0)
+            + s * 4.0 * lam * np.max(np.abs(w)) * 2.0 ** -52)[::-1]
 
 
 def _stack(samples, p):
@@ -494,6 +507,70 @@ def test_cross_block_sums_do_not_depend_on_rows(lam):
     assert np.all(np.isfinite(full))
     for r in (1, 2, 3, 7, 16, 17, 40, 64):
         assert np.array_equal(sums(slice(64 - r, 64)), full[64 - r:])
+
+
+# ---------------------------------------------------------------------------
+# the backward table: the blocked forward DP on the reversed sample
+
+@pytest.mark.parametrize("lam", [0.0, 0.8])
+@pytest.mark.parametrize("law", list(DisorderLaw))
+def test_small_block_backward_matches_brute_force(srw16, monkeypatch, law,
+                                                  lam):
+    # blocks of 4 sites, so the reversed pass crosses blocks from N = 5
+    monkeypatch.setattr(partition, "_BLOCK", 4)
+    for n in range(1, 13):
+        p = ModelParams(lam, 0.3, 0.9, -0.2)
+        d = sample_disorder(law, DisorderLaw.GAUSSIAN, n, p.h, 78, n)
+        zb = forward_tables(d, p, srw16).log_zb
+        assert zb[n] == 0.0
+        for t in range(n):
+            suffix = disorder_from_arrays(d.omega[t + 1:],
+                                          d.omega_tilde[t + 1:], p.h)
+            assert zb[t] == pytest.approx(
+                brute_force_partition(suffix, p, srw16), abs=1e-9)
+
+
+@pytest.mark.parametrize("n,lam", [(300, 0.0), (300, 0.5), (1024, 0.0),
+                                   (1024, 0.5)])
+def test_blocked_backward_within_rounding_bound(n, lam):
+    kern = build_srw_kernel(n)
+    p = ModelParams(lam, 0.1, 1.0, 0.5)
+    d = sample_disorder(DisorderLaw.GAUSSIAN, DisorderLaw.GAUSSIAN, n, p.h,
+                        6, 0)
+    lz = _log_rewards(d, p)
+    ref = _loop_backward(d, p, kern, lz)
+    err = np.abs(forward_tables(d, p, kern).log_zb - ref)
+    assert np.all(err <= _backward_bound(ref, lz, d.w_prefix, lam))
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.5])
+def test_backward_rows_do_not_depend_on_batch(lam):
+    n = 300   # three blocks
+    kern = build_srw_kernel(n)
+    p = ModelParams(lam, 0.1, 1.0, 0.5)
+    samples = [sample_disorder(DisorderLaw.GAUSSIAN, DisorderLaw.GAUSSIAN, n,
+                               p.h, 22, i) for i in range(17)]
+    single = [forward_tables(d, p, kern) for d in samples]
+    for r in (1, 2, 3, 17):
+        w, lz = _stack(samples[:r], p)
+        log_z = np.array([t.log_z for t in single[:r]])
+        rows = partition._log_zb_rows(w, lz, log_z, kern.log_k, p.lam)
+        for row, t in zip(rows, single):
+            assert np.array_equal(row, t.log_zb)
+
+
+def test_backward_rows_each_checked(srw64):
+    p = ModelParams(0.5, 0.1, 1.0, 0.5)
+    samples = [sample_disorder(DisorderLaw.GAUSSIAN, DisorderLaw.GAUSSIAN, 40,
+                               p.h, 23, i) for i in range(3)]
+    log_z = np.array([log_partition_curve(d, p, srw64)[40] for d in samples])
+    w, lz = _stack(samples, p)
+    partition._log_zb_rows(w, lz, log_z, srw64.log_k, p.lam)
+    for r in range(3):
+        off = log_z.copy()
+        off[r] += 1e-6 * max(1.0, abs(off[r]))
+        with pytest.raises(NumericsError, match="disagree"):
+            partition._log_zb_rows(w, lz, off, srw64.log_k, p.lam)
 
 
 _THREADS_SCRIPT = """
