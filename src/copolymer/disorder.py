@@ -163,3 +163,13 @@ class PathRng:
         self._count += 1
         x = _mix((self._key + self._count * _GOLDEN) & _MASK)
         return ((x >> 11) + 0.5) * 2.0 ** -53
+
+    def uniforms(self, k: int) -> np.ndarray:
+        """The next k draws of ``uniform``, bit for bit, as one array."""
+        self._count += k
+        return _uniforms(self._key, np.arange(
+            self._count - k + 1, self._count + 1, dtype=np.uint64))
+
+    def rewind(self, k: int):
+        """Give back the last k draws: the next k draws repeat them."""
+        self._count -= k

@@ -28,13 +28,6 @@ def sigmoid(x):
     return out
 
 
-def scalar_sigmoid(x: float) -> float:
-    """``sigmoid`` of one float, bit for bit (the same numpy exp), without
-    the cost of two 0-d array expressions."""
-    e = np.exp(-abs(x))
-    return 1.0 / (1.0 + e) if x >= 0 else e / (1.0 + e)
-
-
 def logsumexp(a):
     """log sum(e^a) over a 1-d array, max-shifted; -inf for empty/all-zero mass."""
     a = np.asarray(a, dtype=float)

@@ -9,6 +9,7 @@ Only the return set and the excursion signs are ever materialized; the
 interaction depends on nothing else.
 """
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -17,7 +18,7 @@ import numpy as np
 from .disorder import DisorderSample, PathRng
 from .errors import GuardError, NumericsError
 from .kernel import ReturnKernel
-from .logspace import scalar_sigmoid
+from .logspace import sigmoid
 from .partition import (ModelParams, PartitionTables, _check_horizon,
                         _log_weight_base, _log_weight_into, segment_tables)
 
@@ -235,53 +236,58 @@ def excursion_law(k: int, tables: PartitionTables, d: DisorderSample,
     return ExcursionLaw(k=k, pmf=pmf)
 
 
-# cdf entries a row keeps for repeat visits: the returns u = t-32..t-1,
-# i.e. excursions of length up to 32 closing at t. In the localized phase
-# excursion weights decay exponentially, so nearly every draw lands there.
-_TAIL_WIDTH = 32
+# Returns u = t-1, ..., t-32 before a return at t. Excursion weights decay
+# exponentially in the localized phase, so nearly every draw lands here.
+_WINDOW = 32
+# sites per window-table chunk, returns per walk chunk, steps per draw block
+_CHUNK = 128
 
 
-def _sampling_cdf(t, zf, w, base, lam):
-    """Unnormalised cdf of the return u = 0..t-1 before a return at t:
-    cumulative Zf[u] * K(t-u) * coin(u, t), scaled by its largest term.
-    ``base`` is ``partition._log_weight_base`` of the kernel."""
-    x = np.empty(t)
-    _log_weight_into(x, np.empty(t), base[t:0:-1], w[t], w[:t], lam)
-    np.add(zf[:t], x, out=x)
-    np.subtract(x, np.maximum.reduce(x), out=x)
-    np.exp(x, out=x)
-    return np.cumsum(x, out=x)
+def _return_probabilities(t, u, tables, w, base, lam):
+    """P(the return before t is u | a return at t), for index arrays t and
+    u < t broadcast together: Zf[u] K(t-u) coin(u, t) over the row total
+    Z_t / zeta_t, which the forward table holds by the renewal identity."""
+    zf = tables.log_zf
+    x = np.empty(np.broadcast_shapes(np.shape(t), np.shape(u)))
+    _log_weight_into(x, np.empty_like(x), base[t - u], w[t], w[u], lam)
+    np.add(x, zf[u], out=x)
+    np.subtract(x, zf[t] - tables.log_zeta_sites[t], out=x)
+    return np.exp(x, out=x)
 
 
-class _SamplingRows:
-    """What a repeat visit to site t needs of its sampling row: the row
-    total cdf[-1] (0 until t is first visited), the edge, i.e. the cdf
-    value just left of the last _TAIL_WIDTH entries (-inf when the whole
-    row fits), and those entries. O(N * _TAIL_WIDTH) floats in all."""
-
-    __slots__ = ("total", "edge", "tail")
-
-    def __init__(self, n):
-        self.total = np.zeros(n + 1)
-        self.edge = np.empty(n + 1)
-        self.tail = np.empty((n + 1, _TAIL_WIDTH))
-
-    def store(self, t, cdf):
-        width = min(t, _TAIL_WIDTH)
-        self.total[t] = cdf[-1]
-        self.edge[t] = cdf[t - width - 1] if t > width else -np.inf
-        self.tail[t, :width] = cdf[t - width:]
-
-
-def _sampling_rows(tables, d, p, kern):
-    """The rows cached on ``tables``, or None when (d, p, kern) is not the
-    triple the tables were built from: rows of one coupling never serve
-    another."""
-    if not tables.built_from(d, p, kern):
-        return None
+def _window_table(tables, w, base, lam):
+    """Row t-1: the probabilities that the return before t lies in
+    t-1-j..t-1, j < min(n, _WINDOW), built in chunks of sites once per
+    tables object from its own (d, p, kern) and cached on it, read-only."""
     if tables._rows is None:
-        tables._rows = _SamplingRows(tables.n)
+        n = tables.n
+        gaps = np.arange(1, min(n, _WINDOW) + 1)
+        rows = np.empty((n, gaps.size))
+        for lo in range(1, n + 1, _CHUNK):
+            t = np.arange(lo, min(lo + _CHUNK, n + 1))[:, None]
+            x = _return_probabilities(t, np.maximum(t - gaps, 0), tables,
+                                      w, base, lam)
+            x[t - gaps < 0] = 0.0
+            np.cumsum(x, axis=1, out=rows[lo - 1:lo - 1 + t.size])
+        rows.flags.writeable = False
+        tables._rows = rows
     return tables._rows
+
+
+def _walk_past_window(t, v, mass, tables, w, base, lam):
+    """The return before t when the window's mass falls short of v: add
+    returns left of the window, a chunk at a time, until the mass reaches
+    v; u = 0 if none is left or rounding leaves v uncovered."""
+    hi = t - _WINDOW
+    while hi > 0:
+        lo = max(0, hi - _CHUNK)
+        cdf = mass + np.cumsum(_return_probabilities(
+            t, np.arange(hi - 1, lo - 1, -1), tables, w, base, lam))
+        j = int(cdf.searchsorted(v))
+        if j < cdf.size:
+            return hi - 1 - j
+        mass, hi = cdf[-1], lo
+    return 0
 
 
 def sample_path(tables: PartitionTables, d: DisorderSample, p: ModelParams,
@@ -290,50 +296,43 @@ def sample_path(tables: PartitionTables, d: DisorderSample, p: ModelParams,
 
     From the pinned endpoint, the previous return u is drawn with
     probability proportional to Zf[u] * K(t-u) * coin(u, t); each excursion
-    sign is then negative with its exact conditional probability.
+    sign is then negative with its exact conditional probability. Step i
+    reads draws 2i-1 (return) and 2i (sign) of ``rng``, and no others.
 
-    The first visit of any path to site t computes its O(t) row and keeps
-    the row's total and its last _TAIL_WIDTH cdf entries on ``tables``. A
-    later visit whose target lands in that tail searches only the tail,
-    which gives the index the full row gives; any other target recomputes
-    the row. Paths are the same whatever their order or number.
+    The tables must be built from (d, p, kern), else GuardError. A return
+    draw searches the cached ``_window_table`` row at t and walks on left
+    in O(gap) only past it. The law is exact up to the forward table's
+    rounding, bounded at ``partition._BLOCK``.
     """
-    _check_tables(tables, d, kern)
-    n = tables.n
-    zf = tables.log_zf
-    w = d.w_prefix
-    lam = p.lam
+    if not tables.built_from(d, p, kern):
+        raise GuardError("sample_path needs the (d, p, kern) the tables "
+                         "were built from")
+    w, lam = d.w_prefix, p.lam
     base = _log_weight_base(kern.log_k, lam)
-    rows = _sampling_rows(tables, d, p, kern)
-    t = n
-    rev_returns = []
-    rev_signs = []
+    width = min(tables.n, _WINDOW)
+    flat = memoryview(_window_table(tables, w, base, lam).reshape(-1))
+    blocks, v, k = [], (), 0
+    t, rev_returns = tables.n, []
     while t > 0:
-        cdf = None
-        if rows is not None and rows.total[t] > 0:
-            total = rows.total[t]
-        else:
-            cdf = _sampling_cdf(t, zf, w, base, lam)
-            total = cdf[-1]
-            if rows is not None:
-                rows.store(t, cdf)
-        target = rng.uniform() * total
-        if cdf is None and target > rows.edge[t]:
-            width = min(t, _TAIL_WIDTH)
-            u = t - width + int(rows.tail[t, :width].searchsorted(target))
-        else:
-            if cdf is None:
-                cdf = _sampling_cdf(t, zf, w, base, lam)
-            u = int(cdf.searchsorted(target))
-        if u >= t:
-            u = t - 1
-        frac_neg = scalar_sigmoid(-2.0 * lam * (w[t] - w[u]))
-        sign = -1 if rng.uniform() < frac_neg else 1
+        if k == len(v):
+            blocks.append(rng.uniforms(2 * min(_CHUNK, t)))  # t steps at most
+            v, k = (1.0 - blocks[-1][::2]).tolist(), 0
+        lo = (t - 1) * width
+        j = bisect_left(flat, v[k], lo, lo + width) - lo
         rev_returns.append(t)
-        rev_signs.append(sign)
-        t = u
+        if j < width:
+            t -= 1 + j
+        else:
+            t = _walk_past_window(t, v[k], flat[lo + width - 1], tables, w,
+                                  base, lam)
+        k += 1
+    draws = np.concatenate(blocks)[1::2]
+    rng.rewind(2 * (draws.size - len(rev_returns)))
+    ts = np.array(rev_returns + [0])
+    frac_neg = sigmoid(-2.0 * lam * (w[ts[:-1]] - w[ts[1:]]))
+    rev_signs = np.where(draws[:frac_neg.size] < frac_neg, -1, 1)
     return PathSample(returns=tuple(reversed(rev_returns)),
-                      signs=tuple(reversed(rev_signs)))
+                      signs=tuple(rev_signs[::-1].tolist()))
 
 
 def max_excursion(path: PathSample) -> int:

@@ -13,13 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .disorder import DisorderSample, disorder_from_arrays
+from .disorder import DisorderSample
 from .errors import ConfigError, GuardError, NumericsError
 from .kernel import KernelKind, ReturnKernel, build_powerlaw_kernel, build_srw_kernel
 from .logspace import LOG2, logsumexp, sigmoid, softplus
 from .partition import (ModelParams, _forward_batch, _log_zb_rows,
-                        excursion_log_weight, log_zeta,
-                        single_excursion_log_lower_bound)
+                        excursion_log_weight, log_zeta)
 
 _HARD_MAX_PATHS = 20
 _HARD_MAX_DISORDER = 8
@@ -121,7 +120,7 @@ def brute_force_marginals(d: DisorderSample, p: ModelParams,
 
 
 def _rademacher_grid(p: ModelParams, n: int):
-    """(charges, W, log zeta) of all 2^n charge rows: bit s of row i is the
+    """(W, log zeta) of all 2^n charge rows: bit s of row i is the
     sign of site s + 1, and W and log zeta carry site 0 too."""
     m = 1 << n
     bits = ((np.arange(m)[:, None] >> np.arange(n)[None, :]) & 1)
@@ -130,7 +129,7 @@ def _rademacher_grid(p: ModelParams, n: int):
                         np.cumsum(charges + p.h, axis=1)], axis=1)
     lz_sites = np.concatenate([np.zeros((m, 1)),
                                log_zeta(charges, p)], axis=1)
-    return charges, w, lz_sites
+    return w, lz_sites
 
 
 def _path_terms(p, kern, n, w, lz_sites):
@@ -159,7 +158,7 @@ def enumerate_rademacher(p: ModelParams, kern: ReturnKernel, n: int,
     if n > budget.max_n_disorder:
         raise GuardError(
             f"n = {n} exceeds disorder-enumeration budget {budget.max_n_disorder}")
-    _, w, lz_sites = _rademacher_grid(p, n)
+    w, lz_sites = _rademacher_grid(p, n)
     m = 1 << n
     log_z = np.full((m, m), -np.inf)
     for _, a, b in _path_terms(p, kern, n, w, lz_sites):
@@ -188,7 +187,7 @@ def exact_disorder_expectation(tag: str, p: ModelParams, kern: ReturnKernel,
     if tag == "mu_ratio":
         return float(np.mean(np.exp(softplus(-2.0 * p.lam * w_n)[:, None] - log_z)))
     if tag == "contact":
-        _, w, lz_sites = _rademacher_grid(p, n)
+        w, lz_sites = _rademacher_grid(p, n)
         m = 1 << n
         log_z = np.full((m, m), -np.inf)
         log_zk = np.full((n + 1, m, m), -np.inf)
@@ -329,7 +328,7 @@ def inequality_suite(p: ModelParams, kern: ReturnKernel, n: int,
     out["jensen"] = mean_log_z - np.log(mean_z)
 
     # realization i = (omega row i // 2^n, tilde row i % 2^n) of the grid
-    charges, w_grid, lz_grid = _rademacher_grid(p, n)
+    w_grid, lz_grid = _rademacher_grid(p, n)
     m = 1 << n
     w = np.repeat(w_grid, m, axis=0)
     lz = np.tile(lz_grid, (m, 1))
@@ -339,10 +338,9 @@ def inequality_suite(p: ModelParams, kern: ReturnKernel, n: int,
     if not np.all(np.isfinite(zf)):
         raise NumericsError("forward table has non-finite entries")
     zb = _log_zb_rows(w, lz, zf[:, n], kern.log_k, p.lam)
-    single = np.empty(m * m)
-    for i in range(m * m):
-        d = disorder_from_arrays(charges[i // m], charges[i % m], p.h)
-        single[i] = single_excursion_log_lower_bound(d, p, kern)
+    # single_excursion_log_lower_bound of every realization, same ufuncs
+    single = (lz[:, n] + kern.log_k[n] - LOG2
+              + softplus(-2.0 * p.lam * w[:, n]))
     out["single_excursion"] = np.max(single - zf[:, n])
     out["factorization"] = max(
         np.max(zf[:, pat[0]]

@@ -69,8 +69,8 @@ class PartitionTables:
     log_zf[t] = log Z_t (forward, pinned at t), log_zf[0] = 0.
     log_zb[t] = log Z_{n-t} on disorder shifted by t, log_zb[n] = 0: the
     forward DP on the reversed sample, built on first read and checked then
-    against log_zf[n] == log_zb[0]. The tables, and the segments, sampling
-    rows and contact profile cached on them, are valid only with the
+    against log_zf[n] == log_zb[0]. The tables, and the segments, sampler
+    window and contact profile cached on them, are valid only with the
     (d, p, kern) they were built from, which ``_source`` holds;
     ``built_from`` tells whether a triple is that one.
     """
@@ -83,7 +83,7 @@ class PartitionTables:
                                        compare=False)
     _segments: dict = field(default_factory=dict, init=False, repr=False,
                             compare=False)
-    # the path sampler's per-site rows, allocated on first use
+    # the path sampler's (n, 32) window table, built on first use
     _rows: object = field(default=None, init=False, repr=False, compare=False)
     # the read-only contact profile, built on first use
     _profile: object = field(default=None, init=False, repr=False,
@@ -95,8 +95,8 @@ class PartitionTables:
 
     def built_from(self, d, p, kern) -> bool:
         """Whether (d, p, kern) is the triple these tables were built from:
-        the one condition under which a cached segment, sampling row or
-        profile may serve a call."""
+        the one condition under which a cached segment or profile may
+        serve a call, and the path sampler's condition."""
         src_d, src_p, src_kern = self._source
         return d is src_d and kern is src_kern and p == src_p
 

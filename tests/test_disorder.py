@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from scipy.special import ndtri
 
 from copolymer.disorder import (DisorderLaw, PathRng, disorder_from_arrays,
@@ -109,6 +110,27 @@ def test_path_rng_reproducible_and_keyed():
     c = PathRng(11, 3, 8)
     assert [c.uniform() for _ in range(100)] != seq_a
     assert all(0.0 < u < 1.0 for u in seq_a)
+
+
+@given(st.integers(0, 2**64 - 1), st.integers(0, 50),
+       st.lists(st.integers(0, 9), max_size=8))
+def test_path_rng_blocks_equal_single_draws(seed, path, blocks):
+    # block k of size s (0 = one uniform() call) and, after every block,
+    # a rewind of the block's last s // 3 draws, as the sampler does
+    ref = PathRng(seed, 1, path)
+    rng = PathRng(seed, 1, path)
+    seen = []
+    for size in blocks:
+        if size:
+            seen.extend(rng.uniforms(size).tolist())
+            back = size // 3
+            rng.rewind(back)
+            del seen[len(seen) - back:]
+        else:
+            seen.append(rng.uniform())
+    assert rng._count == len(seen)
+    assert seen == [ref.uniform() for _ in seen]
+    assert rng.uniform() == ref.uniform()
 
 
 def test_validation_errors():

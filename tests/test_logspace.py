@@ -3,8 +3,7 @@ import math
 import numpy as np
 from hypothesis import given, strategies as st
 
-from copolymer.logspace import (LOG2, logsumexp,
-                                scalar_sigmoid, sigmoid, softplus)
+from copolymer.logspace import LOG2, logsumexp, sigmoid, softplus
 
 finite = st.floats(min_value=-700, max_value=700, allow_nan=False)
 
@@ -36,13 +35,3 @@ def test_logsumexp_edge_cases():
     big = np.array([1e308, 1e308])
     assert math.isclose(logsumexp(big), 1e308 + LOG2)
 
-
-def test_scalar_sigmoid_bit_identical():
-    # the path sampler's sign probability: -2 lam dW over a wide range
-    rng = np.random.default_rng(5)
-    xs = np.concatenate((rng.normal(0.0, 3.0, 200_000),
-                         rng.uniform(-750.0, 750.0, 50_000),
-                         [0.0, -0.0, 1e-300, -1e-300, 745.0, -745.0,
-                          np.inf, -np.inf]))
-    for x in xs:
-        assert scalar_sigmoid(x) == sigmoid(x), x

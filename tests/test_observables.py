@@ -234,8 +234,8 @@ def test_max_excursion_values():
 
 
 def _loop_sample_path(tables, d, p, kern, rng):
-    """The sampler before rows were cached: one full row per return, kept as
-    the bit-level reference."""
+    """The sampler before its window table: one full O(t) row per return,
+    kept as the reference."""
     zf, w, lk = tables.log_zf, d.w_prefix, kern.log_k
     t = tables.n
     rev_returns = []
@@ -258,49 +258,84 @@ def _loop_sample_path(tables, d, p, kern, rng):
 
 
 # lam_tilde = 0 drops the return reward: long excursions are common there,
-# so repeat visits draw in front of the cached tail
+# so draws walk past the window
 @pytest.mark.parametrize("p, localized", [
     (ModelParams(0.0, 0.0, 1.0, 0.5), True),
     (ModelParams(0.5, 0.1, 1.0, 0.5), True),
     (ModelParams(0.0, 0.0, 0.0, -0.5), False),
     (ModelParams(0.5, 0.1, 0.0, -0.5), False),
 ])
-def test_sample_path_matches_loop_sampler(srw512, monkeypatch, p, localized):
-    n = 8 * obs._TAIL_WIDTH
+def test_sample_path_matches_loop_sampler(srw512, p, localized):
+    n = 8 * obs._WINDOW
     d = sample_disorder(DisorderLaw.GAUSSIAN, DisorderLaw.GAUSSIAN, n, p.h,
                         21, 0)
     t = forward_tables(d, p, srw512)
-    calls = []
-    full_row = obs._sampling_cdf
-
-    def counted(site, *args):
-        calls.append(site)
-        return full_row(site, *args)
-
-    monkeypatch.setattr(obs, "_sampling_cdf", counted)
     order = np.random.default_rng(4).permutation(30)
     paths = {int(i): sample_path(t, d, p, srw512, PathRng(21, 0, int(i)))
              for i in order}
     for i, path in paths.items():
         assert path == _loop_sample_path(t, d, p, srw512, PathRng(21, 0, i))
-    visited = {s for path in paths.values() for s in path.returns}
-    assert len(calls) >= len(visited)
     if not localized:
-        # some repeat visit fell back to the full row
-        assert len(calls) > len(visited)
+        assert max(map(max_excursion, paths.values())) > obs._WINDOW
 
 
-def test_sample_path_rows_keyed_by_coupling(srw512):
+def test_sample_path_advances_rng_two_draws_per_step(srw64):
+    p = ModelParams(0.5, 0.1, 1.0, 0.5)
+    d = sample_disorder(DisorderLaw.GAUSSIAN, DisorderLaw.GAUSSIAN, 64, p.h,
+                        3, 0)
+    t = forward_tables(d, p, srw64)
+    for i in range(10):
+        rng = PathRng(3, 0, i)
+        steps = len(sample_path(t, d, p, srw64, rng).returns)
+        ref = PathRng(3, 0, i)
+        for _ in range(2 * steps):
+            ref.uniform()
+        assert rng.uniform() == ref.uniform()
+
+
+def test_sample_path_work_is_linear_in_n(monkeypatch):
+    # counts the weights a path evaluates: the window table, once per
+    # tables object, then only the walks past the window; a full row per
+    # step would be about n^2 / 2
+    n = 4096
+    kern = build_srw_kernel(n)
+    p = ModelParams(0.5, 0.1, 1.0, 0.5)
+    d = sample_disorder(DisorderLaw.GAUSSIAN, DisorderLaw.GAUSSIAN, n, p.h,
+                        1, 0)
+    t = forward_tables(d, p, kern)
+    weights = []
+    weight_into = obs._log_weight_into
+
+    def counted(out, *args, **kw):
+        weights.append(out.size)
+        return weight_into(out, *args, **kw)
+
+    monkeypatch.setattr(obs, "_log_weight_into", counted)
+    for i in range(4):
+        weights.clear()
+        path = sample_path(t, d, p, kern, PathRng(1, 0, i))
+        gaps = np.diff((0,) + path.returns)
+        walks = sum(int(g) - obs._WINDOW + obs._CHUNK
+                    for g in gaps if g > obs._WINDOW)
+        table = n * obs._WINDOW if i == 0 else 0
+        assert sum(weights) <= table + walks < n * n // 64
+        assert len(gaps) > n // 8
+
+
+def test_sample_path_rejects_other_coupling(srw512):
     p = ModelParams(0.5, 0.1, 1.0, 0.5)
     d = sample_disorder(DisorderLaw.GAUSSIAN, DisorderLaw.GAUSSIAN, 128, p.h,
                         8, 0)
     t = forward_tables(d, p, srw512)
-    other_p = p.replace(lam=1.5)
-    other_kern = build_powerlaw_kernel(1.8, 512)
-    for i in range(6):
-        for pp, kern in ((p, srw512), (other_p, srw512), (p, other_kern)):
-            assert (sample_path(t, d, pp, kern, PathRng(8, 0, i))
-                    == _loop_sample_path(t, d, pp, kern, PathRng(8, 0, i)))
+    other_d = sample_disorder(DisorderLaw.GAUSSIAN, DisorderLaw.GAUSSIAN,
+                              128, p.h, 8, 0)
+    for args in ((d, p.replace(lam=1.5), srw512),
+                 (d, p, build_powerlaw_kernel(1.8, 512)),
+                 (other_d, p, srw512)):
+        with pytest.raises(GuardError, match="built from"):
+            sample_path(t, *args, PathRng(8))
+    assert t._rows is None
+    sample_path(t, d, p.replace(), srw512, PathRng(8))
 
 
 def test_sample_path_rejects_mismatched_sample(srw64):
