@@ -1,7 +1,8 @@
 """Command-line front end: configuration, orchestration, CSV/manifest output.
 
 Configuration comes from a flat JSON file (--config) overridden by flags;
-every run writes its artifacts to <out>/<run_id>/ where run_id hashes the
+a subcommand takes, as flags and as file keys, only the keys it reads. Every
+run writes its artifacts to <out>/<run_id>/ where run_id hashes the
 fully resolved configuration, the command and the tool version. CSV bytes
 are deterministic for a given config and seed, independent of --threads.
 
@@ -15,6 +16,7 @@ import json
 import os
 import sys
 import time
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -28,39 +30,45 @@ from .oracle import (brute_force_partition, homogeneous_pinning_free_energy,
                      inequality_suite, log_srw_mass)
 from .partition import ModelParams, forward_tables, log_partition_curve
 
-_DEFAULTS = {
-    "seed": 1,
-    "replicas": 100,
-    "n": 256,
-    "n_ladder": None,
-    "threads": os.cpu_count() or 1,
-    "lam": 0.0,
-    "h": 0.0,
-    "lam_tilde": 1.0,
-    "h_tilde": 0.5,
-    "kernel": "srw",
-    "alpha": 1.5,
-    "n_max": None,
-    "law_omega": "gaussian",
-    "law_tilde": "gaussian",
-    "distances": "4:64",
-    "k_list": None,
-    "site": None,
-    "s_min": 4,
-    "s_max": None,
-    "paths": 10,
-    "epsilons": "0,0.1,0.2,0.3,0.4,0.5,0.6",
-    "windows": "4,8,12,16,24,32",
-    "axis1": "lam_tilde",
-    "axis2": "h_tilde",
-    "values1": "0.5,1.0,1.5",
-    "values2": "-0.5,0,0.5",
-}
-
 _LAW_ALIASES = {
     "rademacher": DisorderLaw.RADEMACHER,
     "gaussian": DisorderLaw.GAUSSIAN,
     "uniform": DisorderLaw.UNIFORM_SYM,
+}
+
+# Every configuration key: its default and the add_argument keywords of its
+# flag, "--" + key with "-" for "_". The command table below says which keys
+# each subcommand reads; --config, which names the file, is not a key.
+_KEYS = {
+    "seed": (1, {"type": int}),
+    "threads": (os.cpu_count() or 1, {"type": int}),
+    "out": ("runs", {}),   # $COPOLYMER_OUT, when set, replaces the default
+    "lam": (0.0, {"type": float}),
+    "h": (0.0, {"type": float}),
+    "lam_tilde": (1.0, {"type": float}),
+    "h_tilde": (0.5, {"type": float}),
+    "kernel": ("srw", {"choices": ["srw", "powerlaw"]}),
+    "alpha": (1.5, {"type": float}),
+    "n_max": (None, {"type": int}),
+    "law_omega": ("gaussian", {"choices": sorted(_LAW_ALIASES)}),
+    "law_tilde": ("gaussian", {"choices": sorted(_LAW_ALIASES)}),
+    # the flag's default None lets a config file's value stand
+    "zero_disorder": (False, {"action": "store_true", "default": None}),
+    "n": (256, {"type": int}),
+    "n_ladder": (None, {}),
+    "replicas": (100, {"type": int}),
+    "paths": (10, {"type": int}),
+    "distances": ("4:64", {}),
+    "k_list": (None, {}),
+    "site": (None, {"type": int}),
+    "s_min": (4, {"type": int}),
+    "s_max": (None, {"type": int}),
+    "epsilons": ("0,0.1,0.2,0.3,0.4,0.5,0.6", {}),
+    "windows": ("4,8,12,16,24,32", {}),
+    "axis1": ("lam_tilde", {}),
+    "axis2": ("h_tilde", {}),
+    "values1": ("0.5,1.0,1.5", {}),
+    "values2": ("-0.5,0,0.5", {}),
 }
 
 
@@ -149,46 +157,21 @@ def build_parser():
                      description="Disordered copolymer-with-adsorption toolkit")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _DISPATCH:
+    for name, command in _COMMANDS.items():
         sp = sub.add_parser(name, add_help=True)
         sp.add_argument("--config", help="flat JSON config file")
-        sp.add_argument("--seed", type=int)
-        sp.add_argument("--replicas", type=int)
-        sp.add_argument("--n", type=int)
-        sp.add_argument("--n-ladder", dest="n_ladder")
-        sp.add_argument("--threads", type=int)
-        sp.add_argument("--out")
-        sp.add_argument("--lam", type=float)
-        sp.add_argument("--h", type=float)
-        sp.add_argument("--lam-tilde", dest="lam_tilde", type=float)
-        sp.add_argument("--h-tilde", dest="h_tilde", type=float)
-        sp.add_argument("--kernel", choices=["srw", "powerlaw"])
-        sp.add_argument("--alpha", type=float)
-        sp.add_argument("--n-max", dest="n_max", type=int)
-        sp.add_argument("--law-omega", dest="law_omega",
-                        choices=sorted(_LAW_ALIASES))
-        sp.add_argument("--law-tilde", dest="law_tilde",
-                        choices=sorted(_LAW_ALIASES))
-        sp.add_argument("--zero-disorder", action="store_true", default=None)
-        sp.add_argument("--distances")
-        sp.add_argument("--k-list", dest="k_list")
-        sp.add_argument("--site", type=int)
-        sp.add_argument("--s-min", dest="s_min", type=int)
-        sp.add_argument("--s-max", dest="s_max", type=int)
-        sp.add_argument("--paths", type=int)
-        sp.add_argument("--epsilons")
-        sp.add_argument("--windows")
-        sp.add_argument("--axis1")
-        sp.add_argument("--axis2")
-        sp.add_argument("--values1")
-        sp.add_argument("--values2")
+        for key in command.keys:
+            sp.add_argument("--" + key.replace("_", "-"), **_KEYS[key][1])
     return parser
 
 
 def resolve_config(args):
-    cfg = dict(_DEFAULTS)
-    cfg["zero_disorder"] = False
-    cfg["out"] = os.environ.get("COPOLYMER_OUT", "runs")
+    """Every key at its default, then the config file's, then the flags'
+    values; a file key the command does not read is a config error, as its
+    flag would be."""
+    cfg = {key: default for key, (default, _) in _KEYS.items()}
+    cfg["out"] = os.environ.get("COPOLYMER_OUT", cfg["out"])
+    keys = _COMMANDS[args.command].keys
     if args.config:
         try:
             with open(args.config) as fh:
@@ -199,11 +182,12 @@ def resolve_config(args):
             raise ConfigError("config file must hold a flat JSON object")
         for key, val in file_cfg.items():
             key = {"lambda": "lam", "lambda_tilde": "lam_tilde"}.get(key, key)
-            if key not in cfg:
-                raise ConfigError(f"unknown config key {key!r}")
+            if key not in keys:
+                raise ConfigError(
+                    f"{args.command} reads no config key {key!r}")
             cfg[key] = val
-    for key in list(cfg):
-        val = getattr(args, key, None)
+    for key in keys:
+        val = getattr(args, key)
         if val is not None:
             cfg[key] = val
     cfg["command"] = args.command
@@ -443,9 +427,8 @@ def _cmd_finite_size(cfg, outdir):
 
 
 def _cmd_entropy(cfg, outdir):
-    # the bound needs a Gaussian omega_tilde: --zero-disorder does not apply
-    p, _, kern, n = _setup(cfg, 8)
-    rep = est.entropy_bound(p, kern, _laws(cfg),
+    p, laws, kern, n = _setup(cfg, 8)
+    rep = est.entropy_bound(p, kern, laws,
                             _int_field(cfg, "replicas", 2), n,
                             _parse_list(cfg["epsilons"], float), cfg["seed"],
                             cfg["threads"])
@@ -548,21 +531,38 @@ def _cmd_selftest(cfg, outdir):
     return files
 
 
-_DISPATCH = {
-    "free-energy": _cmd_free_energy,
-    "mu": _cmd_mu,
-    "profile": _cmd_profile,
-    "correlations": _cmd_correlations,
-    "boundary": _cmd_boundary,
-    "excursions": _cmd_excursions,
-    "maxexc": _cmd_maxexc,
-    "sample": _cmd_sample,
-    "clt": _cmd_clt,
-    "finite-size": _cmd_finite_size,
-    "entropy-bound": _cmd_entropy,
-    "meet": _cmd_meet,
-    "phase-scan": _cmd_phase_scan,
-    "selftest": _cmd_selftest,
+class _Command(NamedTuple):
+    run: Callable       # (cfg, outdir) -> names of the files written
+    keys: tuple         # the configuration keys it reads
+
+
+_RUN = ("seed", "threads", "out")
+_MODEL = ("lam", "h", "lam_tilde", "h_tilde", "kernel", "alpha", "n_max",
+          "law_omega", "law_tilde")
+_BASE = (*_RUN, *_MODEL, "zero_disorder")
+_ONE_SIZE = (*_BASE, "n", "replicas")
+_LADDER = (*_ONE_SIZE, "n_ladder")
+
+# each subcommand and the keys its body reads; it takes these flags only
+_COMMANDS = {
+    "free-energy": _Command(_cmd_free_energy, _LADDER),
+    "mu": _Command(_cmd_mu, _LADDER),
+    "profile": _Command(_cmd_profile, (*_BASE, "n")),
+    "correlations": _Command(_cmd_correlations, (*_ONE_SIZE, "distances")),
+    "boundary": _Command(_cmd_boundary, (*_ONE_SIZE, "k_list")),
+    "excursions": _Command(_cmd_excursions,
+                           (*_ONE_SIZE, "site", "s_min", "s_max")),
+    "maxexc": _Command(_cmd_maxexc, (*_LADDER, "paths")),
+    "sample": _Command(_cmd_sample, (*_ONE_SIZE, "paths")),
+    "clt": _Command(_cmd_clt, _LADDER),
+    "finite-size": _Command(_cmd_finite_size, _LADDER),
+    # the bound needs a Gaussian omega_tilde: it takes no --zero-disorder
+    "entropy-bound": _Command(_cmd_entropy,
+                              (*_RUN, *_MODEL, "n", "replicas", "epsilons")),
+    "meet": _Command(_cmd_meet, (*_ONE_SIZE, "paths", "windows")),
+    "phase-scan": _Command(_cmd_phase_scan, (*_ONE_SIZE, "axis1", "axis2",
+                                             "values1", "values2")),
+    "selftest": _Command(_cmd_selftest, _RUN),
 }
 
 
@@ -595,7 +595,7 @@ def run_command(cfg) -> str:
     os.makedirs(outdir, exist_ok=True)
     started = time.perf_counter()
     try:
-        outputs = _DISPATCH[command](cfg, outdir)
+        outputs = _COMMANDS[command].run(cfg, outdir)
     except Exception:
         # no output files on validation failure: drop partial artifacts
         for name in os.listdir(outdir):

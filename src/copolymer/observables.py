@@ -19,8 +19,8 @@ from .disorder import DisorderSample, PathRng
 from .errors import GuardError, NumericsError
 from .kernel import ReturnKernel
 from .logspace import sigmoid
-from .partition import (ModelParams, PartitionTables, _check_horizon,
-                        _log_weight_base, _log_weight_into, segment_tables)
+from .partition import (ModelParams, PartitionTables, _log_weight_base,
+                        _log_weight_into, segment_tables)
 
 
 @dataclass(frozen=True)
@@ -49,12 +49,13 @@ class ExcursionLaw:
     pmf: np.ndarray
 
 
-def _check_tables(tables: PartitionTables, d: DisorderSample,
-                  kern: ReturnKernel):
-    """The sample must have the tables' length and fit the kernel horizon."""
-    if d.n != tables.n:
-        raise GuardError(f"sample has n = {d.n}, tables have n = {tables.n}")
-    _check_horizon(d, kern)
+def _check_source(tables: PartitionTables, d: DisorderSample,
+                  p: ModelParams, kern: ReturnKernel):
+    """GuardError unless the tables were built from (d, p, kern): with any
+    other triple their entries describe no polymer measure."""
+    if not tables.built_from(d, p, kern):
+        raise GuardError("the tables are read only with the (d, p, kern) "
+                         "they were built from")
 
 
 def _excursion_probability_scan(tables, d, p, kern, weight_neg):
@@ -111,29 +112,26 @@ def contact_profile(tables: PartitionTables, d: DisorderSample,
                     p: ModelParams, kern: ReturnKernel) -> ContactProfile:
     """Exact contact and negative-sign profiles for one sample.
 
-    When (d, p, kern) is the triple the tables were built from, the profile
-    is built once and cached on them, and its arrays are read-only.
+    The profile is built once and cached on the tables, and its arrays are
+    read-only.
     """
-    _check_tables(tables, d, kern)
-    cached = tables.built_from(d, p, kern)
-    if cached and tables._profile is not None:
-        return tables._profile
-    n = tables.n
-    p_contact = np.exp(tables.log_zf + tables.log_zb - tables.log_zf[n])
-    p_neg = _excursion_probability_scan(tables, d, p, kern, weight_neg=True)
-    p_contact.flags.writeable = False
-    p_neg.flags.writeable = False
-    prof = ContactProfile(p_contact=p_contact, p_neg=p_neg)
-    if cached:
-        tables._profile = prof
-    return prof
+    _check_source(tables, d, p, kern)
+    if tables._profile is None:
+        n = tables.n
+        p_contact = np.exp(tables.log_zf + tables.log_zb - tables.log_zf[n])
+        p_neg = _excursion_probability_scan(tables, d, p, kern,
+                                            weight_neg=True)
+        p_contact.flags.writeable = False
+        p_neg.flags.writeable = False
+        tables._profile = ContactProfile(p_contact=p_contact, p_neg=p_neg)
+    return tables._profile
 
 
 def excursion_cover(tables: PartitionTables, d: DisorderSample,
                     p: ModelParams, kern: ReturnKernel) -> np.ndarray:
     """Total excursion probability covering each site; identically 1 for
     every site >= 1 (partition of unity over excursions)."""
-    _check_tables(tables, d, kern)
+    _check_source(tables, d, p, kern)
     return _excursion_probability_scan(tables, d, p, kern, weight_neg=False)
 
 
@@ -145,7 +143,7 @@ def joint_contact_probability(sites, tables: PartitionTables,
     Each consecutive pair (a, b) reads log Z_{b-a} from the segment at a
     bounded at b, an O((b - a)^2) pass with the full segment's bits.
     """
-    _check_tables(tables, d, kern)
+    _check_source(tables, d, p, kern)
     sites = list(sites)
     if not sites or any(not 1 <= s <= tables.n for s in sites):
         raise GuardError("sites must lie in 1..n")
@@ -154,7 +152,7 @@ def joint_contact_probability(sites, tables: PartitionTables,
     log_p = (tables.log_zf[sites[0]] + tables.log_zb[sites[-1]]
              - tables.log_zf[tables.n])
     for a, b in zip(sites[:-1], sites[1:]):
-        log_p += segment_tables(a, d, p, kern, tables, stop=b)[b]
+        log_p += segment_tables(a, d, p, kern, stop=b)[b]
     return float(np.exp(log_p))
 
 
@@ -210,7 +208,7 @@ def excursion_law(k: int, tables: PartitionTables, d: DisorderSample,
     r >= 1; its probability is the single-excursion bridge through the
     forward and backward tables.
     """
-    _check_tables(tables, d, kern)
+    _check_source(tables, d, p, kern)
     n = tables.n
     if not 1 <= k <= n - 1:
         raise GuardError(f"site must satisfy 1 <= k <= n-1, got {k}")
@@ -304,9 +302,7 @@ def sample_path(tables: PartitionTables, d: DisorderSample, p: ModelParams,
     in O(gap) only past it. The law is exact up to the forward table's
     rounding, bounded at ``partition._BLOCK``.
     """
-    if not tables.built_from(d, p, kern):
-        raise GuardError("sample_path needs the (d, p, kern) the tables "
-                         "were built from")
+    _check_source(tables, d, p, kern)
     w, lam = d.w_prefix, p.lam
     base = _log_weight_base(kern.log_k, lam)
     width = min(tables.n, _WINDOW)

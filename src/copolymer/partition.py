@@ -69,10 +69,10 @@ class PartitionTables:
     log_zf[t] = log Z_t (forward, pinned at t), log_zf[0] = 0.
     log_zb[t] = log Z_{n-t} on disorder shifted by t, log_zb[n] = 0: the
     forward DP on the reversed sample, built on first read and checked then
-    against log_zf[n] == log_zb[0]. The tables, and the segments, sampler
-    window and contact profile cached on them, are valid only with the
-    (d, p, kern) they were built from, which ``_source`` holds;
-    ``built_from`` tells whether a triple is that one.
+    against log_zf[n] == log_zb[0]. The tables, and the sampler window and
+    contact profile cached on them, are valid only with the (d, p, kern)
+    they were built from, which ``_source`` holds: every reader raises
+    GuardError unless ``built_from`` accepts the triple it is given.
     """
 
     n: int
@@ -81,8 +81,6 @@ class PartitionTables:
     _source: tuple = field(repr=False, compare=False)
     _log_zb: np.ndarray | None = field(default=None, init=False, repr=False,
                                        compare=False)
-    _segments: dict = field(default_factory=dict, init=False, repr=False,
-                            compare=False)
     # the path sampler's (n, 32) window table, built on first use
     _rows: object = field(default=None, init=False, repr=False, compare=False)
     # the read-only contact profile, built on first use
@@ -94,9 +92,8 @@ class PartitionTables:
             arr.flags.writeable = False
 
     def built_from(self, d, p, kern) -> bool:
-        """Whether (d, p, kern) is the triple these tables were built from:
-        the one condition under which a cached segment or profile may
-        serve a call, and the path sampler's condition."""
+        """Whether (d, p, kern) is the triple these tables were built from,
+        the condition every reader of the tables checks."""
         src_d, src_p, src_kern = self._source
         return d is src_d and kern is src_kern and p == src_p
 
@@ -468,30 +465,21 @@ def log_partition_curves(samples, p: ModelParams,
 
 
 def segment_tables(j: int, d: DisorderSample, p: ModelParams,
-                   kern: ReturnKernel, tables: PartitionTables | None = None,
+                   kern: ReturnKernel, *,
                    stop: int | None = None) -> np.ndarray:
     """log Z_seg(j, t) = log Z_{t-j} on disorder shifted by j, t in (j, stop].
 
-    ``stop`` (default n) bounds the span; entries past it are NaN, and the
-    entries up to it are those of the full segment, bit for bit. With
-    j = 0 and no stop this is identical to the forward table. When
-    ``tables`` is given and was built from (d, p, kern), a full (unbounded)
-    segment is cached on it, since anchors are often revisited.
+    ``stop`` (default n) bounds the span, at O((stop - j)^2) cost; entries
+    past it are NaN, and the entries up to it are those of the full
+    segment, bit for bit. With j = 0 and no stop this is identical to the
+    forward table.
     """
     if not 0 <= j < d.n:
         raise GuardError(f"anchor j must satisfy 0 <= j < n, got {j}")
     if stop is not None and not j < stop <= d.n:
         raise GuardError(f"stop must lie in (j, n], got {stop}")
-    cached = (tables is not None and stop is None
-              and tables.built_from(d, p, kern))
-    cache = tables._segments if cached else {}
-    if j in cache:
-        return cache[j]
     _check_horizon(d, kern)
-    seg = _forward(j, d, p, kern, _log_rewards(d, p), stop=stop)
-    seg.flags.writeable = False
-    cache[j] = seg
-    return seg
+    return _forward(j, d, p, kern, _log_rewards(d, p), stop=stop)
 
 
 def single_excursion_log_lower_bound(d: DisorderSample, p: ModelParams,

@@ -119,7 +119,7 @@ def test_criterion_4_gradient_suite():
         pc = prof.p_contact[1:]
         joint_sum = pc.sum()          # diagonal: E[delta^2] = E[delta]
         for a in range(1, n):
-            seg = segment_tables(a, d, p, kern, tables)
+            seg = segment_tables(a, d, p, kern)
             for b in range(a + 1, n + 1):
                 joint_sum += 2 * math.exp(tables.log_zf[a] + seg[b]
                                           + tables.log_zb[b] - tables.log_z)

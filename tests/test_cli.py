@@ -1,7 +1,10 @@
 import json
+import re
+from pathlib import Path
 
 import pytest
 
+import copolymer.cli as cli
 from copolymer.cli import main, resolve_config, build_parser
 from copolymer.errors import NumericsError
 from copolymer.oracle import log_srw_mass
@@ -139,12 +142,11 @@ def test_guard_violation_exits_two(tmp_path):
 
 
 def test_numerics_error_exits_three(tmp_path, monkeypatch):
-    import copolymer.cli as cli
-
     def boom(cfg, outdir):
         raise NumericsError("pmf does not sum to one")
 
-    monkeypatch.setitem(cli._DISPATCH, "profile", boom)
+    monkeypatch.setitem(cli._COMMANDS, "profile",
+                        cli._COMMANDS["profile"]._replace(run=boom))
     assert main(["profile", "--out", str(tmp_path / "runs"), "--n", "8"]) == 3
 
 
@@ -285,3 +287,93 @@ def test_list_options_from_config_lists(tmp_path, args, key, listed, text,
             == (_only_run_dir(b) / csv).read_bytes())
     path.write_text(json.dumps({key: [4, "x"]}))
     assert main([*args, "--config", str(path), "--out", str(a)]) == 1
+
+
+def _help_flags(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    return set(re.findall(r"^\s+(?:-h, )?(--[a-z0-9-]+)",
+                          capsys.readouterr().out, re.MULTILINE))
+
+
+@pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+def test_help_lists_exactly_the_command_keys(capsys, command):
+    flags = {"--" + key.replace("_", "-")
+             for key in cli._COMMANDS[command].keys}
+    assert _help_flags(capsys, command) == {"--help", "--config", *flags}
+
+
+# per subcommand, valid flags it reads, then flags it does not read: a run
+# that ignored the latter would succeed, so only rejecting them exits 1
+_UNREAD = {
+    "free-energy": ["--n", "8", "--replicas", "2", "--paths", "3"],
+    "mu": ["--n", "8", "--replicas", "2", "--site", "4"],
+    "profile": ["--n", "8", "--replicas", "-5"],
+    "correlations": ["--n", "16", "--replicas", "2", "--distances", "4:6",
+                     "--n-ladder", "16,32"],
+    "boundary": ["--n", "16", "--replicas", "2", "--windows", "4"],
+    "excursions": ["--n", "16", "--replicas", "2", "--k-list", "4,8"],
+    "maxexc": ["--n", "16", "--replicas", "2", "--distances", "4:6"],
+    "sample": ["--n", "8", "--replicas", "1", "--n-ladder", "8,16"],
+    "clt": ["--n", "16", "--replicas", "8", "--paths", "-3", "--windows",
+            "x"],
+    "finite-size": ["--n-ladder", "4,8,16,32,64", "--replicas", "2",
+                    "--s-min", "2"],
+    # the bound is built on Gaussian charges: no homogeneous model
+    "entropy-bound": ["--n", "16", "--replicas", "2", "--zero-disorder"],
+    "meet": ["--n", "16", "--replicas", "2", "--windows", "4,8",
+             "--epsilons", "0.1"],
+    "phase-scan": ["--n", "16", "--replicas", "2", "--site", "3"],
+    "selftest": ["--n", "99999999", "--paths", "0"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+def test_unread_flag_exits_one(tmp_path, capsys, command):
+    out = tmp_path / "runs"
+    assert main([command, *_UNREAD[command], "--out", str(out)]) == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,key,value", [
+    ("profile", "replicas", 2),
+    ("selftest", "lam", 0.5),
+    ("selftest", "n", 99999999),
+    ("entropy-bound", "zero_disorder", True),
+    ("clt", "windows", "x"),
+    ("free-energy", "axis1", "lam"),
+])
+def test_unread_config_key_exits_one(tmp_path, capsys, command, key, value):
+    path = tmp_path / "cfg.json"
+    sizes = {} if command == "selftest" else {"n": 16}
+    path.write_text(json.dumps({**sizes, key: value}))
+    out = tmp_path / "runs"
+    assert main([command, "--config", str(path), "--out", str(out)]) == 1
+    assert f"reads no config key {key!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_every_key_is_read_by_some_command():
+    used = {key for command in cli._COMMANDS.values() for key in command.keys}
+    assert used == set(cli._KEYS)
+
+
+def test_readme_flag_table_matches_commands(capsys):
+    # the README's per-subcommand table names each flag group once, then
+    # one row per subcommand of groups and flags
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = re.findall(r"^\| (.+?) \| (.+?) \|$", readme, re.MULTILINE)
+    groups = {name: set(re.findall(r"--[a-z0-9-]+", flags))
+              for name, flags in rows if name in ("run", "model")}
+    documented = {}
+    for name, cell in rows:
+        if name.startswith("`"):
+            flags = set(re.findall(r"--[a-z0-9-]+", cell))
+            for word in re.findall(r"\b(run|model),", cell + ","):
+                flags |= groups[word]
+            documented[name.strip("`")] = flags
+    assert set(documented) == set(cli._COMMANDS)
+    for command, flags in documented.items():
+        assert flags | {"--help"} == _help_flags(capsys, command), command

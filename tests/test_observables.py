@@ -432,14 +432,13 @@ def test_profile_cached_read_only_and_keyed_by_coupling(srw64, monkeypatch):
     # the gradients read the cached profile: no second scan
     log_z_gradients(t, d, p, srw64)
     assert len(scans) == 1
+    # another coupling or kernel is refused, and leaves the cache alone
     other_p = p.replace(lam=1.5)
     other_kern = build_powerlaw_kernel(1.8, 64)
     for pp, kern in ((other_p, srw64), (p, other_kern)):
-        got = contact_profile(t, d, pp, kern)
-        assert got is not prof
-        assert np.array_equal(got.p_neg,
-                              _loop_probability_scan(t, d, pp, kern, True))
-    assert len(scans) == 3
+        with pytest.raises(GuardError, match="built from"):
+            contact_profile(t, d, pp, kern)
+    assert len(scans) == 1
     assert t._profile is prof
 
 

@@ -212,7 +212,7 @@ def _loop_inequality_suite(p, kern, n):
                                - zf[n])
             segmat = np.full((n + 1, n + 1), np.nan)
             for j in range(n):
-                segmat[j] = segment_tables(j, d, p, kern, tables)
+                segmat[j] = segment_tables(j, d, p, kern)
             for pat in patterns:
                 inner = sum(segmat[a, b] for a, b in zip(pat[:-1], pat[1:]))
                 worst_fact = max(worst_fact,

@@ -136,7 +136,7 @@ def test_superadditivity_every_split(srw64, make_instance):
     p, d = make_instance(3, 32)
     t = forward_tables(d, p, srw64)
     for m in range(1, 32):
-        seg = segment_tables(m, d, p, srw64, t)
+        seg = segment_tables(m, d, p, srw64)
         lhs = t.log_zf[m] + seg[32]
         assert lhs <= t.log_zf[32] + 1e-12 * max(1, abs(t.log_z))
 
@@ -160,7 +160,7 @@ def test_pinned_decomposition_identity(srw64, make_instance):
 def test_segment_tables_basics(srw16, make_instance):
     p, d = make_instance(4, 12)
     t = forward_tables(d, p, srw16)
-    seg0 = segment_tables(0, d, p, srw16, t)
+    seg0 = segment_tables(0, d, p, srw16)
     assert np.allclose(seg0, t.log_zf, atol=1e-12)
     # zero couplings: Z_seg(1, 2) = K(1)
     dz = freeze_zero_disorder(2, 0.0)
@@ -168,8 +168,6 @@ def test_segment_tables_basics(srw16, make_instance):
     assert seg1[2] == pytest.approx(math.log(0.5), abs=1e-14)
     with pytest.raises(GuardError):
         segment_tables(12, d, p, srw16)
-    # cached on the tables object
-    assert segment_tables(3, d, p, srw16, t) is segment_tables(3, d, p, srw16, t)
 
 
 def test_shifted_curve_stop(srw64, make_instance):
@@ -180,33 +178,6 @@ def test_shifted_curve_stop(srw64, make_instance):
     assert np.all(np.isnan(part[21:]))
     with pytest.raises(GuardError):
         segment_tables(10, d, p, srw64, stop=10)
-    # a bounded segment is never cached, so it cannot stand in for a full one
-    t = forward_tables(d, p, srw64)
-    assert np.array_equal(segment_tables(10, d, p, srw64, t, stop=20), part,
-                          equal_nan=True)
-    assert np.array_equal(segment_tables(10, d, p, srw64, t), full,
-                          equal_nan=True)
-
-
-def test_segment_cache_keyed_by_coupling(srw64):
-    # a segment cached for the tables' own coupling never serves another
-    p = ModelParams(0.5, 0.1, 1.0, 0.5)
-    d = sample_disorder(DisorderLaw.GAUSSIAN, DisorderLaw.GAUSSIAN, 32, p.h,
-                        3, 0)
-    t = forward_tables(d, p, srw64)
-    own = segment_tables(5, d, p, srw64, t)
-    assert segment_tables(5, d, p, srw64, t) is own
-    other_p = p.replace(lam=1.5)
-    other_kern = build_srw_kernel(64)
-    for pp, kern in ((other_p, srw64), (p, other_kern)):
-        fresh = segment_tables(5, d, pp, kern)
-        got = segment_tables(5, d, pp, kern, t)
-        assert np.array_equal(got, fresh, equal_nan=True)
-        assert np.array_equal(got, _loop_forward(5, d, pp, kern, 32),
-                              equal_nan=True)
-    assert not np.array_equal(segment_tables(5, d, other_p, srw64, t)[20:],
-                              own[20:])
-    assert list(t._segments) == [5] and t._segments[5] is own
 
 
 def test_bounded_segment_is_full_segment_prefix(srw64, make_instance):
