@@ -624,7 +624,10 @@ def run_command(cfg) -> str:
 def main(argv=None) -> int:
     try:
         argv = sys.argv[1:] if argv is None else argv
-        args = build_parser().parse_args(_glue_negative_lists(argv))
+        try:
+            args = build_parser().parse_args(_glue_negative_lists(argv))
+        except SystemExit as exc:  # --help and --version, once printed
+            return exc.code
         cfg = resolve_config(args)
         outdir = run_command(cfg)
     except ConfigError as exc:

@@ -17,7 +17,8 @@ from .disorder import (DisorderLaw, PathRng, disorder_from_arrays,
 from .errors import ConfigError, GuardError, NumericsError
 from .logspace import logsumexp, softplus
 from .observables import excursion_law, max_excursion, sample_path
-from .partition import forward_tables, log_partition_curves, segment_tables
+from .partition import (_fill_backward, _table_rows, log_partition_curves,
+                        segment_tables)
 
 VERDICT_BOUNDED = "BoundedGap"
 VERDICT_LOG_GROWTH = "LogGrowth"
@@ -25,16 +26,11 @@ VERDICT_INCONCLUSIVE = "Inconclusive"
 
 _LOCALIZED_FLOOR = 1e-3
 
-# float64 cells per array of one batched forward pass. The blocked DP's
+# float64 cells per array of one batched table pass. The blocked DP's
 # cross-block products gain with R (at N = 4096 a batch of 63 curves took
 # 5.4 ms per curve, one of 8 took 13.4 ms, on a 2-core x86-64 host), and
 # at 2^18 cells (2 MiB) an array stays small beside a worker's memory
 _BATCH_CELLS = 1 << 18
-
-
-def _batch_cap(n):
-    """Replicas per batched forward pass over samples of length n."""
-    return max(1, _BATCH_CELLS // (int(n) + 1))
 
 
 def _draw_disorder(laws, n, h, seed, replica):
@@ -56,19 +52,21 @@ def _chunk_indices(replicas, threads, cap=None):
     return [list(range(a, b)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
 
 
-def _fan_out(worker, commons, replicas, threads, cap=None):
-    """Run ``worker((common, chunk))`` for every common over the same
-    replica chunks, all in one pool; per common, flatten the results back
-    into replica order."""
+def _fan_out(commons, replicas, threads):
+    """Run ``_chunk_task((common, chunk))`` for every common over the same
+    replica chunks (at most ``_BATCH_CELLS`` cells per array at the longest
+    common["n"]) in one pool of at most one process per task, since fork
+    starts them all; per common, flatten the results into replica order."""
     if replicas < 1:
         raise GuardError(f"need at least one replica, got {replicas}")
-    chunks = _chunk_indices(replicas, threads, cap)
+    cap = _BATCH_CELLS // (max(int(c["n"]) for c in commons) + 1)
+    chunks = _chunk_indices(replicas, threads, max(1, cap))
     tasks = [(common, c) for common in commons for c in chunks]
     if len(tasks) == 1 or threads <= 1:
-        parts = [worker(t) for t in tasks]
+        parts = [_chunk_task(t) for t in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(worker, tasks))
+        with ProcessPoolExecutor(max_workers=min(threads, len(tasks))) as pool:
+            parts = list(pool.map(_chunk_task, tasks))
     k = len(chunks)
     return [[item for part in parts[i:i + k] for item in part]
             for i in range(0, len(parts), k)]
@@ -149,28 +147,33 @@ def _validate_ladder(n_ladder):
 
 
 # ---------------------------------------------------------------------------
-# replica workers (top level, like the per-sample functions, so they pickle)
+# the chunk worker (top level, like its hooks, so they pickle)
 
-def _replica_task(task):
-    """Per replica of the chunk: draw the sample of length common["n"] and
-    return ``common["per_sample"](common, replica, sample)``. The common
-    also holds p, kern, laws, seed and the per-sample function's own keys."""
+def _chunk_task(task):
+    """Draw the chunk's samples of length common["n"], build their tables
+    in one batched forward pass (and backward pass, if common["backward"]),
+    and return ``common["hook"](common, chunk, samples, tables)``. The
+    common also holds p, kern, laws, seed and the hook's own keys."""
     common, chunk = task
-    per_sample, p, n = common["per_sample"], common["p"], common["n"]
-    return [per_sample(common, r, _draw_disorder(common["laws"], n, p.h,
-                                                 common["seed"], r))
-            for r in chunk]
+    p, kern, n = common["p"], common["kern"], common["n"]
+    samples = [_draw_disorder(common["laws"], n, p.h, common["seed"], r)
+               for r in chunk]
+    tables = _table_rows(samples, p, kern)
+    if common["backward"]:
+        _fill_backward(tables)
+    return common["hook"](common, chunk, samples, tables)
 
 
-def _curve_task(task):
-    """Per replica: log Z and W at the requested prefix sites, from one
-    batched forward pass over the chunk."""
-    common, chunk = task
-    p, kern, laws, seed, sites = (common["p"], common["kern"], common["laws"],
-                                  common["seed"], common["sites"])
-    samples = [_draw_disorder(laws, sites[-1], p.h, seed, r) for r in chunk]
-    zf = log_partition_curves(samples, p, kern)[:, sites]
-    return [(z, d.w_prefix[sites]) for z, d in zip(zf, samples)]
+def _per_replica(common, chunk, samples, tables):
+    """``common["per_sample"](common, r, d, tables)`` per replica, dropping
+    each replica's tables, and their sampler window, once its row is done."""
+    tables.reverse()
+    return [common["per_sample"](common, r, d, tables.pop())
+            for r, d in zip(chunk, samples)]
+
+
+def _curve_sample(c, r, d, tables):
+    return tables.log_zf[c["sites"]], d.w_prefix[c["sites"]]
 
 
 def _gather_curves(points, kern, laws, n_ladder, replicas, seed, threads):
@@ -178,17 +181,11 @@ def _gather_curves(points, kern, laws, n_ladder, replicas, seed, threads):
     all points in one fan-out; returns (sites, [(z, w) per point]) with
     (replicas, sites) arrays z and w."""
     sites = np.asarray(_validate_ladder(n_ladder))
-    commons = [dict(p=p, kern=kern, laws=laws, seed=seed, sites=sites)
-               for p in points]
-    curves = []
-    for rows in _fan_out(_curve_task, commons, replicas, threads,
-                         _batch_cap(sites[-1])):
-        z, w = _columns(rows)
-        if not np.all(np.isfinite(z)):
-            # cannot happen with K(n) > 0; a kernel/table bug would surface
-            raise NumericsError("log Z under/overflowed in a replica build")
-        curves.append((z, w))
-    return sites, curves
+    commons = [dict(hook=_per_replica, per_sample=_curve_sample,
+                    backward=False, p=p, kern=kern, laws=laws, seed=seed,
+                    n=sites[-1], sites=sites) for p in points]
+    return sites, [tuple(_columns(rows))
+                   for rows in _fan_out(commons, replicas, threads)]
 
 
 # ---------------------------------------------------------------------------
@@ -279,10 +276,9 @@ class DecayFit:
     anchor: int
 
 
-def _decay_sample(c, r, d):
+def _decay_sample(c, r, d, tables):
     p, kern, n, anchor = c["p"], c["kern"], c["n"], c["anchor"]
     sites = anchor + c["distances"]
-    tables = forward_tables(d, p, kern)
     seg = segment_tables(anchor, d, p, kern, stop=int(sites[-1]))
     zf, zb = tables.log_zf, tables.log_zb
     log_z = zf[n]
@@ -305,9 +301,10 @@ def fit_correlation_decay(p, kern, laws, n, replicas, distances, seed,
     anchor = n // 4
     if anchor < 1 or anchor + dists[-1] > n:
         raise GuardError("system too short for the requested distances")
-    common = dict(per_sample=_decay_sample, p=p, kern=kern, laws=laws,
-                  seed=seed, n=n, anchor=anchor, distances=dists)
-    rows = _fan_out(_replica_task, [common], replicas, threads)[0]
+    common = dict(hook=_per_replica, per_sample=_decay_sample, backward=True,
+                  p=p, kern=kern, laws=laws, seed=seed, n=n, anchor=anchor,
+                  distances=dists)
+    rows = _fan_out([common], replicas, threads)[0]
     mean, se, fit = _exponential_fit(rows, dists, 1e-14, keep=dists >= 4)
     if fit is None:
         raise GuardError("not enough usable distances for the decay fit")
@@ -330,9 +327,8 @@ class BoundaryDecay:
     r_squared: float
 
 
-def _boundary_sample(c, r, d):
+def _boundary_sample(c, r, d, tables):
     p, kern, n, k_list = c["p"], c["kern"], c["n"], c["k_list"]
-    tables = forward_tables(d, p, kern)
     zf, zb = tables.log_zf, tables.log_zb
     diffs = np.empty(len(k_list))
     for i, k in enumerate(k_list):
@@ -355,9 +351,10 @@ def boundary_influence(p, kern, laws, n, k_list, replicas, seed, threads=1):
     k_list = sorted(int(k) for k in k_list)
     if not k_list or k_list[0] < 2 or k_list[-1] > n:
         raise GuardError("each k must satisfy 2 <= k <= N")
-    common = dict(per_sample=_boundary_sample, p=p, kern=kern, laws=laws,
-                  seed=seed, n=n, k_list=k_list)
-    rows = _fan_out(_replica_task, [common], replicas, threads)[0]
+    common = dict(hook=_per_replica, per_sample=_boundary_sample,
+                  backward=True, p=p, kern=kern, laws=laws, seed=seed, n=n,
+                  k_list=k_list)
+    rows = _fan_out([common], replicas, threads)[0]
     dist = np.array([k - k // 2 for k in k_list], dtype=float)
     mean, se, fit = _exponential_fit(rows, dist, 1e-14)
     rate, r2 = (-fit[1], fit[2]) if fit else (math.nan, math.nan)
@@ -386,9 +383,8 @@ class MaxExcursionStudy:
 _DEFAULT_C_GRID = (0.5, 1.0, 1.5, 2.0, 2.5, 3.0)
 
 
-def _maxexc_sample(c, r, d):
+def _maxexc_sample(c, r, d, tables):
     p, kern, n = c["p"], c["kern"], c["n"]
-    tables = forward_tables(d, p, kern)
     deltas = np.array([max_excursion(sample_path(tables, d, p, kern,
                                                  PathRng(c["seed"], r, i)))
                        for i in range(c["paths"])], dtype=int)
@@ -407,11 +403,11 @@ def max_excursion_study(p, kern, laws, n_ladder, replicas, paths_per_replica,
     ladder = _validate_ladder(n_ladder)
     if paths_per_replica < 1:
         raise GuardError("need at least one path per replica")
-    commons = [dict(per_sample=_maxexc_sample, p=p, kern=kern, laws=laws,
-                    seed=seed, n=n, paths=paths_per_replica) for n in ladder]
+    commons = [dict(hook=_per_replica, per_sample=_maxexc_sample,
+                    backward=False, p=p, kern=kern, laws=laws, seed=seed, n=n,
+                    paths=paths_per_replica) for n in ladder]
     out = []
-    for n, rows in zip(ladder, _fan_out(_replica_task, commons, replicas,
-                                        threads)):
+    for n, rows in zip(ladder, _fan_out(commons, replicas, threads)):
         log_z, log_num, deltas = _columns(rows)
         f_hat, f_se = _mean_stderr(log_z / n)
         mu_hat = _mu_hat(log_num - log_z, n)
@@ -451,9 +447,8 @@ class ExcursionRateCheck:
     mu_hat: float
 
 
-def _exc_rate_sample(c, r, d):
+def _exc_rate_sample(c, r, d, tables):
     p, kern, n = c["p"], c["kern"], c["n"]
-    tables = forward_tables(d, p, kern)
     law = excursion_law(c["k"], tables, d, p, kern)
     return (float(tables.log_zf[n]), _log_coin(p, d.w_prefix[n]),
             law.pmf.copy())
@@ -476,9 +471,10 @@ def excursion_rate_check(p, kern, laws, n, k, replicas, seed,
         s_max = min(n // 2, 64, k, n - k)
     if not 1 <= s_min < s_max <= min(k, n - k, n // 2):
         raise GuardError("s fit range must sit in the bulk around k")
-    common = dict(per_sample=_exc_rate_sample, p=p, kern=kern, laws=laws,
-                  seed=seed, n=n, k=k)
-    rows = _fan_out(_replica_task, [common], replicas, threads)[0]
+    common = dict(hook=_per_replica, per_sample=_exc_rate_sample,
+                  backward=True, p=p, kern=kern, laws=laws, seed=seed, n=n,
+                  k=k)
+    rows = _fan_out([common], replicas, threads)[0]
     log_z, log_num, pmfs = _columns(rows)
     s = np.arange(s_min, s_max + 1)
     base = kern.log_k[s] + np.log(s + 1.0)
@@ -569,28 +565,24 @@ class FiniteSizeReport:
     verdict: str
 
 
-def _finite_size_task(task):
+def _finite_size_chunk(c, chunk, samples, tables):
     """Per replica: log Z at the ladder sites and the superadditivity gaps
     xi_n = log Z_2n - log Z_n - log Z_n(shifted by n) of every rung below
-    the top, from one batched pass over the chunk's full samples and one
-    per rung over their windows (n, 2n]."""
-    common, chunk = task
-    p, kern, sites = common["p"], common["kern"], common["sites"]
-    samples = [_draw_disorder(common["laws"], sites[-1], p.h, common["seed"],
-                              r) for r in chunk]
-    zf = log_partition_curves(samples, p, kern)
+    the top, from one batched pass per rung over the windows (n, 2n]."""
+    p, kern, sites = c["p"], c["kern"], c["sites"]
+    z = np.array([t.log_zf[sites] for t in tables])
     xis = []
-    for n in sites[:-1]:
+    for i, n in enumerate(sites[:-1]):
         windows = [disorder_from_arrays(d.omega[n + 1:2 * n + 1],
                                         d.omega_tilde[n + 1:2 * n + 1], p.h)
                    for d in samples]
         z_shift = log_partition_curves(windows, p, kern)[:, n]
-        xi = zf[:, 2 * n] - zf[:, n] - z_shift
-        broken = ~(xi >= -1e-8 * np.maximum(1.0, np.abs(zf[:, 2 * n])))
+        xi = z[:, i + 1] - z[:, i] - z_shift
+        broken = ~(xi >= -1e-8 * np.maximum(1.0, np.abs(z[:, i + 1])))
         if np.any(broken):
             raise NumericsError(f"superadditivity violated: xi={xi[broken][0]}")
         xis.append(xi)
-    return list(zip(zf[:, sites], np.stack(xis, axis=1)))
+    return list(zip(z, np.stack(xis, axis=1)))
 
 
 def _finite_size_verdict(gaps, errs):
@@ -622,9 +614,9 @@ def finite_size_study(p, kern, laws, n_ladder, replicas, seed, threads=1):
         raise GuardError("finite-size ladder must double at every rung")
     if len(sites) < 5:
         raise GuardError("need a ladder of at least 4 doublings")
-    common = dict(p=p, kern=kern, laws=laws, seed=seed, sites=sites)
-    z, xi = _columns(_fan_out(_finite_size_task, [common], replicas, threads,
-                              _batch_cap(sites[-1]))[0])
+    common = dict(hook=_finite_size_chunk, backward=False, p=p, kern=kern,
+                  laws=laws, seed=seed, n=sites[-1], sites=sites)
+    z, xi = _columns(_fan_out([common], replicas, threads)[0])
     f_n, f_se = _column_mean_stderr(z / sites)
     gaps, gap_se = _column_mean_stderr(0.5 * xi)
     diff, diff_se = _column_mean_stderr(z[:, 1:] / (2 * sites[:-1])
@@ -700,10 +692,9 @@ class MeetDecay:
     r_squared: float
 
 
-def _meet_sample(c, r, d):
+def _meet_sample(c, r, d, tables):
     p, kern, n, seed = c["p"], c["kern"], c["n"], c["seed"]
     windows, pairs = c["windows"], c["pairs"]
-    tables = forward_tables(d, p, kern)
     freq = np.zeros(len(windows))
     for i in range(pairs):
         r1 = sample_path(tables, d, p, kern, PathRng(seed, r, 2 * i))
@@ -727,9 +718,10 @@ def meet_probability(p, kern, laws, n, window_sizes, replicas,
         raise GuardError("window sizes must lie in 1..N")
     if paths_per_replica < 1:
         raise GuardError("need at least one path pair per replica")
-    common = dict(per_sample=_meet_sample, p=p, kern=kern, laws=laws,
-                  seed=seed, n=n, windows=windows, pairs=paths_per_replica)
-    rows = _fan_out(_replica_task, [common], replicas, threads)[0]
+    common = dict(hook=_per_replica, per_sample=_meet_sample, backward=False,
+                  p=p, kern=kern, laws=laws, seed=seed, n=n, windows=windows,
+                  pairs=paths_per_replica)
+    rows = _fan_out([common], replicas, threads)[0]
     mean, se, fit = _exponential_fit(rows, np.asarray(windows, dtype=float),
                                      0.0)
     rate, r2 = (-fit[1], fit[2]) if fit else (math.nan, math.nan)

@@ -20,8 +20,8 @@ of the inner sum, so brute-force enumeration matches it to rounding error.
 One recursion, ``_forward_batch``, builds every table: it sums earlier
 blocks of ``_BLOCK`` sites through BLAS products in linear domain, and the
 backward table is the same pass on the reversed sample (``_log_zb_rows``),
-within the same bound. ``forward_tables`` builds the forward table at once
-and the backward table, checked against it, when it is first read.
+within the same bound. ``_table_rows`` builds the forward tables of a
+batch of samples, and ``forward_tables`` is it at one row.
 """
 
 import math
@@ -68,11 +68,12 @@ class PartitionTables:
 
     log_zf[t] = log Z_t (forward, pinned at t), log_zf[0] = 0.
     log_zb[t] = log Z_{n-t} on disorder shifted by t, log_zb[n] = 0: the
-    forward DP on the reversed sample, built on first read and checked then
-    against log_zf[n] == log_zb[0]. The tables, and the sampler window and
-    contact profile cached on them, are valid only with the (d, p, kern)
-    they were built from, which ``_source`` holds: every reader raises
-    GuardError unless ``built_from`` accepts the triple it is given.
+    forward DP on the reversed sample, checked against log_zf[n] ==
+    log_zb[0]. Both are read-only rows of batched passes (``_table_rows``;
+    ``_fill_backward``, else the first read of log_zb). The tables, and the
+    sampler window and contact profile cached on them, are valid only with
+    the (d, p, kern) they were built from, which ``_source`` holds: every
+    reader raises GuardError unless ``built_from`` accepts that triple.
     """
 
     n: int
@@ -104,11 +105,7 @@ class PartitionTables:
     @property
     def log_zb(self) -> np.ndarray:
         if self._log_zb is None:
-            d, p, kern = self._source
-            zb = _log_zb_rows(d.w_prefix[None], self.log_zeta_sites[None],
-                              self.log_zf[None, self.n], kern.log_k, p.lam)[0]
-            zb.flags.writeable = False
-            self._log_zb = zb
+            _fill_backward([self])
         return self._log_zb
 
 
@@ -390,14 +387,6 @@ def _forward_batch(j: int, stop: int, w: np.ndarray, lz: np.ndarray,
     return seg
 
 
-def _forward(j: int, d: DisorderSample, p: ModelParams, kern: ReturnKernel,
-             lz: np.ndarray, stop: int | None = None) -> np.ndarray:
-    """Exact forward recursion of one sample: the batched kernel at R = 1."""
-    stop = d.n if stop is None else stop
-    return _forward_batch(j, stop, d.w_prefix[None], lz[None], kern.log_k,
-                          p.lam)[0]
-
-
 def _log_zb_rows(w: np.ndarray, lz: np.ndarray, log_z: np.ndarray,
                  log_k: np.ndarray, lam: float) -> np.ndarray:
     """The (R, n+1) backward tables of R samples from their prefix sums
@@ -421,37 +410,11 @@ def _log_zb_rows(w: np.ndarray, lz: np.ndarray, log_z: np.ndarray,
     return zb
 
 
-def forward_tables(d: DisorderSample, p: ModelParams,
-                   kern: ReturnKernel) -> PartitionTables:
-    """Partition tables for one sample; O(N^2), exact. The forward table is
-    built here, the backward one on first read of ``log_zb``."""
-    _check_horizon(d, kern)
-    lz = _log_rewards(d, p)
-    zf = _forward(0, d, p, kern, lz)
-    if not np.all(np.isfinite(zf)):
-        raise NumericsError("forward table has non-finite entries")
-    return PartitionTables(n=d.n, log_zf=zf, log_zeta_sites=lz,
-                           _source=(d, p, kern))
-
-
-def log_partition_curve(d: DisorderSample, p: ModelParams,
-                        kern: ReturnKernel) -> np.ndarray:
-    """Forward table only: log Z_t for every prefix t of one sample (the
-    estimators batch theirs through ``log_partition_curves``)."""
-    _check_horizon(d, kern)
-    return _forward(0, d, p, kern, _log_rewards(d, p))
-
-
-def log_partition_curves(samples, p: ModelParams,
-                         kern: ReturnKernel) -> np.ndarray:
-    """Forward curves of several equal-length samples in one batched pass.
-
-    Row r of the (R, n+1) result is ``log_partition_curve(samples[r], p,
-    kern)``, bit for bit. Besides the result it allocates about four
-    arrays of the same size (stacked inputs and the linear blocks of the
-    cross-block sums), so callers with many long samples pass them in
-    batches.
-    """
+def _table_rows(samples, p: ModelParams,
+                kern: ReturnKernel) -> list[PartitionTables]:
+    """Tables of equal-length samples from one batched forward pass; row r
+    is ``forward_tables(samples[r], p, kern)`` bit for bit. The pass
+    allocates about four arrays of the rows' size, so batch long samples."""
     samples = list(samples)
     if not samples:
         raise GuardError("need at least one disorder sample")
@@ -461,7 +424,45 @@ def log_partition_curves(samples, p: ModelParams,
     _check_horizon(samples[0], kern)
     w = np.stack([d.w_prefix for d in samples])
     lz = np.stack([_log_rewards(d, p) for d in samples])
-    return _forward_batch(0, n, w, lz, kern.log_k, p.lam)
+    zf = _forward_batch(0, n, w, lz, kern.log_k, p.lam)
+    if not np.all(np.isfinite(zf)):
+        raise NumericsError("forward table has non-finite entries")
+    return [PartitionTables(n=n, log_zf=z, log_zeta_sites=z_sites,
+                            _source=(d, p, kern))
+            for d, z, z_sites in zip(samples, zf, lz)]
+
+
+def _fill_backward(tables):
+    """The backward tables of ``tables`` (one length, p and kern), built in
+    one batched ``_log_zb_rows`` pass."""
+    _, p, kern = tables[0]._source
+    zb = _log_zb_rows(np.stack([t._source[0].w_prefix for t in tables]),
+                      np.stack([t.log_zeta_sites for t in tables]),
+                      np.array([t.log_z for t in tables]), kern.log_k, p.lam)
+    zb.flags.writeable = False
+    for t, row in zip(tables, zb):
+        t._log_zb = row
+
+
+def forward_tables(d: DisorderSample, p: ModelParams,
+                   kern: ReturnKernel) -> PartitionTables:
+    """Partition tables for one sample; O(N^2), exact. The forward table is
+    built here, the backward one on first read of ``log_zb``."""
+    return _table_rows([d], p, kern)[0]
+
+
+def log_partition_curve(d: DisorderSample, p: ModelParams,
+                        kern: ReturnKernel) -> np.ndarray:
+    """Forward table only: log Z_t for every prefix t of one sample."""
+    return log_partition_curves([d], p, kern)[0]
+
+
+def log_partition_curves(samples, p: ModelParams,
+                         kern: ReturnKernel) -> np.ndarray:
+    """Forward curves of several equal-length samples in one batched pass
+    of ``_table_rows``: row r of the (R, n+1) result is
+    ``forward_tables(samples[r], p, kern).log_zf``, bit for bit."""
+    return np.stack([t.log_zf for t in _table_rows(samples, p, kern)])
 
 
 def segment_tables(j: int, d: DisorderSample, p: ModelParams,
@@ -479,7 +480,8 @@ def segment_tables(j: int, d: DisorderSample, p: ModelParams,
     if stop is not None and not j < stop <= d.n:
         raise GuardError(f"stop must lie in (j, n], got {stop}")
     _check_horizon(d, kern)
-    return _forward(j, d, p, kern, _log_rewards(d, p), stop=stop)
+    return _forward_batch(j, d.n if stop is None else stop, d.w_prefix[None],
+                          _log_rewards(d, p)[None], kern.log_k, p.lam)[0]
 
 
 def single_excursion_log_lower_bound(d: DisorderSample, p: ModelParams,

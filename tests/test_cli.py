@@ -290,11 +290,18 @@ def test_list_options_from_config_lists(tmp_path, args, key, listed, text,
 
 
 def _help_flags(capsys, command):
-    with pytest.raises(SystemExit) as exc:
-        main([command, "--help"])
-    assert exc.value.code == 0
+    assert main([command, "--help"]) == 0
     return set(re.findall(r"^\s+(?:-h, )?(--[a-z0-9-]+)",
                           capsys.readouterr().out, re.MULTILINE))
+
+
+def test_help_and_version_return_zero(tmp_path, capsys):
+    assert main(["--help"]) == 0
+    assert "{" + ",".join(cli._COMMANDS) + "}" in capsys.readouterr().out
+    rc, out = _run(tmp_path, "--version")
+    assert rc == 0
+    assert capsys.readouterr().out.strip() == cli.__version__
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", sorted(cli._COMMANDS))

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -19,7 +20,8 @@ from copolymer.kernel import build_srw_kernel
 from copolymer.logspace import LOG2
 from copolymer.oracle import (homogeneous_pinning_free_energy, log_srw_mass,
                               renewal_mass_curve)
-from copolymer.partition import ModelParams, log_partition_curve
+from copolymer.partition import (ModelParams, forward_tables,
+                                 log_partition_curve)
 
 ZERO = ModelParams(0.0, 0.0, 0.0, 0.0)
 V_STAR = ModelParams(0.0, 0.0, 1.0, 0.5)
@@ -358,23 +360,81 @@ def test_maxexc_ladder_starts_one_pool(srw64, monkeypatch):
                             [dataclasses.asdict(s) for s in ref])
 
 
-# the per-sample replica estimators, as (kernel, replicas) -> result
+def test_pool_has_at_most_one_process_per_task(srw64, monkeypatch):
+    sizes = []
+
+    class RecordingPool(est.ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(est, "ProcessPoolExecutor", RecordingPool)
+    # two replicas make two one-replica tasks, whatever the thread count
+    got = estimate_free_energy(V_STAR, srw64, GG, [32], 2, 4, threads=4)
+    assert sizes == [2]
+    assert got == estimate_free_energy(V_STAR, srw64, GG, [32], 2, 4)
+
+
+def test_per_replica_drops_each_replicas_tables(srw64):
+    # a sampler window is (n, 32) floats: a chunk must not keep them all
+    samples = [est._draw_disorder(GG, 32, 0.0, 3, r) for r in range(4)]
+    seen = []
+
+    def per_sample(c, r, d, tables):
+        assert tables.built_from(d, V_STAR, srw64)
+        assert [ref() for ref in seen] == [None] * len(seen)
+        seen.append(weakref.ref(tables))
+        return r
+
+    tables = partition._table_rows(samples, V_STAR, srw64)
+    assert est._per_replica(dict(per_sample=per_sample), [5, 6, 7, 8],
+                            samples, tables) == [5, 6, 7, 8]
+
+
+# the per-sample replica estimators, as (kernel, replicas, threads, p) ->
+# result; every sample has length 32
 _REPLICA_ESTIMATORS = {
-    "boundary_influence": lambda k, r: boundary_influence(
-        V_STAR, k, GG, 32, [8, 16], r, 1),
-    "fit_correlation_decay": lambda k, r: fit_correlation_decay(
-        V_STAR, k, GG, 32, r, [4, 5, 6], 1),
-    "meet_probability": lambda k, r: meet_probability(
-        V_STAR, k, GG, 32, [4, 8], r, 2, 1),
-    "max_excursion_study": lambda k, r: max_excursion_study(
-        V_STAR, k, GG, [32], r, 2, 1),
-    "excursion_rate_check": lambda k, r: excursion_rate_check(
-        V_STAR, k, GG, 32, 16, r, 1),
-    "finite_size_study": lambda k, r: finite_size_study(
-        V_STAR, k, GG, [2, 4, 8, 16, 32], r, 1),
-    "entropy_bound": lambda k, r: entropy_bound(
-        V_STAR, k, GG, r, 32, [0.1], 1),
+    "boundary_influence": lambda k, r, t=1, p=V_STAR: boundary_influence(
+        p, k, GG, 32, [8, 16], r, 1, t),
+    "fit_correlation_decay": lambda k, r, t=1, p=V_STAR: fit_correlation_decay(
+        p, k, GG, 32, r, [4, 5, 6], 1, t),
+    "meet_probability": lambda k, r, t=1, p=V_STAR: meet_probability(
+        p, k, GG, 32, [4, 8], r, 2, 1, t),
+    "max_excursion_study": lambda k, r, t=1, p=V_STAR: max_excursion_study(
+        p, k, GG, [32], r, 2, 1, threads=t),
+    "excursion_rate_check": lambda k, r, t=1, p=V_STAR: excursion_rate_check(
+        p, k, GG, 32, 16, r, 1, threads=t),
+    "finite_size_study": lambda k, r, t=1, p=V_STAR: finite_size_study(
+        p, k, GG, [2, 4, 8, 16, 32], r, 1, t),
+    "entropy_bound": lambda k, r, t=1, p=V_STAR: entropy_bound(
+        p, k, GG, r, 32, [0.1], 1, t),
 }
+
+
+def _fields(result):
+    if isinstance(result, list):
+        return [dataclasses.asdict(x) for x in result]
+    return dataclasses.asdict(result)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("lam", [0.0, 0.5])
+@pytest.mark.parametrize("name", sorted(_REPLICA_ESTIMATORS))
+def test_replica_estimators_match_loop(srw64, monkeypatch, name, lam,
+                                       threads):
+    run, replicas = _REPLICA_ESTIMATORS[name], 7
+    p = V_STAR.replace(lam=lam, h=0.2 * lam)
+    with monkeypatch.context() as m:
+        # the reference: one forward_tables per replica, backward table
+        # built on its first read
+        m.setattr(est, "_table_rows", lambda samples, p, kern: [
+            forward_tables(d, p, kern) for d in samples])
+        m.setattr(est, "_fill_backward", lambda tables: None)
+        ref = run(srw64, replicas, 1, p)
+    # at most 3 replicas per batched pass: several batches per run
+    monkeypatch.setattr(est, "_BATCH_CELLS", 3 * 33)
+    np.testing.assert_equal(_fields(run(srw64, replicas, threads, p)),
+                            _fields(ref))
 
 
 @pytest.mark.parametrize("name", sorted(_REPLICA_ESTIMATORS))
@@ -398,6 +458,8 @@ def test_sampling_workers_skip_backward_table(srw64, tmp_path, monkeypatch):
     monkeypatch.setattr(partition, "_log_zb_rows", unread)
     max_excursion_study(V_STAR, srw64, GG, [32, 64], 2, 3, 1)
     meet_probability(V_STAR, srw64, GG, 48, [2, 4], 2, 2, 1)
+    clt_study(V_STAR, srw64, GG, [16, 32], 8, 1)
+    finite_size_study(V_STAR, srw64, GG, [2, 4, 8, 16, 32], 2, 1)
     assert main(["sample", "--n", "24", "--replicas", "2", "--paths", "2",
                  "--out", str(tmp_path / "runs")]) == 0
 

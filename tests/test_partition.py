@@ -526,8 +526,16 @@ def test_backward_rows_do_not_depend_on_batch(lam):
         w, lz = _stack(samples[:r], p)
         log_z = np.array([t.log_z for t in single[:r]])
         rows = partition._log_zb_rows(w, lz, log_z, kern.log_k, p.lam)
-        for row, t in zip(rows, single):
+        # the estimators' batched builder: every row is its sample's tables
+        built = partition._table_rows(samples[:r], p, kern)
+        partition._fill_backward(built)
+        for i, (row, t, b) in enumerate(zip(rows, single, built)):
             assert np.array_equal(row, t.log_zb)
+            assert np.array_equal(b.log_zf, t.log_zf)
+            assert np.array_equal(b.log_zb, t.log_zb)
+            assert [b.built_from(d, p, kern) for d in samples] == [
+                j == i for j in range(len(samples))]
+            assert not b.built_from(samples[i], p.replace(h=0.2), kern)
 
 
 def test_backward_rows_each_checked(srw64):
