@@ -1,10 +1,11 @@
 """Command-line front end: configuration, orchestration, CSV/manifest output.
 
 Configuration comes from a flat JSON file (--config) overridden by flags;
-a subcommand takes, as flags and as file keys, only the keys it reads. Every
-run writes its artifacts to <out>/<run_id>/ where run_id hashes the
-fully resolved configuration, the command and the tool version. CSV bytes
-are deterministic for a given config and seed, independent of --threads.
+a subcommand takes, as flags and as file keys, only the keys it reads. A
+command returns its CSV tables; once it has returned, run_command writes
+them and a manifest to <out>/<run_id>/, where run_id hashes the fully
+resolved configuration, the command and the tool version. CSV bytes are
+deterministic for a given config and seed, independent of --threads.
 
 Exit codes: 0 ok, 1 invalid configuration, 2 budget/guard violation,
 3 internal numerical assertion.
@@ -270,55 +271,49 @@ def _run_id(cfg):
 
 
 # ---------------------------------------------------------------------------
-# subcommand bodies: each returns a list of written file names
+# subcommand bodies: each returns {file name: (header, rows)} in file order
 
-def _cmd_free_energy(cfg, outdir):
+def _cmd_free_energy(cfg):
     p, laws, kern, ladder = _setup(cfg)
     seed, reps, thr = cfg["seed"], _int_field(cfg, "replicas", 2), cfg["threads"]
     ests = est.estimate_free_energy(p, kern, laws, ladder, reps, seed, thr)
     rows = [(e.n, e.replicas, e.f_hat, e.stderr, e.f_extrapolated) for e in ests]
-    return [_write_csv(outdir, "free_energy.csv",
-                       ["N", "replicas", "f_hat", "stderr", "f_extrapolated"],
-                       rows)]
+    return {"free_energy.csv": (["N", "replicas", "f_hat", "stderr",
+                                 "f_extrapolated"], rows)}
 
 
-def _cmd_mu(cfg, outdir):
+def _cmd_mu(cfg):
     p, laws, kern, ladder = _setup(cfg)
     ests = est.estimate_mu(p, kern, laws, ladder,
                            _int_field(cfg, "replicas", 2), cfg["seed"],
                            cfg["threads"])
     rows = [(e.n, e.mu_hat, e.mu_hat_symmetric, e.f_hat) for e in ests]
-    return [_write_csv(outdir, "mu.csv",
-                       ["N", "mu_hat", "mu_hat_symmetric", "f_hat"], rows)]
+    return {"mu.csv": (["N", "mu_hat", "mu_hat_symmetric", "f_hat"], rows)}
 
 
-def _cmd_profile(cfg, outdir):
+def _cmd_profile(cfg):
     p, laws, kern, n = _setup(cfg, 1)
     d = est._draw_disorder(laws, n, p.h, cfg["seed"], 0)
     tables = forward_tables(d, p, kern)
     prof = contact_profile(tables, d, p, kern)
     rows = [(k, prof.p_contact[k], prof.p_neg[k]) for k in range(1, n + 1)]
-    return [_write_csv(outdir, "profile.csv",
-                       ["site", "p_contact", "p_neg"], rows)]
+    return {"profile.csv": (["site", "p_contact", "p_neg"], rows)}
 
 
-def _cmd_correlations(cfg, outdir):
+def _cmd_correlations(cfg):
     p, laws, kern, n = _setup(cfg, 8)
     fit = est.fit_correlation_decay(p, kern, laws, n,
                                     _int_field(cfg, "replicas", 2),
                                     _parse_distances(cfg["distances"]),
                                     cfg["seed"], cfg["threads"])
     rows = list(zip(fit.distances, fit.mean_abs_cov, fit.stderr))
-    files = [_write_csv(outdir, "decay.csv",
-                        ["distance", "mean_abs_cov", "stderr"], rows)]
-    files.append(_write_csv(outdir, "decay_fit.csv",
-                            ["c2_hat", "c1_hat", "r_squared", "anchor"],
-                            [(fit.c2_hat, fit.c1_hat, fit.r_squared,
-                              fit.anchor)]))
-    return files
+    return {"decay.csv": (["distance", "mean_abs_cov", "stderr"], rows),
+            "decay_fit.csv": (["c2_hat", "c1_hat", "r_squared", "anchor"],
+                              [(fit.c2_hat, fit.c1_hat, fit.r_squared,
+                                fit.anchor)])}
 
 
-def _cmd_boundary(cfg, outdir):
+def _cmd_boundary(cfg):
     p, laws, kern, n = _setup(cfg, 8)
     if cfg["k_list"] is not None:
         k_list = _parse_list(cfg["k_list"], int)
@@ -328,15 +323,13 @@ def _cmd_boundary(cfg, outdir):
                                  _int_field(cfg, "replicas", 2), cfg["seed"],
                                  cfg["threads"])
     rows = list(zip(rep.k_values, rep.distances, rep.mean_abs_diff, rep.stderr))
-    files = [_write_csv(outdir, "boundary.csv",
-                        ["k", "distance", "mean_abs_diff", "stderr"], rows)]
-    files.append(_write_csv(outdir, "boundary_fit.csv",
-                            ["rate", "r_squared"],
-                            [(rep.rate, rep.r_squared)]))
-    return files
+    return {"boundary.csv": (["k", "distance", "mean_abs_diff", "stderr"],
+                             rows),
+            "boundary_fit.csv": (["rate", "r_squared"],
+                                 [(rep.rate, rep.r_squared)])}
 
 
-def _cmd_excursions(cfg, outdir):
+def _cmd_excursions(cfg):
     p, laws, kern, n = _setup(cfg, 8)
     k = n // 2 if cfg["site"] is None else _int_field(cfg, "site")
     s_max = None if cfg["s_max"] is None else _int_field(cfg, "s_max")
@@ -344,21 +337,20 @@ def _cmd_excursions(cfg, outdir):
                                    _int_field(cfg, "replicas", 2),
                                    cfg["seed"], s_min=_int_field(cfg, "s_min"),
                                    s_max=s_max, threads=cfg["threads"])
-    files = [_write_csv(outdir, "excursion_law.csv", ["s", "mean_pmf"],
-                        [(int(s), rep.mean_pmf[s]) for s in rep.s_values])]
-    files.append(_write_csv(outdir, "excursion_rates.csv",
-                            ["replica", "rate"],
-                            list(enumerate(rep.replica_rates))))
-    files.append(_write_csv(
-        outdir, "excursion_summary.csv",
-        ["k", "annealed_rate", "annealed_rate_raw", "median_replica_rate",
-         "f_hat", "mu_hat"],
-        [(rep.k, rep.annealed_rate, rep.annealed_rate_raw,
-          float(np.median(rep.replica_rates)), rep.f_hat, rep.mu_hat)]))
-    return files
+    law = [(int(s), rep.mean_pmf[s]) for s in rep.s_values]
+    return {
+        "excursion_law.csv": (["s", "mean_pmf"], law),
+        "excursion_rates.csv": (["replica", "rate"],
+                                list(enumerate(rep.replica_rates))),
+        "excursion_summary.csv": (
+            ["k", "annealed_rate", "annealed_rate_raw", "median_replica_rate",
+             "f_hat", "mu_hat"],
+            [(rep.k, rep.annealed_rate, rep.annealed_rate_raw,
+              float(np.median(rep.replica_rates)), rep.f_hat, rep.mu_hat)]),
+    }
 
 
-def _cmd_maxexc(cfg, outdir):
+def _cmd_maxexc(cfg):
     p, laws, kern, ladder = _setup(cfg)
     studies = est.max_excursion_study(p, kern, laws, ladder,
                                       _int_field(cfg, "replicas", 2),
@@ -374,16 +366,13 @@ def _cmd_maxexc(cfg, outdir):
                         int(s.localized_guard),
                         s.frac_within.get(0.3, float("nan")),
                         s.frac_within.get(0.5, float("nan"))))
-    files = [_write_csv(outdir, "maxexc.csv",
-                        ["N", "replica", "path_index", "delta_n"], rows)]
-    files.append(_write_csv(
-        outdir, "maxexc_summary.csv",
-        ["N", "mu_hat", "f_hat", "f_stderr", "localized",
-         "frac_eps_03", "frac_eps_05"], summary))
-    return files
+    return {"maxexc.csv": (["N", "replica", "path_index", "delta_n"], rows),
+            "maxexc_summary.csv": (["N", "mu_hat", "f_hat", "f_stderr",
+                                    "localized", "frac_eps_03",
+                                    "frac_eps_05"], summary)}
 
 
-def _cmd_sample(cfg, outdir):
+def _cmd_sample(cfg):
     p, laws, kern, n = _setup(cfg, 1)
     reps = _int_field(cfg, "replicas", 1)
     paths = _int_field(cfg, "paths", 1)
@@ -395,21 +384,21 @@ def _cmd_sample(cfg, outdir):
             path = sample_path(tables, d, p, kern, PathRng(cfg["seed"], r, i))
             for site, sign in zip(path.returns, path.signs):
                 rows.append((r, i, site, sign))
-    return [_write_csv(outdir, "sample.csv",
-                       ["replica", "path_index", "return_site", "sign"], rows)]
+    return {"sample.csv": (["replica", "path_index", "return_site", "sign"],
+                           rows)}
 
 
-def _cmd_clt(cfg, outdir):
+def _cmd_clt(cfg):
     p, laws, kern, ladder = _setup(cfg)
     rep = est.clt_study(p, kern, laws, ladder, _int_field(cfg, "replicas", 8),
                         cfg["seed"], cfg["threads"])
     rows = list(zip(rep.n_ladder, rep.var_over_n, rep.skewness,
                     rep.excess_kurtosis, rep.ks_statistic))
-    return [_write_csv(outdir, "clt.csv",
-                       ["N", "var_over_n", "skewness", "kurtosis", "ks"], rows)]
+    return {"clt.csv": (["N", "var_over_n", "skewness", "kurtosis", "ks"],
+                        rows)}
 
 
-def _cmd_finite_size(cfg, outdir):
+def _cmd_finite_size(cfg):
     p, laws, kern, ladder = _setup(cfg)
     rep = est.finite_size_study(p, kern, laws, ladder,
                                 _int_field(cfg, "replicas", 2), cfg["seed"],
@@ -418,46 +407,44 @@ def _cmd_finite_size(cfg, outdir):
     rows = list(zip(rep.n_ladder, rep.f_n, rep.f_stderr,
                     [*rep.scaled_gap, float("nan")],
                     [*rep.gap_stderr, float("nan")]))
-    files = [_write_csv(outdir, "finite_size.csv",
-                        ["N", "f_hat", "stderr", "scaled_gap", "gap_stderr"],
-                        rows)]
-    files.append(_write_csv(outdir, "finite_size_verdict.csv", ["verdict"],
-                            [(rep.verdict,)]))
-    return files
+    return {"finite_size.csv": (["N", "f_hat", "stderr", "scaled_gap",
+                                 "gap_stderr"], rows),
+            "finite_size_verdict.csv": (["verdict"], [(rep.verdict,)])}
 
 
-def _cmd_entropy(cfg, outdir):
+def _cmd_entropy(cfg):
     p, laws, kern, n = _setup(cfg, 8)
     rep = est.entropy_bound(p, kern, laws,
                             _int_field(cfg, "replicas", 2), n,
                             _parse_list(cfg["epsilons"], float), cfg["seed"],
                             cfg["threads"])
-    files = [_write_csv(outdir, "entropy.csv", ["epsilon", "bound", "stderr"],
+    return {
+        "entropy.csv": (["epsilon", "bound", "stderr"],
                         list(zip(rep.epsilon_grid, rep.bound_values,
-                                 rep.bound_stderr)))]
-    files.append(_write_csv(
-        outdir, "entropy_summary.csv",
-        ["best_epsilon", "best_bound", "mu_hat", "f_hat", "f_stderr", "gap"],
-        [(rep.best_epsilon, rep.best_bound, rep.mu_hat, rep.f_hat,
-          rep.f_stderr, rep.gap)]))
-    return files
+                                 rep.bound_stderr))),
+        "entropy_summary.csv": (
+            ["best_epsilon", "best_bound", "mu_hat", "f_hat", "f_stderr",
+             "gap"],
+            [(rep.best_epsilon, rep.best_bound, rep.mu_hat, rep.f_hat,
+              rep.f_stderr, rep.gap)]),
+    }
 
 
-def _cmd_meet(cfg, outdir):
+def _cmd_meet(cfg):
     p, laws, kern, n = _setup(cfg, 8)
     rep = est.meet_probability(p, kern, laws, n,
                                _parse_list(cfg["windows"], int),
                                _int_field(cfg, "replicas", 2),
                                _int_field(cfg, "paths", 1), cfg["seed"],
                                cfg["threads"])
-    files = [_write_csv(outdir, "meet.csv", ["window", "prob", "stderr"],
-                        list(zip(rep.window_sizes, rep.mean_prob, rep.stderr)))]
-    files.append(_write_csv(outdir, "meet_fit.csv", ["rate", "r_squared"],
-                            [(rep.rate, rep.r_squared)]))
-    return files
+    return {"meet.csv": (["window", "prob", "stderr"],
+                         list(zip(rep.window_sizes, rep.mean_prob,
+                                  rep.stderr))),
+            "meet_fit.csv": (["rate", "r_squared"],
+                             [(rep.rate, rep.r_squared)])}
 
 
-def _cmd_phase_scan(cfg, outdir):
+def _cmd_phase_scan(cfg):
     p, laws, kern, n = _setup(cfg, 8)
     points = est.phase_scan(cfg["axis1"], cfg["axis2"],
                             _parse_list(cfg["values1"], float),
@@ -466,12 +453,11 @@ def _cmd_phase_scan(cfg, outdir):
                             cfg["seed"], cfg["threads"])
     rows = [(pt.axis1_value, pt.axis2_value, pt.f_hat, pt.stderr,
              pt.localized) for pt in points]
-    return [_write_csv(outdir, "phase.csv",
-                       ["axis1", "axis2", "f_hat", "stderr", "localized"],
-                       rows)]
+    return {"phase.csv": (["axis1", "axis2", "f_hat", "stderr", "localized"],
+                          rows)}
 
 
-def _cmd_selftest(cfg, outdir):
+def _cmd_selftest(cfg):
     import itertools
 
     from .kernel import build_srw_kernel
@@ -524,15 +510,13 @@ def _cmd_selftest(cfg, outdir):
                              build_srw_kernel(8), 5)
     record("inequality_suite", max(suite.values()), 1e-12)
 
-    files = [_write_csv(outdir, "selftest.csv",
-                        ["check", "max_violation", "status"], rows)]
     if failures:
         raise NumericsError(f"selftest failures: {', '.join(failures)}")
-    return files
+    return {"selftest.csv": (["check", "max_violation", "status"], rows)}
 
 
 class _Command(NamedTuple):
-    run: Callable       # (cfg, outdir) -> names of the files written
+    run: Callable       # cfg -> {file name: (header, rows)}
     keys: tuple         # the configuration keys it reads
 
 
@@ -566,6 +550,19 @@ _COMMANDS = {
 }
 
 
+# the columns that read NaN by design, meaning "not applicable"; a non-finite
+# float in any other column is a numerical assertion (exit 3), and no file is
+# written
+_NAN_COLUMNS = {
+    "free_energy.csv": ("f_extrapolated",),         # the first rung
+    "finite_size.csv": ("scaled_gap", "gap_stderr"),  # the top rung
+    "boundary_fit.csv": ("rate", "r_squared"),      # no fit possible
+    "meet_fit.csv": ("rate", "r_squared"),          # no fit possible
+    "maxexc_summary.csv": ("frac_eps_03", "frac_eps_05"),  # mu_hat <= 0
+    "clt.csv": ("ks",),                             # zero variance
+}
+
+
 def _platform():
     """The numpy build, its BLAS and the SIMD features numpy dispatches to
     on this CPU: the CSV bytes depend on all three."""
@@ -582,27 +579,36 @@ def _platform():
                      "found": simd.get("found")}}
 
 
+def _check_finite(tables):
+    """NumericsError on a non-finite float outside ``_NAN_COLUMNS``."""
+    for name, (header, rows) in tables.items():
+        allowed = _NAN_COLUMNS.get(name, ())
+        for row in rows:
+            for column, v in zip(header, row):
+                if (isinstance(v, (float, np.floating)) and not np.isfinite(v)
+                        and column not in allowed):
+                    raise NumericsError(f"{name}: {column} reads {v}")
+
+
 def run_command(cfg) -> str:
-    """Validate, run, write artifacts; returns the run directory."""
+    """Validate and run the command, then write its tables and the manifest
+    to <out>/<run_id>/, which nothing else writes; returns that directory.
+    A command that raises leaves no file new or changed."""
     command = cfg["command"]
     _model(cfg)   # early validation: model params
-    _laws(cfg)    # early validation: laws
+    _laws(cfg)    # early validation: laws, which _setup skips at zero disorder
     # the commands read these two directly
     cfg["seed"] = _int_field(cfg, "seed", -(1 << 63))
     cfg["threads"] = _int_field(cfg, "threads", 1)
     run_id = _run_id(cfg)
+    started = time.perf_counter()
+    tables = _COMMANDS[command].run(cfg)
+    command_done = time.perf_counter()
+    _check_finite(tables)
     outdir = os.path.join(str(cfg["out"]), run_id)
     os.makedirs(outdir, exist_ok=True)
-    started = time.perf_counter()
-    try:
-        outputs = _COMMANDS[command].run(cfg, outdir)
-    except Exception:
-        # no output files on validation failure: drop partial artifacts
-        for name in os.listdir(outdir):
-            os.unlink(os.path.join(outdir, name))
-        os.rmdir(outdir)
-        raise
-    command_done = time.perf_counter()
+    for name, (header, rows) in tables.items():
+        _write_csv(outdir, name, header, rows)
     manifest = {
         "run_id": run_id,
         "version": __version__,
@@ -610,7 +616,7 @@ def run_command(cfg) -> str:
         "config": {k: v for k, v in sorted(cfg.items())},
         "timings": {"command_s": command_done - started,
                     "total_s": time.perf_counter() - started},
-        "outputs": outputs,
+        "outputs": list(tables),
         "platform": _platform(),
     }
     tmp = os.path.join(outdir, "manifest.json.tmp")

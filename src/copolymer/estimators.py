@@ -477,6 +477,9 @@ def excursion_rate_check(p, kern, laws, n, k, replicas, seed,
     rows = _fan_out([common], replicas, threads)[0]
     log_z, log_num, pmfs = _columns(rows)
     s = np.arange(s_min, s_max + 1)
+    if not np.all(pmfs[:, s] > 0.0):
+        raise GuardError(f"excursion pmf underflows to 0 in s = {s_min}.."
+                         f"{s_max}: no rate to fit")
     base = kern.log_k[s] + np.log(s + 1.0)
     ones = np.ones_like(s, dtype=float)
     rates = np.empty(replicas)

@@ -1,8 +1,12 @@
 import json
+import math
 import re
+import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import copolymer.cli as cli
 from copolymer.cli import main, resolve_config, build_parser
@@ -142,12 +146,72 @@ def test_guard_violation_exits_two(tmp_path):
 
 
 def test_numerics_error_exits_three(tmp_path, monkeypatch):
-    def boom(cfg, outdir):
+    def boom(cfg):
         raise NumericsError("pmf does not sum to one")
 
     monkeypatch.setitem(cli._COMMANDS, "profile",
                         cli._COMMANDS["profile"]._replace(run=boom))
     assert main(["profile", "--out", str(tmp_path / "runs"), "--n", "8"]) == 3
+
+
+def _snapshot(out):
+    return {p.relative_to(out): p.read_bytes()
+            for p in out.rglob("*") if p.is_file()}
+
+
+def test_failed_rerun_keeps_the_earlier_run(tmp_path, monkeypatch):
+    # a rerun of the same argv has the same run id: when its command raises,
+    # the first run's files must stay as they were
+    out = tmp_path / "runs"
+    argv = ["profile", "--out", str(out), "--n", "8"]
+    assert main(argv) == 0
+    before = _snapshot(out)
+    assert {p.name for p in before} == {"profile.csv", "manifest.json"}
+
+    def boom(*_):
+        raise NumericsError("pmf does not sum to one")
+
+    monkeypatch.setitem(cli._COMMANDS, "profile",
+                        cli._COMMANDS["profile"]._replace(run=boom))
+    assert main(argv) == 3
+    assert _snapshot(out) == before
+
+
+def test_nan_in_unlisted_column_exits_three(tmp_path, monkeypatch, capsys):
+    def nan_profile(*_):
+        return {"profile.csv": (["site", "p_contact", "p_neg"],
+                                [(1, 0.5, float("nan"))])}
+
+    monkeypatch.setitem(cli._COMMANDS, "profile",
+                        cli._COMMANDS["profile"]._replace(run=nan_profile))
+    out = tmp_path / "runs"
+    assert main(["profile", "--out", str(out), "--n", "8"]) == 3
+    assert "profile.csv: p_neg reads nan" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_excursion_pmf_underflow_exits_two(tmp_path, capsys):
+    # the pmf underflows to 0 inside s_min..s_max: no log may be taken
+    out = tmp_path / "runs"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rc = main(["excursions", "--out", str(out), "--n", "48",
+                   "--replicas", "3", "--lam-tilde", "800", "--h-tilde", "5",
+                   "--threads", "1"])
+    assert rc == 2
+    assert "guard violation:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_unknown_law_exits_one_at_zero_disorder(tmp_path):
+    # the homogeneous model draws no charges, but a bad law is still a
+    # config error
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"law_omega": "foo", "zero_disorder": True}))
+    out = tmp_path / "runs"
+    assert main(["free-energy", "--config", str(path), "--out", str(out),
+                 "--n", "8", "--replicas", "2"]) == 1
+    assert not out.exists()
 
 
 def test_selftest_passes(tmp_path):
@@ -362,6 +426,16 @@ def test_unread_config_key_exits_one(tmp_path, capsys, command, key, value):
     assert not out.exists()
 
 
+def test_readme_nan_table_matches_nan_columns():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = re.findall(r"^\| (\w+\.csv) \| (.+?) \| .+ \|$", readme,
+                      re.MULTILINE)
+    documented = {name: tuple(re.findall(r"`(\w+)`", cell))
+                  for name, cell in rows}
+    assert len(documented) == len(rows)
+    assert documented == cli._NAN_COLUMNS
+
+
 def test_every_key_is_read_by_some_command():
     used = {key for command in cli._COMMANDS.values() for key in command.keys}
     assert used == set(cli._KEYS)
@@ -384,3 +458,104 @@ def test_readme_flag_table_matches_commands(capsys):
     assert set(documented) == set(cli._COMMANDS)
     for command, flags in documented.items():
         assert flags | {"--help"} == _help_flags(capsys, command), command
+
+
+def _csv_list(elements, min_size=0):
+    return st.lists(elements, min_size=min_size, max_size=4).map(
+        lambda xs: ",".join(str(x) for x in xs))
+
+
+# sampled values, typical first: hypothesis draws bounds and first entries
+# so often that with integers() most runs would stop at a size check
+_SIZE = st.sampled_from([32, 16, 8, 24, 12, 4, 2, 1, 0])
+_COUPLING = st.one_of(st.floats(0.0, 3.0), st.sampled_from([0.0, 50.0, 800.0]))
+_AXES = st.sampled_from(["lam", "h", "lam_tilde", "h_tilde", "alpha"])
+
+# a strategy per key of cli._KEYS, None for a key left at its default; N <= 32
+# and few replicas keep each run to milliseconds
+_VALUES = {
+    "seed": st.integers(-3, 3),
+    "threads": None,   # always 1
+    "out": None,       # a fresh directory per example
+    "lam": _COUPLING, "h": _COUPLING, "lam_tilde": _COUPLING,
+    "h_tilde": st.one_of(st.floats(-1.0, 3.0), st.sampled_from([50.0, 800.0])),
+    "kernel": st.sampled_from(["srw", "powerlaw"]),
+    "alpha": st.floats(0.5, 3.0),
+    "n_max": _SIZE,
+    "law_omega": st.sampled_from(sorted(cli._LAW_ALIASES)),
+    "law_tilde": st.sampled_from(sorted(cli._LAW_ALIASES)),
+    "zero_disorder": st.booleans(),
+    "n": st.sampled_from([16, 32, 8, 24, 12, 4, 1]),
+    # finite-size takes only a ladder of four doublings
+    "n_ladder": st.one_of(st.just("2,4,8,16,32"), _csv_list(_SIZE)),
+    "replicas": st.sampled_from([3, 8, 2, 1]),
+    "paths": st.sampled_from([2, 1, 3, 0]),
+    "distances": st.tuples(_SIZE, _SIZE).map(lambda t: f"{t[0]}:{t[1]}"),
+    "k_list": _csv_list(_SIZE),
+    "site": _SIZE,
+    "s_min": st.sampled_from([4, 2, 8, 1, 0]),
+    "s_max": _SIZE,
+    "epsilons": _csv_list(st.floats(0.0, 1.0), 1),
+    "windows": _csv_list(_SIZE, 1),
+    "axis1": _AXES,
+    "axis2": _AXES,
+    "values1": _csv_list(st.floats(-1.0, 2.0), 1),
+    "values2": _csv_list(st.floats(-1.0, 2.0), 1),
+}
+
+
+def test_property_strategies_cover_every_key():
+    assert set(_VALUES) == set(cli._KEYS)
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(sorted(cli._COMMANDS)))
+    argv = [command, "--threads", "1"]
+    for key in cli._COMMANDS[command].keys:
+        # N and the replicas always, so that no default of 256 or 100 runs
+        if _VALUES[key] is None or (key not in ("n", "replicas")
+                                    and not draw(st.booleans())):
+            continue
+        flag = "--" + key.replace("_", "-")
+        value = draw(_VALUES[key])
+        if value is True:
+            argv.append(flag)
+        elif value is not False:
+            argv.append(f"{flag}={value}")
+    return argv
+
+
+def _non_finite_cells(run):
+    found = set()
+    for path in run.glob("*.csv"):
+        header, *rows = (line.split(",")
+                         for line in path.read_text().splitlines())
+        for row in rows:
+            for column, cell in zip(header, row):
+                try:
+                    value = float(cell)
+                except ValueError:   # verdicts and statuses are words
+                    continue
+                if not math.isfinite(value):
+                    found.add((path.name, column))
+    return found
+
+
+@settings(max_examples=100, deadline=None)
+@given(argv=_argv())
+def test_cli_contract_property(argv):
+    # every argv exits with a documented code; a success writes NaN only
+    # where _NAN_COLUMNS allows it, and a failure leaves no run directory
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "runs"
+        rc = main([*argv, "--out", str(out)])
+        assert rc in (0, 1, 2, 3)
+        if rc == 0:
+            [run] = out.iterdir()
+            listed = {(name, column)
+                      for name, columns in cli._NAN_COLUMNS.items()
+                      for column in columns}
+            assert _non_finite_cells(run) <= listed
+        else:
+            assert not out.exists()
