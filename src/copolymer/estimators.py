@@ -401,6 +401,9 @@ def max_excursion_study(p, kern, laws, n_ladder, replicas, paths_per_replica,
     reported as NaN (out of the theorem's domain). Every rung runs in one
     pool."""
     ladder = _validate_ladder(n_ladder)
+    if ladder[0] < 2:
+        # the scale log N is 0 at N = 1
+        raise ConfigError("maxexc needs N >= 2")
     if paths_per_replica < 1:
         raise GuardError("need at least one path per replica")
     commons = [dict(hook=_per_replica, per_sample=_maxexc_sample,

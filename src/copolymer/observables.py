@@ -229,7 +229,8 @@ def excursion_law(k: int, tables: PartitionTables, d: DisorderSample,
         lengths = pmf[k + 1 - u:n - u + 1]
         np.add(lengths, x, out=lengths)
     total = pmf.sum()
-    if not abs(total - 1.0) <= 1e-9:
+    # its log-domain terms round in proportion to |log Z|
+    if not abs(total - 1.0) <= 1e-9 * max(1.0, abs(tables.log_z)):
         raise NumericsError(f"excursion law at k={k} sums to {total}")
     return ExcursionLaw(k=k, pmf=pmf)
 

@@ -8,8 +8,8 @@ returns u < t, each contributing
 
 where W is the prefix sum of (omega + h), the coin average is the exact
 expectation over the excursion sign, and zeta(x) = exp(lam_tilde (x + h_tilde))
-is the reward collected at the return site. Everything stays in natural-log
-domain; the partition function itself would overflow past N ~ 1e3 in the
+is the reward collected at the return site. The tables hold natural logs;
+the partition function itself would overflow past N ~ 1e3 in the
 localized phase.
 
 The forward table carries log Z_t for every prefix t (the return at t
@@ -17,11 +17,14 @@ includes its zeta factor, the origin contributes none); the backward table
 carries log Z_{n-t} on shifted disorder, excluding the zeta factor of its
 left edge. Building a table is O(N^2) time, O(N) space, with no truncation
 of the inner sum, so brute-force enumeration matches it to rounding error.
-One recursion, ``_forward_batch``, builds every table: it sums earlier
-blocks of ``_BLOCK`` sites through BLAS products in linear domain, and the
-backward table is the same pass on the reversed sample (``_log_zb_rows``),
-within the same bound. ``_table_rows`` builds the forward tables of a
-batch of samples, and ``forward_tables`` is it at one row.
+One recursion, ``_forward_batch``, builds every table. It cuts the sites
+into blocks of ``_BLOCK``, sums earlier blocks through BLAS products in
+linear domain, and solves each block as one lower-triangular system in
+scaled linear domain, with a per-site log-sum-exp for a row whose scales
+would overflow. The backward table is the same pass on the reversed
+sample (``_log_zb_rows``), within the same bound. ``_table_rows`` builds
+the forward tables of a batch of samples, and ``forward_tables`` is it at
+one row.
 """
 
 import math
@@ -191,29 +194,37 @@ def _check_horizon(d: DisorderSample, kern: ReturnKernel):
             f"system size {d.n} exceeds kernel horizon {kern.n_max}")
 
 
-# Sites per block of the forward DP. A site sums the earlier sites of its
-# own block in log domain, as one log-sum-exp, and those of earlier blocks
-# through ``_CrossBlockSums``: one linear-domain (R x B).(B x B) product per
-# source block. Spans below _BLOCK are one block, so they keep the bits of
-# the plain log-sum-exp recursion.
+# Sites per block of the forward DP. The sites of a block sum each other
+# through one linear solve per row (``_InBlockSolve``), and the sites of
+# earlier blocks through ``_CrossBlockSums``: one linear-domain
+# (R x B).(B x B) product per source block. A row whose scale exponents
+# leave +-600 in a block, or whose solved values leave e^(+-600), takes
+# the per-site log-sum-exp there instead (``_log_domain_block``).
 #
-# Rounding bound. Every sum in either form has positive terms, so each site
-# adds to Z_t a relative error of at most about (B + ceil(s/B) + c) units
-# of 2^-52: at most B + 1 in-block terms or a B-term dot product,
-# ceil(s/B) logaddexp steps over the source blocks, and c (8 covers it)
-# for exp, log and the scale arithmetic, whose log-domain inputs carry
-# absolute errors of order max(1, |log Z|) 2^-52. As each Z_t carries the
-# errors of the Z_u it sums, the errors add along the chain: at
-# s = t - j sites from the anchor, log Z_t of either form lies within
-# s (B + ceil(s/B) + 8) 2^-52 max(1, max_{u <= t} |log Z_u|) of the exact
-# value. At s = 4096 that is 1.5e-10 relative; measured differences
-# between the two forms stay near 1e-15.
+# Rounding bound. Every sum in every form has positive terms, so each Z_t
+# carries the relative errors of the Z_u it sums plus its own, and the
+# errors add along the chain. A site's own error in the log-domain form is
+# at most about (B + ceil(s/B) + c) units of 2^-52: B + 1 in-block terms
+# or a B-term dot product, ceil(s/B) logaddexp steps over the source
+# blocks, and c (8 covers it) for exp, log and the scale arithmetic, whose
+# log-domain inputs carry absolute errors of order max(1, |log Z|) 2^-52.
+# The linear solve costs less per site: its dot products of at most B
+# terms and its sub-block inverse (four levels of 16-term products over
+# chains of at most 15 steps) run once per 16-site sub-block, about
+# (B + 70)/16 units per site. It adds about |x| units for each scale factor
+# e^x in row t of M and r, where |x| <= 600. So at s = t - j sites from the
+# anchor, log Z_t lies within s (B + ceil(s/B) + 8) 2^-52
+# max(1, max_{u <= t} |log Z_u|) of the exact value, provided each such
+# |x| stays below about B max(1, |log Z_t|). At s = 4096 that is 1.5e-10
+# relative. Measured differences from the per-site loop stay below 4e-14
+# relative, at most 0.6% of the bound.
 #
 # The backward table, this recursion on the reversed sample, obeys the
 # bound at s = n - t sites from the end, read on the reversed curve
 # log Z_{n-t} + lz[t] - lz[n], plus s 4 lam max|W| 2^-52: its charge sums
 # come from the reversed prefix sums W_n - W_u, which round once more.
-# Measured differences from a per-site backward loop stay near 2e-15.
+# Measured differences from a per-site backward loop stay below 4e-13,
+# at most 0.3% of that bound.
 _BLOCK = 128
 
 # Rows per BLAS product of ``_CrossBlockSums``, at least two each. OpenBLAS
@@ -314,6 +325,199 @@ class _CrossBlockSums:
         return out
 
 
+# Sites per sub-block of the in-block solve, and the largest |exponent| a
+# scale factor or a solved value may have on its linear path.
+_SUB = 16
+_EXP_LIMIT = 600.0
+# Rows x h^2 per chunk of ``_InBlockSolve``: 8 rows at a full block, whose
+# five (rows, h / 16, 16, 16) sub-block buffers then take 640 KiB.
+_SOLVE_CELLS = 8 * 128 * 128
+
+
+class _InBlockSolve:
+    """The in-block part of one forward pass: per (row, block), one unit
+    lower-triangular linear system in linear domain.
+
+    Inside a block, Z_t / zeta_t - sum_{lo <= u < t} wgt(u, t) Z_u = C_t,
+    with C_t the cross-block sum. The scaling Z_t = e^{s + G_t} y_t, G the
+    in-block prefix sum of log zeta (H_t = G_t - log zeta_t) and s the row
+    maximum of log C_t - H_t, turns it into y = M y + r with r <= 1 and
+
+        M[t, u] = T[t, u] e^{-H_t} e^{G_u}                          (lam = 0)
+        M[t, u] = T[t, u] (e^{-H_t} e^{G_u} + e^{om_t - H_t} e^{G_u - om_u})
+
+    where T[t, u] = K(t - u) (K / 2 at lam > 0) for t > u and 0 otherwise,
+    and om_t = -2 lam (W_t - W_lo): the coin average has rank 2. Any part
+    of M is a rank-2 BLAS product of scale vectors (the second pair 0 at
+    lam = 0) times T, so no cell takes an exp. Every entry of M and r is
+    nonnegative. The solve walks the sub-blocks of ``_SUB`` sites:
+    v = r_sub + M[sub, :a] y[:a], then y_sub = X v, with
+    X = (I - D)^-1 = (I + D)(I + D^2)(I + D^4)(I + D^8) for the strictly
+    lower-triangular diagonal sub-block D. All D and X of a chunk of rows
+    are built at once by batched products; each strip M[sub, :a] when the
+    walk reaches it, so M is never held whole.
+
+    A row's exponents -H, G, om - H and G - om must lie within
+    ``_EXP_LIMIT`` and its solved y within e^(+-_EXP_LIMIT), else
+    ``solve`` marks the row for the log-domain loop. Every product runs on
+    one row's slice, so a row's bits depend neither on R nor on the rows
+    beside it.
+    """
+
+    def __init__(self, r: int, h_max: int, log_k: np.ndarray, lam: float):
+        self.lam = lam
+        q = min(h_max, _SUB)
+        hp = -(-h_max // q) * q
+        gap = np.subtract.outer(np.arange(hp), np.arange(hp))
+        k_lin = np.exp(_log_weight_base(log_k, lam)[:h_max])
+        self.t = np.where((gap > 0) & (gap < h_max),
+                          k_lin[np.clip(gap, 0, h_max - 1)], 0.0)
+        self.eye = np.eye(q)
+        self.chunk = min(r, max(1, _SOLVE_CELLS // (hp * hp)))
+        c = self.chunk
+        # the scale vectors of M = T (left . right): e^{-H}, e^{om - H} and
+        # e^{G}, e^{G - om}. At lam = 0 the second pair stays 0, since a
+        # product over two terms runs in BLAS and one over a single term
+        # ran 4x slower on numpy's own loop.
+        self.left = np.zeros((r, hp, 2))
+        self.right = np.zeros((r, 2, hp))
+        self.rhs = np.empty((r, hp, 1))
+        self.y = np.empty((r, hp, 1))
+        self.v = np.empty((c, q, 1))
+        self.strip = np.empty((c, q, hp - q))
+        self.d = np.empty((c, hp // q, q, q))
+        self.x = np.empty_like(self.d)
+        self.pw = np.empty_like(self.d)
+        self.tmp = np.empty_like(self.d)
+
+    def solve(self, lz: np.ndarray, w: np.ndarray, cross: np.ndarray):
+        """log Z at the h sites of one block from its (R, h) log rewards,
+        prefix sums and cross-block log sums; and which rows took the
+        linear path (the others hold values to be replaced)."""
+        r, h = lz.shape
+        q = min(h, _SUB)
+        ns = -(-h // q)
+        hp = ns * q
+        nf = 1 if self.lam == 0.0 else 2
+        g = np.cumsum(lz, axis=1)
+        hh = np.subtract(g, lz)
+        rhs = np.subtract(cross, hh)
+        s = np.max(rhs, axis=1)
+        left = self.left[:, :hp, :nf]
+        right = self.right[:, :nf, :hp]
+        np.negative(hh, out=left[:, :h, 0])
+        np.copyto(right[:, 0, :h], g)
+        if nf == 2:
+            om = np.subtract(w, w[:, :1])
+            np.multiply(-2.0 * self.lam, om, out=om)
+            np.subtract(om, hh, out=left[:, :h, 1])
+            np.subtract(g, om, out=right[:, 1, :h])
+        ok = np.ones(r, dtype=bool)
+        for live in (left[:, :h], right[:, :, :h]):
+            # NaN fails the comparison: such a row takes the loop
+            ok &= np.abs(live).max(axis=(1, 2)) <= _EXP_LIMIT
+            np.clip(live, -_EXP_LIMIT, _EXP_LIMIT, out=live)
+        left[:, h:] = -np.inf
+        right[:, :, h:] = -np.inf
+        np.exp(left, out=left)
+        np.exp(right, out=right)
+        rr = self.rhs[:, :hp, 0]
+        np.subtract(rhs, s[:, None], out=rr[:, :h])
+        rr[:, h:] = -np.inf
+        np.exp(rr, out=rr)
+        for lo in range(0, r, self.chunk):
+            rows = slice(lo, lo + self.chunk)
+            lc = self.left[rows, :hp]
+            rc = self.right[rows, :, :hp]
+            k = len(lc)
+            # the diagonal sub-blocks of M; T has one, its leading q x q
+            d = self.d[:k, :ns, :q, :q]
+            np.matmul(lc.reshape(k, ns, q, 2),
+                      rc.reshape(k, 2, ns, q).transpose(0, 2, 1, 3), out=d)
+            np.multiply(d, self.t[:q, :q], out=d)
+            x = self._inverse(d)
+            y = self.y[rows, :hp]
+            b = self.rhs[rows, :hp]
+            v = self.v[:k, :q]
+            for c in range(ns):
+                sub = slice(c * q, (c + 1) * q)
+                if c:
+                    # the strip M[sub, :a] left of the diagonal sub-block
+                    a = c * q
+                    strip = self.strip[:k, :q, :a]
+                    np.matmul(lc[:, sub], rc[:, :, :a], out=strip)
+                    np.multiply(strip, self.t[sub, :a], out=strip)
+                    np.matmul(strip, y[:, :a], out=v)
+                    np.add(v, b[:, sub], out=v)
+                else:
+                    np.copyto(v, b[:, sub])
+                np.matmul(x[:, c], v, out=y[:, sub])
+        yh = self.y[:, :h, 0]
+        ok &= np.all((yh >= math.exp(-_EXP_LIMIT))
+                     & (yh <= math.exp(_EXP_LIMIT)), axis=1)
+        np.add(g, s[:, None], out=g)
+        np.add(g, np.log(yh), out=g)
+        return g, ok
+
+    def _inverse(self, d: np.ndarray) -> np.ndarray:
+        """(I - D)^-1 of each strictly lower-triangular q x q block D of
+        ``d`` (k, ns, q, q), which it overwrites: the product of the
+        factors I + D^(2^i)."""
+        k, ns, q, _ = d.shape
+        x = self.x[:k, :ns, :q, :q]
+        tmp = self.tmp[:k, :ns, :q, :q]
+        np.add(d, self.eye[:q, :q], out=x)
+        power, spare = d, self.pw[:k, :ns, :q, :q]
+        for _ in range(1, max(1, (q - 1).bit_length())):
+            np.matmul(power, power, out=spare)
+            np.matmul(x, spare, out=tmp)
+            np.add(x, tmp, out=x)
+            power, spare = spare, power
+        return x
+
+
+def _log_domain_block(lz: np.ndarray, w: np.ndarray, cross: np.ndarray,
+                      base_rev: np.ndarray, lam: float) -> np.ndarray:
+    """log Z at the h sites of one block by a per-site log-sum-exp, for
+    the (k, h) rows given: the fallback of ``_InBlockSolve``.
+
+    Site t sums the block's earlier sites and the cross term ``cross[:, t]``
+    in one k x (t - lo + 1) log-sum-exp. ``base_rev`` ends with the log
+    weight bases of gaps ..., 2, 1. Each site applies the ufuncs of
+    ``_log_weight_core`` and of the max-shifted log-sum-exp elementwise or
+    along rows of C-contiguous buffers, so a row's bits do not depend on k.
+    """
+    k, h = lz.shape
+    out = np.empty((k, h))
+    flat = np.empty(k * h)
+    flat_aux = np.empty(k * h) if lam != 0.0 else None
+    m = np.empty(k)
+    m_col = m[:, None]
+    s = np.empty(k)
+    n_base = len(base_rev)
+    for t in range(h):
+        x = flat[:k * (t + 1)].reshape(k, t + 1)
+        terms = x[:, :t]
+        if lam == 0.0:
+            np.add(out[:, :t], base_rev[n_base - t:], out=terms)
+        else:
+            _log_weight_into(terms, flat_aux[:k * t].reshape(k, t),
+                             base_rev[n_base - t:], w[:, t, None], w[:, :t],
+                             lam)
+            np.add(out[:, :t], terms, out=terms)
+        x[:, t] = cross[:, t]
+        # the reduce methods are what np.max and np.sum call, minus their
+        # Python-level argument handling
+        np.maximum.reduce(x, axis=1, out=m)
+        np.subtract(x, m_col, out=x)
+        np.exp(x, out=x)
+        np.add.reduce(x, axis=1, out=s)
+        np.log(s, out=s)
+        np.add(lz[:, t], m, out=m)
+        np.add(m, s, out=out[:, t])
+    return out
+
+
 def _forward_batch(j: int, stop: int, w: np.ndarray, lz: np.ndarray,
                    log_k: np.ndarray, lam: float) -> np.ndarray:
     """Exact forward recursion restarted at pinned site j, for R samples
@@ -324,66 +528,44 @@ def _forward_batch(j: int, stop: int, w: np.ndarray, lz: np.ndarray,
     seg[:, t] = log Z_{t-j} on disorder shifted by j for t in (j, stop];
     entries outside are NaN.
 
-    The span is cut into blocks of ``_BLOCK`` sites counted from j. Site t
-    costs one R x (t - lo) log-sum-exp over the earlier sites of its block
-    (lo its first site), plus one term for the earlier blocks from
-    ``_CrossBlockSums``. Each site applies the ufuncs of
-    ``_log_weight_core`` and of the max-shifted log-sum-exp in the same
-    order, elementwise or along rows of C-contiguous buffers, and each
-    product row's bits do not depend on the rows beside it, so neither R
-    nor the batch a sample shares changes a row's bits. A span below
-    ``_BLOCK`` has no second block and keeps the bits of the plain
-    recursion.
+    The span is cut into blocks of ``_BLOCK`` sites counted from j. Each
+    block is one linear solve per row (``_InBlockSolve``) whose right-hand
+    side holds the earlier blocks' sums from ``_CrossBlockSums``; a row the
+    solve rejects takes the per-site log-sum-exp (``_log_domain_block``)
+    for that block. The first block's anchor enters as a cross term of
+    log 1 with no reward. A block always runs to _BLOCK sites or the end
+    of the sample, whatever ``stop``, so a bounded span is the full span's
+    prefix bit for bit; and no step mixes rows, so neither R nor the batch
+    a sample shares changes a row's bits.
     """
     r, width = w.shape
     span = stop - j
     seg = np.full((r, width), np.nan)
-    seg[:, j] = 0.0
-    # gaps run t-lo, ..., 1 for u = lo, ..., t-1: the tail of a reversed slice
-    base_rev = _log_weight_base(log_k, lam)[span:0:-1]
-    # at most B - 1 in-block terms plus the cross term, or span terms
-    size = r * min(span, _BLOCK)
-    flat = np.empty(size)
-    flat_aux = np.empty(size) if lam != 0.0 else None
-    m = np.empty(r)
-    m_col = m[:, None]
-    s = np.empty(r)
-    # rows of the transposes are the site columns, without a view per site
-    seg_cols = seg.T
-    lz_cols = lz.T
+    h_max = min(_BLOCK, width - j)
+    base_rev = _log_weight_base(log_k, lam)[h_max - 1:0:-1]
+    solver = _InBlockSolve(r, h_max, log_k, lam)
     cross = _CrossBlockSums(r, span, log_k, lam) if span >= _BLOCK else None
     for b, lo in enumerate(range(j, stop + 1, _BLOCK)):
-        hi = min(lo + _BLOCK, stop + 1)
-        # the earlier blocks' sums, one extra log-sum-exp term per site
-        extra = b > 0
-        if extra:
-            cross_cols = cross.log_sums(b, w[:, lo:hi]).T
-        for t in range(max(lo, j + 1), hi):
-            length = t - lo
-            x = flat[:r * (length + extra)].reshape(r, length + extra)
-            terms = x[:, :length]
-            prev = seg[:, lo:t]
-            if lam == 0.0:
-                np.add(prev, base_rev[span - length:], out=terms)
-            else:
-                _log_weight_into(terms,
-                                 flat_aux[:r * length].reshape(r, length),
-                                 base_rev[span - length:], w[:, t, None],
-                                 w[:, lo:t], lam)
-                np.add(prev, terms, out=terms)
-            if extra:
-                x[:, length] = cross_cols[t - lo]
-            # the reduce methods are what np.max and np.sum call, minus
-            # their Python-level argument handling
-            np.maximum.reduce(x, axis=1, out=m)
-            np.subtract(x, m_col, out=x)
-            np.exp(x, out=x)
-            np.add.reduce(x, axis=1, out=s)
-            np.log(s, out=s)
-            np.add(lz_cols[t], m, out=m)
-            np.add(m, s, out=seg_cols[t])
-        if hi <= stop:
-            cross.add_source(b, seg[:, lo:hi], w[:, lo:hi])
+        end = min(lo + _BLOCK, width)
+        block_lz = lz[:, lo:end]
+        if b:
+            sums = cross.log_sums(b, w[:, lo:end])
+        else:
+            # Z_j = 1: log C = 0 at the anchor, which earns no reward
+            block_lz = block_lz.copy()
+            block_lz[:, 0] = 0.0
+            sums = np.full(block_lz.shape, -np.inf)
+            sums[:, 0] = 0.0
+        # a rejected row may overflow or take log 0 before it is replaced
+        with np.errstate(all="ignore"):
+            seg[:, lo:end], ok = solver.solve(block_lz, w[:, lo:end], sums)
+        if not ok.all():
+            rows = np.flatnonzero(~ok)
+            seg[rows, lo:end] = _log_domain_block(
+                block_lz[rows], w[rows, lo:end], sums[rows], base_rev, lam)
+        if lo + _BLOCK <= stop:
+            cross.add_source(b, seg[:, lo:lo + _BLOCK], w[:, lo:lo + _BLOCK])
+    seg[:, stop + 1:] = np.nan
     return seg
 
 

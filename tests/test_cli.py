@@ -1,6 +1,9 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -201,6 +204,61 @@ def test_excursion_pmf_underflow_exits_two(tmp_path, capsys):
     assert rc == 2
     assert "guard violation:" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_excursion_law_sum_check_scales_with_log_z(tmp_path, capsys):
+    # |log Z| ~ 4e4 here: the law's sum rounds past an absolute 1e-9 but
+    # within 1e-9 |log Z|, so the run reaches the pmf guard
+    out = tmp_path / "runs"
+    rc = main(["excursions", "--out", str(out), "--n", "32",
+               "--replicas", "3", "--lam-tilde", "800", "--h-tilde", "50",
+               "--threads", "1"])
+    assert rc == 2
+    assert "excursion pmf underflows" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_maxexc_rejects_n_below_two(tmp_path, capsys):
+    # Delta_N / log N is undefined at N = 1
+    out = tmp_path / "runs"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rc = main(["maxexc", "--out", str(out), "--n", "1", "--replicas",
+                   "2", "--threads", "1"])
+    assert rc == 1
+    assert "N >= 2" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# couplings whose in-block scale exponents pass the limit of the linear
+# solve, so the forward passes take the log-domain fallback
+@pytest.mark.parametrize("argv", [
+    ("--n", "64", "--lam-tilde", "800", "--h-tilde", "5"),
+    ("--n", "64", "--lam", "400", "--h", "400"),
+    ("--n", "300", "--lam-tilde", "800", "--h-tilde", "-5"),
+    ("--n", "300", "--lam-tilde", "3", "--h-tilde", "-2"),
+])
+def test_overflow_probes_write_finite_profiles(tmp_path, argv):
+    rc, out = _run(tmp_path, "profile", *argv)
+    assert rc == 0
+    run = _only_run_dir(out)
+    assert [p.name for p in run.glob("*.csv")] == ["profile.csv"]
+    assert _non_finite_cells(run) == set()
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is imported on first use only; an eager import costs set-up
+    # time and resident memory in every run
+    code = ("import sys, copolymer.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == "
+            "'scipy'))")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep
+               + os.environ.get("PYTHONPATH", ""))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120,
+                          check=True)
+    assert done.stdout.strip() == "[]"
 
 
 def test_unknown_law_exits_one_at_zero_disorder(tmp_path):

@@ -207,8 +207,8 @@ def test_prefix_of_curve_is_smaller_system(srw64, make_instance):
 
 
 def _loop_forward(j, d, p, kern, stop):
-    """The single-sample site loop the batched kernel replaced, kept as the
-    bit-level reference."""
+    """The single-sample per-site log-sum-exp recursion, kept as the
+    reference the blocked pass must match within ``_rounding_bound``."""
     w, lk = d.w_prefix, kern.log_k
     lz = _log_rewards(d, p)
     seg = np.full(d.n + 1, np.nan)
@@ -271,7 +271,9 @@ def test_batched_curves_equal_single_curves(r, n, lam, seed):
     for row, d in zip(batch, samples):
         single = log_partition_curve(d, p, kern)
         assert np.array_equal(row, single)
-        assert np.array_equal(single, _loop_forward(0, d, p, kern, n))
+        # the in-block solve sums in another order than the site loop
+        ref = _loop_forward(0, d, p, kern, n)
+        assert np.all(np.abs(single - ref) <= _rounding_bound(ref, 0))
 
 
 @settings(max_examples=40, deadline=None)
@@ -290,8 +292,11 @@ def test_batched_anchored_stop_equals_shifted_curve(r, n, lam, data):
     for row, d in zip(batch, samples):
         shifted = segment_tables(j, d, p, kern, stop=stop)
         assert np.array_equal(row, shifted, equal_nan=True)
-        assert np.array_equal(shifted, _loop_forward(j, d, p, kern, stop),
-                              equal_nan=True)
+        ref = _loop_forward(j, d, p, kern, stop)
+        assert np.all(np.isnan(shifted[:j]))
+        assert np.all(np.isnan(shifted[stop + 1:]))
+        assert np.all(np.abs(shifted[j:stop + 1] - ref[j:stop + 1])
+                      <= _rounding_bound(ref[:stop + 1], j))
 
 
 def test_batched_curves_guards(srw16):
@@ -416,9 +421,7 @@ def test_blocked_forward_within_rounding_bound(n, j, stop, lam, r):
                           equal_nan=True)
     for row, d in zip(batch, samples):
         ref = _loop_forward(j, d, p, kern, stop)
-        # the first block has no cross sums: the loop's bits
-        first = j + partition._BLOCK
-        assert np.array_equal(row[:first], ref[:first], equal_nan=True)
+        assert np.all(np.isnan(row[:j])) and np.all(np.isnan(row[stop + 1:]))
         err = np.abs(row[j:stop + 1] - ref[j:stop + 1])
         assert np.all(err <= _rounding_bound(ref[:stop + 1], j))
 
@@ -589,3 +592,90 @@ def test_blocked_rows_do_not_depend_on_blas_threads():
                               timeout=120, check=True)
         digests.append(done.stdout)
     assert len(digests[0].split()) == 4 and digests[0] == digests[1]
+
+
+# ---------------------------------------------------------------------------
+# the in-block solve and its log-domain fallback
+
+def _spy_fallback(monkeypatch):
+    """Record the row count of every fallback block while it still runs."""
+    calls = []
+    original = partition._log_domain_block
+
+    def spy(lz, *args):
+        calls.append(len(lz))
+        return original(lz, *args)
+
+    monkeypatch.setattr(partition, "_log_domain_block", spy)
+    return calls
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.5])
+def test_linear_and_fallback_rows_in_one_batch(monkeypatch, lam):
+    # row 1 earns log zeta = 10.5 at every site: its in-block prefix sum
+    # passes the exponent limit in the two full blocks (1344 > 600) but not
+    # in the 45-site last one (472), so it takes the fallback twice
+    n = 300
+    kern = build_srw_kernel(n)
+    p = ModelParams(lam, 0.1, 1.0, 0.5)
+    samples = [sample_disorder(DisorderLaw.GAUSSIAN, DisorderLaw.GAUSSIAN, n,
+                               p.h, 31, i) for i in range(3)]
+    samples[1] = disorder_from_arrays(samples[1].omega[1:], np.full(n, 10.0),
+                                      p.h)
+    calls = _spy_fallback(monkeypatch)
+    batch = _forward_batch(0, n, *_stack(samples, p), kern.log_k, p.lam)
+    assert calls == [1, 1]
+    for i, (row, d) in enumerate(zip(batch, samples)):
+        ref = _loop_forward(0, d, p, kern, n)
+        assert np.all(np.abs(row - ref) <= _rounding_bound(ref, 0))
+        alone = _forward_batch(0, n, *_stack([d], p), kern.log_k, p.lam)[0]
+        assert np.array_equal(row, alone)
+    assert calls == [1, 1, 1, 1]
+
+
+def test_solve_rejects_rows_out_of_range():
+    # a cross term e^-740 is subnormal on the linear path: the solved y
+    # must leave [e^-600, e^600] and send the row to the loop; a NaN reward
+    # fails the exponent check
+    h = 20
+    kern = build_srw_kernel(h)
+    solver = partition._InBlockSolve(3, h, kern.log_k, 0.0)
+    lz = np.zeros((3, h))
+    lz[2, 7] = np.nan
+    cross = np.full((3, h), -3.0)
+    cross[1, 0] = -740.0
+    with np.errstate(all="ignore"):
+        _, ok = solver.solve(lz, np.zeros((3, h)), cross)
+    assert ok.tolist() == [True, False, False]
+
+
+def test_benchmark_inputs_take_the_linear_path(tmp_path, monkeypatch):
+    # operation 0 of each benchmark workload at its seed 1 (CLI seed 1000),
+    # at threads 1 so that every pass runs in this process
+    from copolymer import cli, observables
+    calls = _spy_fallback(monkeypatch)
+    loc = ("--lam", "0.5", "--h", "0.1", "--lam-tilde", "1", "--h-tilde",
+           "0.5")
+    ref = ("--lam", "0", "--h", "0", "--lam-tilde", "1", "--h-tilde", "0.5")
+    common = ("--law-omega", "gaussian", "--law-tilde", "gaussian",
+              "--threads", "1", "--seed", "1000", "--out", str(tmp_path))
+    for argv in (("clt", "--n-ladder", "2048,4096", "--replicas", "8", *ref),
+                 ("phase-scan", "--axis1", "lam", "--axis2", "h_tilde",
+                  "--values1", "0.0,0.5,1.0", "--values2=-0.5,0.0,0.5",
+                  "--n", "512", "--replicas", "16", *ref),
+                 ("maxexc", "--n", "4096", "--paths", "16", "--replicas", "2",
+                  *loc)):
+        assert cli.main([*argv, *common]) == 0
+    n = 2048
+    p = ModelParams(0.5, 0.1, 1.0, 0.5)
+    kern = build_srw_kernel(n)
+    d = sample_disorder(DisorderLaw.GAUSSIAN, DisorderLaw.GAUSSIAN, n, p.h, 1,
+                        0)
+    t = forward_tables(d, p, kern)
+    observables.contact_profile(t, d, p, kern)
+    observables.log_z_gradients(t, d, p, kern)
+    for k in (n // 4, n // 2, 3 * n // 4):
+        observables.excursion_law(k, t, d, p, kern)
+    observables.ursell_from_tables([n // 2 + o for o in (0, 8, 16, 24)], t,
+                                   d, p, kern)
+    assert calls == []
