@@ -17,8 +17,8 @@ from .disorder import (DisorderLaw, PathRng, disorder_from_arrays,
 from .errors import ConfigError, GuardError, NumericsError
 from .logspace import logsumexp, softplus
 from .observables import excursion_law, max_excursion, sample_path
-from .partition import (_fill_backward, _table_rows, log_partition_curves,
-                        segment_tables)
+from .partition import (_fill_backward, _segment_rows, _table_rows,
+                        log_partition_curves)
 
 VERDICT_BOUNDED = "BoundedGap"
 VERDICT_LOG_GROWTH = "LogGrowth"
@@ -276,16 +276,20 @@ class DecayFit:
     anchor: int
 
 
-def _decay_sample(c, r, d, tables):
-    p, kern, n, anchor = c["p"], c["kern"], c["n"], c["anchor"]
+def _decay_chunk(c, chunk, samples, tables):
+    """Each replica's |covariances| at the chunk's one anchor, with the
+    segments of all its replicas from one batched pass."""
+    n, anchor = c["n"], c["anchor"]
     sites = anchor + c["distances"]
-    seg = segment_tables(anchor, d, p, kern, stop=int(sites[-1]))
-    zf, zb = tables.log_zf, tables.log_zb
-    log_z = zf[n]
-    pj = math.exp(zf[anchor] + zb[anchor] - log_z)
-    joint = np.exp(zf[anchor] + seg[sites] + zb[sites] - log_z)
-    single = np.exp(zf[sites] + zb[sites] - log_z)
-    return np.abs(joint - pj * single)
+    rows = []
+    for t, seg in zip(tables, _segment_rows(anchor, int(sites[-1]), tables)):
+        zf, zb = t.log_zf, t.log_zb
+        log_z = zf[n]
+        pj = math.exp(zf[anchor] + zb[anchor] - log_z)
+        joint = np.exp(zf[anchor] + seg[sites] + zb[sites] - log_z)
+        single = np.exp(zf[sites] + zb[sites] - log_z)
+        rows.append(np.abs(joint - pj * single))
+    return rows
 
 
 def fit_correlation_decay(p, kern, laws, n, replicas, distances, seed,
@@ -301,9 +305,8 @@ def fit_correlation_decay(p, kern, laws, n, replicas, distances, seed,
     anchor = n // 4
     if anchor < 1 or anchor + dists[-1] > n:
         raise GuardError("system too short for the requested distances")
-    common = dict(hook=_per_replica, per_sample=_decay_sample, backward=True,
-                  p=p, kern=kern, laws=laws, seed=seed, n=n, anchor=anchor,
-                  distances=dists)
+    common = dict(hook=_decay_chunk, backward=True, p=p, kern=kern, laws=laws,
+                  seed=seed, n=n, anchor=anchor, distances=dists)
     rows = _fan_out([common], replicas, threads)[0]
     mean, se, fit = _exponential_fit(rows, dists, 1e-14, keep=dists >= 4)
     if fit is None:
@@ -327,21 +330,23 @@ class BoundaryDecay:
     r_squared: float
 
 
-def _boundary_sample(c, r, d, tables):
-    p, kern, n, k_list = c["p"], c["kern"], c["n"], c["k_list"]
-    zf, zb = tables.log_zf, tables.log_zb
-    diffs = np.empty(len(k_list))
+def _boundary_chunk(c, chunk, samples, tables):
+    """Each replica's differences per k, with the prefix systems of all
+    the chunk's replicas at one k from one batched pass."""
+    n, k_list = c["n"], c["k_list"]
+    rows = [np.zeros(len(k_list)) for _ in tables]
     for i, k in enumerate(k_list):
         m = k // 2
         if k == n:
-            diffs[i] = 0.0  # same system, identically zero
-            continue
+            continue  # same system, identically zero
         # the prefix system's log Z_{k-m} after m: one segment, bounded at k
-        zb_k = segment_tables(m, d, p, kern, stop=k)[k]
-        big = math.exp(zf[m] + zb[m] - zf[n])
-        small = math.exp(zf[m] + zb_k - zf[k])
-        diffs[i] = abs(big - small)
-    return diffs
+        zb_k = _segment_rows(m, k, tables)[:, k]
+        for diffs, t, z in zip(rows, tables, zb_k):
+            zf, zb = t.log_zf, t.log_zb
+            big = math.exp(zf[m] + zb[m] - zf[n])
+            small = math.exp(zf[m] + z - zf[k])
+            diffs[i] = abs(big - small)
+    return rows
 
 
 def boundary_influence(p, kern, laws, n, k_list, replicas, seed, threads=1):
@@ -351,9 +356,8 @@ def boundary_influence(p, kern, laws, n, k_list, replicas, seed, threads=1):
     k_list = sorted(int(k) for k in k_list)
     if not k_list or k_list[0] < 2 or k_list[-1] > n:
         raise GuardError("each k must satisfy 2 <= k <= N")
-    common = dict(hook=_per_replica, per_sample=_boundary_sample,
-                  backward=True, p=p, kern=kern, laws=laws, seed=seed, n=n,
-                  k_list=k_list)
+    common = dict(hook=_boundary_chunk, backward=True, p=p, kern=kern,
+                  laws=laws, seed=seed, n=n, k_list=k_list)
     rows = _fan_out([common], replicas, threads)[0]
     dist = np.array([k - k // 2 for k in k_list], dtype=float)
     mean, se, fit = _exponential_fit(rows, dist, 1e-14)

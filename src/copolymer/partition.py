@@ -15,16 +15,20 @@ localized phase.
 The forward table carries log Z_t for every prefix t (the return at t
 includes its zeta factor, the origin contributes none); the backward table
 carries log Z_{n-t} on shifted disorder, excluding the zeta factor of its
-left edge. Building a table is O(N^2) time, O(N) space, with no truncation
-of the inner sum, so brute-force enumeration matches it to rounding error.
+left edge. Building a table is at most O(N^2) time, O(N) space; the inner
+sum drops at most 2^-60 of its value, so brute-force enumeration matches
+it to rounding error.
 One recursion, ``_forward_batch``, builds every table. It cuts the sites
 into blocks of ``_BLOCK``, sums earlier blocks through BLAS products in
-linear domain, and solves each block as one lower-triangular system in
-scaled linear domain, with a per-site log-sum-exp for a row whose scales
-would overflow. The backward table is the same pass on the reversed
-sample (``_log_zb_rows``), within the same bound. ``_table_rows`` builds
-the forward tables of a batch of samples, and ``forward_tables`` is it at
-one row.
+linear domain, nearest block first, and solves each block as one
+lower-triangular system in scaled linear domain, with a per-site
+log-sum-exp for a row whose scales would overflow. A row stops adding
+earlier blocks once the rest weighs below 2^-60 of its sums: in the
+localized phase that is after a few blocks, so a pass costs far less than
+O(N^2) there. The backward table is the same pass on the reversed sample
+(``_log_zb_rows``), within the same bound. ``_table_rows`` builds the
+forward tables of a batch of samples, and ``forward_tables`` is it at one
+row; ``_segment_rows`` builds a batch's segments.
 """
 
 import math
@@ -197,17 +201,23 @@ def _check_horizon(d: DisorderSample, kern: ReturnKernel):
 # Sites per block of the forward DP. The sites of a block sum each other
 # through one linear solve per row (``_InBlockSolve``), and the sites of
 # earlier blocks through ``_CrossBlockSums``: one linear-domain
-# (R x B).(B x B) product per source block. A row whose scale exponents
-# leave +-600 in a block, or whose solved values leave e^(+-600), takes
-# the per-site log-sum-exp there instead (``_log_domain_block``).
+# (R x B).(B x B) product per source block, accumulated in linear domain
+# nearest first, until a row's remaining blocks weigh below ``_DROP`` =
+# 2^-60 of its sums. A row whose scale exponents leave +-600 in a block,
+# or whose solved values leave e^(+-600), takes the per-site log-sum-exp
+# there instead (``_log_domain_block``); a row whose cross sums fall below
+# e^-600 of its largest term takes one log per product instead
+# (``_CrossBlockSums._log_combine``).
 #
 # Rounding bound. Every sum in every form has positive terms, so each Z_t
 # carries the relative errors of the Z_u it sums plus its own, and the
 # errors add along the chain. A site's own error in the log-domain form is
 # at most about (B + ceil(s/B) + c) units of 2^-52: B + 1 in-block terms
-# or a B-term dot product, ceil(s/B) logaddexp steps over the source
-# blocks, and c (8 covers it) for exp, log and the scale arithmetic, whose
-# log-domain inputs carry absolute errors of order max(1, |log Z|) 2^-52.
+# or a B-term dot product, ceil(s/B) linear additions (or logaddexp steps)
+# over the source blocks, and c (8 covers it) for exp, log and the scale
+# arithmetic, whose log-domain inputs carry absolute errors of order
+# max(1, |log Z|) 2^-52: one exp per (row, source block) and one log per
+# target, and the dropped far blocks, at most 2^-60 = 2^-8 units.
 # The linear solve costs less per site: its dot products of at most B
 # terms and its sub-block inverse (four levels of 16-term products over
 # chains of at most 15 steps) run once per 16-site sub-block, about
@@ -216,15 +226,15 @@ def _check_horizon(d: DisorderSample, kern: ReturnKernel):
 # anchor, log Z_t lies within s (B + ceil(s/B) + 8) 2^-52
 # max(1, max_{u <= t} |log Z_u|) of the exact value, provided each such
 # |x| stays below about B max(1, |log Z_t|). At s = 4096 that is 1.5e-10
-# relative. Measured differences from the per-site loop stay below 4e-14
-# relative, at most 0.6% of the bound.
+# relative. Measured differences from the per-site loop stay below 5e-14
+# relative, at most 0.8% of the bound.
 #
 # The backward table, this recursion on the reversed sample, obeys the
 # bound at s = n - t sites from the end, read on the reversed curve
 # log Z_{n-t} + lz[t] - lz[n], plus s 4 lam max|W| 2^-52: its charge sums
 # come from the reversed prefix sums W_n - W_u, which round once more.
 # Measured differences from a per-site backward loop stay below 4e-13,
-# at most 0.3% of that bound.
+# at most 0.4% of that bound.
 _BLOCK = 128
 
 # Rows per BLAS product of ``_CrossBlockSums``, at least two each. OpenBLAS
@@ -236,6 +246,18 @@ _BLOCK = 128
 # 16 rows.
 _PRODUCT_ROWS = 8
 
+# The mass, relative to each of a row's running sums, below which
+# ``_CrossBlockSums`` stops adding that row's farther source blocks.
+_DROP = 2.0 ** -60
+
+
+def _row_chunks(rows: int) -> list[slice]:
+    """Near-equal slices of 2 to ``_PRODUCT_ROWS`` rows covering ``rows``
+    >= 2 rows."""
+    n_chunks = -(-rows // _PRODUCT_ROWS)
+    bounds = [round(i * rows / n_chunks) for i in range(n_chunks + 1)]
+    return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+
 
 class _CrossBlockSums:
     """Linear-domain sums over the completed blocks of one forward pass.
@@ -245,16 +267,27 @@ class _CrossBlockSums:
     block's Z row with the Toeplitz matrix T_d[i, k] = K(dB + k - i),
     which depends on d alone. Each completed block is stored linearly,
     divided by a per-(row, block) log scale (the block max), and each T_d
-    by its own log scale, so nothing overflows; the products are combined
-    over source blocks by a running logaddexp. T_d is a strided view of
-    one (n_blocks - 1, 2B - 1) strip of kernel values, copied into one
-    B x B buffer per product.
+    by its own log scale, so every entry of both is at most 1. T_d is a
+    strided view of one (n_blocks - 1, 2B - 1) strip of kernel values,
+    copied into one B x B buffer per product.
+
+    A target block gives each row one reference scale, the largest sum
+    x_a = scale_a + k_scale_d over its sources, and adds the products
+    e^(x_a - ref) src_a T_d in linear domain, nearest source first, then
+    takes one log. Since a product entry is at most B, a row whose
+    remaining sources have B sum_a e^(x_a - ref) <= ``_DROP`` times its
+    smallest running sum stops there: what it drops is below 2^-60 of
+    every sum. A row whose sum leaves [e^-_EXP_LIMIT, inf) takes the
+    per-product log combine over all sources instead (``_log_combine``).
 
     At lam > 0 the coin average splits the weight in two sums,
     1/2 [sum_u Z_u K + e^{-2 lam W_t} sum_u Z_u e^{2 lam W_u} K]; their
-    rows are stacked, so one product serves both. The products run in
-    chunks of 2 to ``_PRODUCT_ROWS`` rows (one row is padded to two), so a
-    row's bits depend neither on R nor on the rows beside it.
+    rows are stacked, so one product serves both, and each stacked row
+    stops on its own. The products run in chunks of 2 to ``_PRODUCT_ROWS``
+    rows (one row is padded to two); a stopped row in a chunk that still
+    runs adds an exact 0, and a chunk runs until all its rows have
+    stopped. So a row's bits depend neither on R nor on the rows beside
+    it. ``pairs`` counts the (source, target) block pairs that ran.
     """
 
     def __init__(self, r: int, span: int, log_k: np.ndarray, lam: float):
@@ -264,9 +297,7 @@ class _CrossBlockSums:
         self.lam = lam
         self.n_rows = r if lam == 0.0 else 2 * r
         rows = max(2, self.n_rows)
-        n_chunks = -(-rows // _PRODUCT_ROWS)
-        bounds = [round(i * rows / n_chunks) for i in range(n_chunks + 1)]
-        self.chunks = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+        self.chunks = _row_chunks(rows)
         # strip row d - 1 holds K at the gaps (d-1)B + 1 .. (d+1)B - 1 of
         # T_d, divided by its max; gaps past the table weigh 0
         size = (n_src + 1) * b
@@ -280,16 +311,17 @@ class _CrossBlockSums:
         # windows[d-1, s, m] = strip[d-1, s + m], so T_d = windows[d-1, ::-1]
         self.toeplitz = sliding_window_view(strip, b, axis=1)[:, ::-1]
         self.src = np.zeros((n_src, rows, b))
-        self.scale = np.zeros((n_src, rows))
+        self.scale = np.zeros((rows, n_src))
         self.t_buf = np.empty((b, b))
         self.prod = np.empty((rows, b))
         self.acc = np.empty((rows, b))
+        self.pairs = 0
 
     def add_source(self, a: int, log_z: np.ndarray, w: np.ndarray):
         """Store completed block a from its (R, B) log Z and prefix sums."""
         n, r = self.n_rows, self.r
         blk = self.src[a, :n]
-        scale = self.scale[a, :n]
+        scale = self.scale[:n, a]
         blk[:r] = log_z
         if self.lam != 0.0:
             np.multiply(2.0 * self.lam, w, out=blk[r:])
@@ -301,28 +333,81 @@ class _CrossBlockSums:
     def log_sums(self, b: int, w: np.ndarray) -> np.ndarray:
         """log of the excursion-weighted sums over blocks 0..b-1 at the
         targets of block b, whose prefix sums are ``w`` (R, h): (R, h)."""
+        n, h = self.n_rows, w.shape[1]
         acc, prod = self.acc, self.prod
-        acc.fill(-np.inf)
-        # a product of 0 (a kernel with gaps of weight 0) is log 0
-        with np.errstate(divide="ignore"):
-            for a in range(b):
-                d = b - a
-                np.copyto(self.t_buf, self.toeplitz[d - 1])
-                for rows in self.chunks:
-                    np.matmul(self.src[a, rows], self.t_buf, out=prod[rows])
-                np.log(prod, out=prod)
-                np.add(prod, self.scale[a, :, None], out=prod)
-                np.add(prod, self.k_scale[d - 1], out=prod)
-                np.logaddexp(acc, prod, out=acc)
-        r, h = self.r, w.shape[1]
+        # column d - 1: the log scale of source b - d, nearest first
+        x = self.scale[:, b - 1::-1] + self.k_scale[:b]
+        ref = np.max(x, axis=1)
+        fac = np.exp(x - ref[:, None])
+        # column d - 1: B times the factors of the sources past distance d,
+        # which bounds every entry of their products
+        tail = np.cumsum(fac[:, :0:-1], axis=1)[:, ::-1]
+        np.multiply(tail, _BLOCK, out=tail)
+        sums = acc[:n, :h]
+        low = np.empty(n)
+        stop = np.empty(n, dtype=bool)
+        acc.fill(0.0)
+        # padding rows never count as live
+        live = np.arange(len(acc)) < n
+        runs, f = self.chunks, fac
+        for d in range(1, b + 1):
+            if d > 1:
+                np.minimum.reduce(sums, axis=1, out=low)
+                np.multiply(low, _DROP, out=low)
+                # NaN stops nothing
+                np.less_equal(tail[:n, d - 2], low, out=stop)
+                stop &= live[:n]
+                if stop.any():
+                    live[:n] &= ~stop
+                    runs = [c for c in self.chunks if live[c].any()]
+                    if not runs:
+                        break
+                    # a stopped row adds 0 times its product: same bits
+                    f = fac * live[:, None]
+            np.copyto(self.t_buf, self.toeplitz[d - 1])
+            for rows in runs:
+                np.matmul(self.src[b - d, rows], self.t_buf, out=prod[rows])
+                np.multiply(prod[rows], f[rows, d - 1, None], out=prod[rows])
+                np.add(acc[rows], prod[rows], out=acc[rows])
+            self.pairs += 1
+        # a sum is at most B b, so only NaN makes it non-finite
+        np.minimum.reduce(sums, axis=1, out=low)
+        far = np.flatnonzero(~(low >= math.exp(-_EXP_LIMIT)))
+        # such a row may hold log 0; it takes the log combine below
+        sums[far] = 1.0
+        np.log(sums, out=sums)
+        np.add(sums, ref[:n, None], out=sums)
+        if len(far):
+            sums[far] = self._log_combine(b, far)[:, :h]
+        r = self.r
         if self.lam == 0.0:
-            return acc[:r, :h]
+            return sums
         out = acc[r:2 * r, :h]
         np.multiply(-2.0 * self.lam, w, out=prod[:r, :h])
         np.add(out, prod[:r, :h], out=out)
         np.logaddexp(acc[:r, :h], out, out=out)
         np.subtract(out, LOG2, out=out)
         return out
+
+    def _log_combine(self, b: int, rows: np.ndarray) -> np.ndarray:
+        """The sums of ``log_sums`` for the given stacked rows, each product
+        taken to log domain on its own and combined by logaddexp, in
+        chunks of at least two rows like the linear path."""
+        k = len(rows)
+        src = np.zeros((max(2, k), _BLOCK))
+        prod = np.empty_like(src)
+        out = np.full_like(src, -np.inf)
+        with np.errstate(divide="ignore"):
+            for a in range(b):
+                np.copyto(self.t_buf, self.toeplitz[b - a - 1])
+                src[:k] = self.src[a, rows]
+                for part in _row_chunks(len(src)):
+                    np.matmul(src[part], self.t_buf, out=prod[part])
+                np.log(prod, out=prod)
+                np.add(prod[:k], self.scale[rows, a, None], out=prod[:k])
+                np.add(prod, self.k_scale[b - a - 1], out=prod)
+                np.logaddexp(out, prod, out=out)
+        return out[:k]
 
 
 # Sites per sub-block of the in-block solve, and the largest |exponent| a
@@ -384,7 +469,9 @@ class _InBlockSolve:
         self.rhs = np.empty((r, hp, 1))
         self.y = np.empty((r, hp, 1))
         self.v = np.empty((c, q, 1))
-        self.strip = np.empty((c, q, hp - q))
+        # flat, so that each strip is contiguous: a strided one took 2.5x
+        # longer to multiply by T
+        self.strip = np.empty(c * q * (hp - q))
         self.d = np.empty((c, hp // q, q, q))
         self.x = np.empty_like(self.d)
         self.pw = np.empty_like(self.d)
@@ -444,7 +531,7 @@ class _InBlockSolve:
                 if c:
                     # the strip M[sub, :a] left of the diagonal sub-block
                     a = c * q
-                    strip = self.strip[:k, :q, :a]
+                    strip = self.strip[:k * q * a].reshape(k, q, a)
                     np.matmul(lc[:, sub], rc[:, :, :a], out=strip)
                     np.multiply(strip, self.t[sub, :a], out=strip)
                     np.matmul(strip, y[:, :a], out=v)
@@ -614,13 +701,18 @@ def _table_rows(samples, p: ModelParams,
             for d, z, z_sites in zip(samples, zf, lz)]
 
 
+def _stacks(tables):
+    """The (R, n+1) prefix sums and log rewards of the tables' samples."""
+    return (np.stack([t._source[0].w_prefix for t in tables]),
+            np.stack([t.log_zeta_sites for t in tables]))
+
+
 def _fill_backward(tables):
     """The backward tables of ``tables`` (one length, p and kern), built in
     one batched ``_log_zb_rows`` pass."""
     _, p, kern = tables[0]._source
-    zb = _log_zb_rows(np.stack([t._source[0].w_prefix for t in tables]),
-                      np.stack([t.log_zeta_sites for t in tables]),
-                      np.array([t.log_z for t in tables]), kern.log_k, p.lam)
+    zb = _log_zb_rows(*_stacks(tables), np.array([t.log_z for t in tables]),
+                      kern.log_k, p.lam)
     zb.flags.writeable = False
     for t, row in zip(tables, zb):
         t._log_zb = row
@@ -664,6 +756,14 @@ def segment_tables(j: int, d: DisorderSample, p: ModelParams,
     _check_horizon(d, kern)
     return _forward_batch(j, d.n if stop is None else stop, d.w_prefix[None],
                           _log_rewards(d, p)[None], kern.log_k, p.lam)[0]
+
+
+def _segment_rows(j: int, stop: int, tables) -> np.ndarray:
+    """(R, n+1): row r is ``segment_tables(j, d, p, kern, stop=stop)`` of
+    the sample of ``tables[r]`` (one length, p and kern), bit for bit, from
+    one batched pass."""
+    _, p, kern = tables[0]._source
+    return _forward_batch(j, stop, *_stacks(tables), kern.log_k, p.lam)
 
 
 def single_excursion_log_lower_bound(d: DisorderSample, p: ModelParams,

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from copolymer.disorder import (DisorderLaw, disorder_from_arrays,
                                 freeze_zero_disorder, sample_disorder)
 from copolymer.errors import ConfigError, GuardError, NumericsError
-from copolymer.kernel import build_srw_kernel
+from copolymer.kernel import build_powerlaw_kernel, build_srw_kernel
 from copolymer.logspace import logsumexp
 from copolymer.oracle import brute_force_partition, log_srw_mass
 import copolymer.partition as partition
@@ -462,11 +462,13 @@ def test_blocked_rows_do_not_depend_on_batch(lam):
 @pytest.mark.parametrize("lam", [0.0, 0.5])
 def test_cross_block_sums_do_not_depend_on_rows(lam):
     # log Z near 0 keeps the last bits of each product in the log sums,
-    # where a whole curve would round most of them away
+    # where a whole curve would round most of them away; a slope of up to
+    # 0.4 per site makes the rows stop at different source blocks
     b, n_src = partition._BLOCK, 4
     rng = np.random.default_rng(3)
     kern = build_srw_kernel((n_src + 1) * b)
     log_z = -5.0 * rng.random((64, (n_src + 1) * b))
+    log_z += rng.uniform(0.0, 0.4, (64, 1)) * np.arange((n_src + 1) * b)
     w = np.cumsum(rng.normal(size=log_z.shape), axis=1)
 
     def sums(rows):
@@ -475,12 +477,92 @@ def test_cross_block_sums_do_not_depend_on_rows(lam):
         for a in range(n_src):
             block = slice(a * b, (a + 1) * b)
             cross.add_source(a, log_z[rows, block], w[rows, block])
-        return cross.log_sums(n_src, w[rows, n_src * b:]).copy()
+        return cross.log_sums(n_src, w[rows, n_src * b:]).copy(), cross.pairs
 
-    full = sums(slice(0, 64))
+    full, _ = sums(slice(0, 64))
     assert np.all(np.isfinite(full))
+    # one row alone runs the source blocks up to where it stops
+    assert {sums(slice(i, i + 1))[1] for i in range(64)} == {1, 2, 3, 4}
     for r in (1, 2, 3, 7, 16, 17, 40, 64):
-        assert np.array_equal(sums(slice(64 - r, 64)), full[64 - r:])
+        assert np.array_equal(sums(slice(64 - r, 64))[0], full[64 - r:])
+
+
+def _spy_cross_sums(monkeypatch):
+    """Record every ``_CrossBlockSums`` a pass makes, to read its work
+    count ``pairs`` afterwards."""
+    made = []
+
+    class Spy(partition._CrossBlockSums):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(partition, "_CrossBlockSums", Spy)
+    return made
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.5])
+def test_rows_stop_at_their_own_source_blocks(monkeypatch, lam):
+    # rows that earn log zeta = 3 at every site are deep in the localized
+    # phase: the second block back already weighs below 2^-60 of their
+    # sums. Rows with no charge and no reward are the free walk, whose far
+    # blocks keep a power-law share, so they never stop. At lam = 0 the
+    # first product chunk (rows 0-4) holds only rows that stop.
+    n, b = 512, partition._BLOCK
+    kern = build_srw_kernel(n)
+    p = ModelParams(lam, 0.0, 1.0, 0.0)
+    rng = np.random.default_rng(5)
+    free = (5, 7, 9)
+    samples = [freeze_zero_disorder(n, 0.0) if i in free
+               else disorder_from_arrays(rng.normal(size=n), np.full(n, 3.0),
+                                         0.0) for i in range(10)]
+    made = _spy_cross_sums(monkeypatch)
+    batch = _forward_batch(0, n, *_stack(samples, p), kern.log_k, p.lam)
+    blocks = n // b
+    every = blocks * (blocks + 1) // 2
+    assert made[0].pairs == every
+    for i, (row, d) in enumerate(zip(batch, samples)):
+        alone = _forward_batch(0, n, *_stack([d], p), kern.log_k, p.lam)[0]
+        assert np.array_equal(row, alone)
+        # one source block per target block, or all of them
+        assert made[-1].pairs == (every if i in free else blocks)
+        ref = _loop_forward(0, d, p, kern, n)
+        assert np.all(np.abs(row - ref) <= _rounding_bound(ref, 0))
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.5])
+def test_underflowing_cross_sums_take_the_log_combine(monkeypatch, lam):
+    # under K(n) ~ n^-150 a full block's last target gets e^-728 of its
+    # source block's weight, so every row takes the log combine there. In
+    # the 17-site last block only rows 1 and 2 do: their rewards of -1000
+    # over sites 346..383 leave the mass of block 2 at least 55 sites back.
+    # Alone, such a row's products there are padded to two rows.
+    n = 400
+    kern = build_powerlaw_kernel(150.0, n)
+    p = ModelParams(lam, 0.1, 1.0, 0.5)
+    samples = [sample_disorder(DisorderLaw.GAUSSIAN, DisorderLaw.GAUSSIAN, n,
+                               p.h, 9, i) for i in range(4)]
+    for i in (1, 2):
+        tilde = samples[i].omega_tilde[1:].copy()
+        tilde[345:383] = -1000.0
+        samples[i] = disorder_from_arrays(samples[i].omega[1:], tilde, p.h)
+    calls = []
+    original = partition._CrossBlockSums._log_combine
+
+    def spy(self, b, rows):
+        calls.append((b, rows.tolist()))
+        return original(self, b, rows)
+
+    monkeypatch.setattr(partition._CrossBlockSums, "_log_combine", spy)
+    batch = _forward_batch(0, n, *_stack(samples, p), kern.log_k, p.lam)
+    stacked = list(range(4 if lam == 0.0 else 8))
+    assert calls == [(1, stacked), (2, stacked),
+                     (3, [1, 2] if lam == 0.0 else [1, 2, 5, 6])]
+    for row, d in zip(batch, samples):
+        ref = _loop_forward(0, d, p, kern, n)
+        assert np.all(np.abs(row - ref) <= _rounding_bound(ref, 0))
+        alone = _forward_batch(0, n, *_stack([d], p), kern.log_k, p.lam)[0]
+        assert np.array_equal(row, alone)
 
 
 # ---------------------------------------------------------------------------
@@ -679,3 +761,23 @@ def test_benchmark_inputs_take_the_linear_path(tmp_path, monkeypatch):
     observables.ursell_from_tables([n // 2 + o for o in (0, 8, 16, 24)], t,
                                    d, p, kern)
     assert calls == []
+
+
+def test_benchmark_pass_stops_most_cross_block_products(tmp_path,
+                                                        monkeypatch):
+    # operation 0 of clt_large (CLI seed 1000, N = 4096, R = 8) is one
+    # forward pass at a localized point: its rows stop after a few source
+    # blocks. At a delocalized point (no reward, no charge) every pair runs,
+    # so the stop is not over-eager.
+    from copolymer import cli
+    made = _spy_cross_sums(monkeypatch)
+    blocks = 4096 // partition._BLOCK
+    every = blocks * (blocks + 1) // 2
+    argv = ("clt", "--n-ladder", "2048,4096", "--replicas", "8",
+            "--law-omega", "gaussian", "--law-tilde", "gaussian",
+            "--threads", "1", "--seed", "1000", "--out", str(tmp_path),
+            "--lam", "0", "--h", "0")
+    assert cli.main([*argv, "--lam-tilde", "1", "--h-tilde", "0.5"]) == 0
+    assert len(made) == 1 and made[0].pairs <= every // 4
+    assert cli.main([*argv, "--lam-tilde", "0", "--h-tilde", "0"]) == 0
+    assert len(made) == 2 and made[1].pairs == every
