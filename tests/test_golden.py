@@ -38,6 +38,13 @@ nearest block first, each row stopping once the rest weighs below 2^-60
 of its sums (spans of three blocks or more round differently). No integer
 column moved, threads 1 and 2 gave the same bytes, and no float moved by
 more than 4.0e-14 relative. The other cases kept their digests.
+Those of ``profile``, ``profile-512``, ``excursions`` and
+``excursions-512`` were re-recorded when the profile scan and the
+excursion law went to linear domain, as blocked Toeplitz correlations
+(their sums run in another order). The ``p_contact`` column and every
+integer column kept their bytes, threads 1 and 2 gave the same bytes, and
+no float moved by more than 2.2e-14 absolute in ``p_neg`` or 1.0e-14
+relative elsewhere. The other cases kept their digests.
 A refactor that shifts every number consistently still passes a
 rerun-against-rerun comparison; it fails here.
 
@@ -151,19 +158,19 @@ GOLDEN = {
     },
     ('excursions', 'lam0'): {
         "excursion_law.csv":
-            "c3e1cc112aa1b961e3ad64b4d9ad8040a51acb83b5c4aa5582e9df34f9da6720",
+            "374236b86fea9095f50564bd50024224f0037f093e18553954399a095015dc69",
         "excursion_rates.csv":
-            "599feb90c5c53c11ec75925fd2f52ee23a92f6aa0633972543d91b35b0133f07",
+            "83b3cfe47bb3d429544a6b1b0b1fa57c44380c7f031412f96b142266da5ff6fb",
         "excursion_summary.csv":
-            "e7020dcb9ede483d81993052ac7f24ab10a35c28d36079f175128bed6e4af583",
+            "0acc67767d1caceca7061bdb0fe443015a71eb10beb4e1ddf3e7140212b12c89",
     },
     ('excursions', 'lam05'): {
         "excursion_law.csv":
-            "1c5c19555a5bf11bea2bbc308fa89ff3ab41abb4c417dbb831c1d1a58fe9986a",
+            "9904f616be251cb9c52a0bf5d25d91d381d7cc6d42a2ddf819466bddba1a798b",
         "excursion_rates.csv":
-            "6150f1b81bb05e66ba6453276ba4c12d9a5d2e5ca941ef3fa1cfcb759465ed8e",
+            "37f0899c32730e7875899fbc63974ebad3ddca193b09e44264b081571d3bae7f",
         "excursion_summary.csv":
-            "692391a3cd7f6c0af54f1258ba1808e0b8317f4c18fcf4b3d17a7805dfd75cdd",
+            "d35e95cd79a6c6b2c810062448cba67b3ed9104efeb3d5fbe3cd14168a588e59",
     },
     ('finite-size', 'lam0'): {
         "finite_size.csv":
@@ -195,19 +202,19 @@ GOLDEN = {
     },
     ('excursions-512', 'lam0'): {
         "excursion_law.csv":
-            "4c5734b01cca5f66694dc88acdb2e11c057422b63aaa234434358ec5a19e0138",
+            "06df6d8a66da781dc3a1ad61b9cddfd8ef4a90e4c1a87ffb25f4e498ff279a14",
         "excursion_rates.csv":
             "8b02a8d2772baaba48ac96d106c50df89b2884a62eabfa0f6cecca249bbeac2f",
         "excursion_summary.csv":
-            "d7398e879d22e7ab9da012995b5d2658ebe17e1b9321996f335c66b660e0a962",
+            "fe999233f172dc817323d6b0b3f91c74a832059bebc70a71370587088eb675c4",
     },
     ('excursions-512', 'lam05'): {
         "excursion_law.csv":
-            "c966744124fd027a31408ae542872de048742d3d77559b853307d8a9d3dd4c53",
+            "024e3b269ea71e671371f242103c8a7bed2533be8e7f443b5781152acfbc2417",
         "excursion_rates.csv":
-            "231f483c089d936e7633730071643f672474c7f89a7ffaa712b7ac380b6b4004",
+            "1177246a60e1b91a09ecae9710bf582d7bdd8e95337143a557ef7c375252184a",
         "excursion_summary.csv":
-            "10123329da59717ba3bec60b19a62e878b11df2fd063a617487b4c83db4d0c54",
+            "6833a91549c5f4358f10fe10896199fe795a3e630186ed2af8425a54dcdc60c0",
     },
     ('maxexc', 'lam0'): {
         "maxexc.csv":
@@ -275,19 +282,19 @@ GOLDEN = {
     },
     ('profile', 'lam0'): {
         "profile.csv":
-            "003c2d537c380ee002f773de6944a51a35a6d710a5e97d99ac36465836cc95a4",
+            "a6f84237eb7d117aa13ae1193129b5b84b04bc4130339aab2a36950e5c5af1a7",
     },
     ('profile', 'lam05'): {
         "profile.csv":
-            "cf869390e29ce91322c782915a1bf0bb453452c7ab240466c39b3c31be9c0abc",
+            "65aab771afd5bdbcc3205fa50f5e18fe1b091fd8a0cddd3a3381b7adef950828",
     },
     ('profile-512', 'lam0'): {
         "profile.csv":
-            "ed7582d4dc4c6eda814ecfa6251bef84dfe30014662f9f993b46c4c066950785",
+            "3f1c3df9d55a1b28125f6209eedda1a4d9eb863855c35586c19e8895b2ce8495",
     },
     ('profile-512', 'lam05'): {
         "profile.csv":
-            "9635359e1ec1051ab85c013a971d7006a2f319b636f7d8445701899172c64541",
+            "96f7afab9c31ffbf3b0e36d2a5a375c3f2ad8e385652dcac6041a6fe895ce6d9",
     },
     ('sample', 'lam0'): {
         "sample.csv":

@@ -350,8 +350,9 @@ def test_sample_path_rejects_mismatched_sample(srw64):
 
 
 def _loop_probability_scan(tables, d, p, kern, weight_neg):
-    """The profile scan before it ran in scratch buffers, kept as the
-    bit-level reference."""
+    """The profile scan as one log-domain row per u: the bit-level
+    reference of the fallback, and the bound reference of the linear
+    path."""
     n = tables.n
     zf, zb, lz = tables.log_zf, tables.log_zb, tables.log_zeta_sites
     w = d.w_prefix
@@ -370,8 +371,9 @@ def _loop_probability_scan(tables, d, p, kern, weight_neg):
 
 
 def _loop_excursion_law(k, tables, d, p, kern):
-    """The excursion-law rows before they ran in scratch buffers, kept as
-    the bit-level reference."""
+    """The excursion law as one log-domain row per u: the bit-level
+    reference of the fallback, and the bound reference of the linear
+    path."""
     n = tables.n
     zf, zb, lz = tables.log_zf, tables.log_zb, tables.log_zeta_sites
     w = d.w_prefix
@@ -389,25 +391,132 @@ def _loop_excursion_law(k, tables, d, p, kern):
 _LAMS = st.one_of(st.just(0.0), st.floats(min_value=0.05, max_value=2.0))
 # lam_tilde = 0 drops the return reward: the delocalized side
 _LAM_TILDES = st.one_of(st.just(0.0), st.floats(min_value=0.05, max_value=2.0))
+_EPS = 2.0 ** -52
+
+
+def _bound_scale(t, d, p):
+    """(N + 16 M) 2^-52, the factor of the bounds stated at
+    ``_excursion_probability_scan``, with M its largest log magnitude."""
+    m = max(1.0, *(float(np.abs(x).max()) for x in
+                   (t.log_zf, t.log_zb, t.log_zeta_sites,
+                    2.0 * p.lam * d.w_prefix)))
+    return (t.n + 16.0 * m) * _EPS
+
+
+def _assert_scans_and_laws_within_bound(t, d, p, kern, laws, share=1.0):
+    """Both forms lie within the stated bounds of the exact values, so
+    within twice them of each other; ``share`` asks for less."""
+    n = t.n
+    scale = 2.0 * share * _bound_scale(t, d, p)
+    pc = np.exp(t.log_zf + t.log_zb - t.log_zf[n])
+    before = np.concatenate(([0.0], np.cumsum(pc)[:-1]))
+    scan_bound = scale * (1.0 + 2.0 * before)
+    prof = contact_profile(t, d, p, kern)
+    for got, want in ((prof.p_neg, _loop_probability_scan(t, d, p, kern,
+                                                           True)),
+                      (excursion_cover(t, d, p, kern),
+                       _loop_probability_scan(t, d, p, kern, False))):
+        assert np.all(np.abs(got - want) <= scan_bound)
+    for k in laws:
+        got = excursion_law(k, t, d, p, kern).pmf
+        want = _loop_excursion_law(k, t, d, p, kern)
+        # relative above 1e-300; below it the entries only need to stay tiny
+        assert np.all(np.abs(got - want) <= np.maximum(scale * want, 2e-300))
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=1, max_value=64), _LAMS, _LAM_TILDES,
        st.integers(min_value=0, max_value=2**32))
-def test_scans_and_laws_equal_loops(n, lam, lam_tilde, seed):
+def test_scans_and_laws_within_bound_of_loops(n, lam, lam_tilde, seed):
     kern = build_srw_kernel(64)
     p = ModelParams(lam, 0.2, lam_tilde, 0.4)
     d = sample_disorder(DisorderLaw.GAUSSIAN, DisorderLaw.UNIFORM_SYM, n, p.h,
                         seed, 0)
     t = forward_tables(d, p, kern)
-    prof = contact_profile(t, d, p, kern)
-    assert np.array_equal(prof.p_neg,
+    _assert_scans_and_laws_within_bound(t, d, p, kern, range(1, n))
+
+
+def _spy_rows(monkeypatch):
+    """Record the site k of every log-domain fallback call (None: scan)."""
+    calls = []
+    original = obs._log_domain_rows
+
+    def spy(*args, **kwargs):
+        calls.append(args[5] if len(args) > 5 else kwargs.get("k"))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(obs, "_log_domain_rows", spy)
+    return calls
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.5])
+def test_scans_and_laws_well_inside_bound_at_n2048(monkeypatch, lam):
+    # the benchmark sample (seed 1, replica 0) at both weight branches:
+    # the linear path, at most a tenth of the bound from the loops
+    n = 2048
+    kern = build_srw_kernel(n)
+    p = ModelParams(lam, 0.1, 1.0, 0.5)
+    d = sample_disorder(DisorderLaw.GAUSSIAN, DisorderLaw.GAUSSIAN, n, p.h, 1,
+                        0)
+    t = forward_tables(d, p, kern)
+    calls = _spy_rows(monkeypatch)
+    _assert_scans_and_laws_within_bound(t, d, p, kern,
+                                        (n // 4, n // 2, 3 * n // 4),
+                                        share=0.1)
+    assert calls == []
+
+
+_FALLBACK_CASES = {
+    # log K(s) < -600 from s = 55 on: a subnormal Kh
+    "alpha150": (ModelParams(0.5, 0.1, 1.0, 0.5), 64, 150.0),
+    # the forward table climbs ~4000 per site: no block scale spans it
+    "lam-tilde-800": (ModelParams(0.0, 0.0, 800.0, 5.0), 48, None),
+    "lam-tilde-800-neg": (ModelParams(0.5, 0.1, 800.0, -5.0), 300, None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_FALLBACK_CASES))
+def test_fallback_fires_and_equals_loops(monkeypatch, case):
+    p, n, alpha = _FALLBACK_CASES[case]
+    kern = (build_srw_kernel(n) if alpha is None
+            else build_powerlaw_kernel(alpha, n))
+    d = sample_disorder(DisorderLaw.GAUSSIAN, DisorderLaw.GAUSSIAN, n, p.h, 1,
+                        0)
+    t = forward_tables(d, p, kern)
+    calls = _spy_rows(monkeypatch)
+    assert np.array_equal(contact_profile(t, d, p, kern).p_neg,
                           _loop_probability_scan(t, d, p, kern, True))
     assert np.array_equal(excursion_cover(t, d, p, kern),
                           _loop_probability_scan(t, d, p, kern, False))
-    for k in range(1, n):
-        assert np.array_equal(excursion_law(k, t, d, p, kern).pmf,
-                              _loop_excursion_law(k, t, d, p, kern))
+    k = n // 2
+    assert np.array_equal(excursion_law(k, t, d, p, kern).pmf,
+                          _loop_excursion_law(k, t, d, p, kern))
+    assert calls == [None, None, k]
+
+
+@pytest.mark.parametrize("sites", [(1000, 1011), (1000, 1004, 1023),
+                                   (997, 1000, 1013, 1024)])
+def test_ursell_reads_one_segment_per_anchor(monkeypatch, sites):
+    # the per-subset joints, bit for bit, from len(sites) - 1 segments
+    n = 2048
+    kern = build_srw_kernel(n)
+    p = ModelParams(0.5, 0.1, 1.0, 0.5)
+    d = sample_disorder(DisorderLaw.GAUSSIAN, DisorderLaw.GAUSSIAN, n, p.h, 1,
+                        0)
+    t = forward_tables(d, p, kern)
+    joints = {sub: joint_contact_probability(sub, t, d, p, kern)
+              for r in range(1, len(sites) + 1)
+              for sub in combinations(sites, r)}
+    segments = []
+    full = obs.segment_tables
+
+    def counted(j, *args, **kwargs):
+        segments.append(j)
+        return full(j, *args, **kwargs)
+
+    monkeypatch.setattr(obs, "segment_tables", counted)
+    assert ursell_from_tables(sites, t, d, p, kern) == ursell(sites, joints)
+    assert segments == list(sites[:-1])
 
 
 def test_profile_cached_read_only_and_keyed_by_coupling(srw64, monkeypatch):

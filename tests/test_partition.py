@@ -763,6 +763,34 @@ def test_benchmark_inputs_take_the_linear_path(tmp_path, monkeypatch):
     assert calls == []
 
 
+def test_benchmark_scans_take_the_linear_path(monkeypatch):
+    # operation 0 of exact_single at seed 1: the profile scan and the three
+    # excursion laws run no log-domain row and no log weight at all
+    from copolymer import observables
+    calls = []
+
+    def spy(name):
+        original = getattr(observables, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+        monkeypatch.setattr(observables, name, counted)
+
+    spy("_log_domain_rows")
+    spy("_log_weight_into")
+    n = 2048
+    p = ModelParams(0.5, 0.1, 1.0, 0.5)
+    kern = build_srw_kernel(n)
+    d = sample_disorder(DisorderLaw.GAUSSIAN, DisorderLaw.GAUSSIAN, n, p.h, 1,
+                        0)
+    t = forward_tables(d, p, kern)
+    observables.contact_profile(t, d, p, kern)
+    for k in (n // 4, n // 2, 3 * n // 4):
+        observables.excursion_law(k, t, d, p, kern)
+    assert calls == []
+
+
 def test_benchmark_pass_stops_most_cross_block_products(tmp_path,
                                                         monkeypatch):
     # operation 0 of clt_large (CLI seed 1000, N = 4096, R = 8) is one
