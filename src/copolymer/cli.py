@@ -12,6 +12,7 @@ Exit codes: 0 ok, 1 invalid configuration, 2 budget/guard violation,
 """
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -153,7 +154,10 @@ def _glue_negative_lists(argv):
     return out
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process (its 14 subparsers take
+    about 10 ms to build) and shared by every call: do not modify it."""
     parser = _Parser(prog="copolymer",
                      description="Disordered copolymer-with-adsorption toolkit")
     parser.add_argument("--version", action="version", version=__version__)

@@ -53,23 +53,42 @@ def _chunk_indices(replicas, threads, cap=None):
 
 
 def _fan_out(commons, replicas, threads):
-    """Run ``_chunk_task((common, chunk))`` for every common over the same
-    replica chunks (at most ``_BATCH_CELLS`` cells per array at the longest
-    common["n"]) in one pool of at most one process per task, since fork
-    starts them all; per common, flatten the results into replica order."""
+    """Run every common over replicas 0..replicas-1 in one pool of at most
+    one process per task, since fork starts them all; per common, return
+    its results flattened into replica order.
+
+    Commons that share (n, lam, kern, laws, seed, backward) form a group,
+    whose points may differ in h, lam_tilde and h_tilde. A task,
+    ``_chunk_task((group, chunk))``, runs one replica chunk of one group in
+    one batched pass of points x replicas rows, at most ``_BATCH_CELLS``
+    cells per array; a group with more points than that row cap is split
+    into near-equal parts."""
     if replicas < 1:
         raise GuardError(f"need at least one replica, got {replicas}")
-    cap = _BATCH_CELLS // (max(int(c["n"]) for c in commons) + 1)
-    chunks = _chunk_indices(replicas, threads, max(1, cap))
-    tasks = [(common, c) for common in commons for c in chunks]
-    if len(tasks) == 1 or threads <= 1:
-        parts = [_chunk_task(t) for t in tasks]
+    groups = {}
+    for i, c in enumerate(commons):
+        key = (int(c["n"]), c["p"].lam, id(c["kern"]), c["laws"], c["seed"],
+               c["backward"])
+        groups.setdefault(key, []).append(i)
+    tasks = []
+    for (n, *_), members in groups.items():
+        cap = max(1, _BATCH_CELLS // (n + 1))
+        # near-equal parts of at most cap points each
+        for part in _chunk_indices(len(members), 1, cap):
+            points = [members[i] for i in part]
+            tasks += [(points, c) for c in
+                      _chunk_indices(replicas, threads, cap // len(points))]
+    work = [([commons[i] for i in points], c) for points, c in tasks]
+    if len(work) == 1 or threads <= 1:
+        parts = [_chunk_task(t) for t in work]
     else:
-        with ProcessPoolExecutor(max_workers=min(threads, len(tasks))) as pool:
-            parts = list(pool.map(_chunk_task, tasks))
-    k = len(chunks)
-    return [[item for part in parts[i:i + k] for item in part]
-            for i in range(0, len(parts), k)]
+        with ProcessPoolExecutor(max_workers=min(threads, len(work))) as pool:
+            parts = list(pool.map(_chunk_task, work))
+    out = [[] for _ in commons]
+    for (points, _), part in zip(tasks, parts):
+        for i, rows in zip(points, part):
+            out[i] += rows
+    return out
 
 
 def _mean_stderr(x):
@@ -150,18 +169,27 @@ def _validate_ladder(n_ladder):
 # the chunk worker (top level, like its hooks, so they pickle)
 
 def _chunk_task(task):
-    """Draw the chunk's samples of length common["n"], build their tables
-    in one batched forward pass (and backward pass, if common["backward"]),
-    and return ``common["hook"](common, chunk, samples, tables)``. The
-    common also holds p, kern, laws, seed and the hook's own keys."""
-    common, chunk = task
-    p, kern, n = common["p"], common["kern"], common["n"]
-    samples = [_draw_disorder(common["laws"], n, p.h, common["seed"], r)
-               for r in chunk]
-    tables = _table_rows(samples, p, kern)
-    if common["backward"]:
+    """Run one replica chunk of a group of commons (``_fan_out``), which
+    share n, kern, laws, seed, backward and p.lam: draw each replica of the
+    chunk once per h, build every point's tables in one batched forward
+    pass (and backward pass, if "backward"), rows point-major, and return,
+    per common, ``common["hook"](common, chunk, samples, tables)`` on its
+    own samples and tables. A common also holds p and the hook's own keys."""
+    commons, chunk = task
+    first = commons[0]
+    draws = {h: [_draw_disorder(first["laws"], first["n"], h, first["seed"], r)
+                 for r in chunk] for h in {c["p"].h for c in commons}}
+    tables = _table_rows([d for c in commons for d in draws[c["p"].h]],
+                         [c["p"] for c in commons for _ in chunk],
+                         first["kern"])
+    if first["backward"]:
         _fill_backward(tables)
-    return common["hook"](common, chunk, samples, tables)
+    k = len(chunk)
+    # hand each hook the only reference to its tables, so it can drop them
+    parts = [tables[i:i + k] for i in range(0, len(tables), k)][::-1]
+    del tables
+    return [c["hook"](c, chunk, draws[c["p"].h], parts.pop())
+            for c in commons]
 
 
 def _per_replica(common, chunk, samples, tables):
@@ -178,7 +206,8 @@ def _curve_sample(c, r, d, tables):
 
 def _gather_curves(points, kern, laws, n_ladder, replicas, seed, threads):
     """log Z and W at the ladder sites for every model point in ``points``,
-    all points in one fan-out; returns (sites, [(z, w) per point]) with
+    all points in one fan-out (those that share lam in shared passes);
+    returns (sites, [(z, w) per point]) with
     (replicas, sites) arrays z and w."""
     sites = np.asarray(_validate_ladder(n_ladder))
     commons = [dict(hook=_per_replica, per_sample=_curve_sample,

@@ -499,12 +499,7 @@ def sample_path(tables: PartitionTables, d: DisorderSample, p: ModelParams,
 
 def max_excursion(path: PathSample) -> int:
     """Largest gap between consecutive elements of {0} union returns."""
-    prev = 0
-    best = 0
-    for r in path.returns:
-        best = max(best, r - prev)
-        prev = r
-    return best
+    return int(np.max(np.diff(path.returns, prepend=0), initial=0))
 
 
 def log_z_gradients(tables: PartitionTables, d: DisorderSample,

@@ -28,7 +28,8 @@ localized phase that is after a few blocks, so a pass costs far less than
 O(N^2) there. The backward table is the same pass on the reversed sample
 (``_log_zb_rows``), within the same bound. ``_table_rows`` builds the
 forward tables of a batch of samples, and ``forward_tables`` is it at one
-row; ``_segment_rows`` builds a batch's segments.
+row; rows of one pass may belong to model points that share lam.
+``_segment_rows`` builds a batch's segments.
 """
 
 import math
@@ -679,26 +680,33 @@ def _log_zb_rows(w: np.ndarray, lz: np.ndarray, log_z: np.ndarray,
     return zb
 
 
-def _table_rows(samples, p: ModelParams,
-                kern: ReturnKernel) -> list[PartitionTables]:
+def _table_rows(samples, p, kern: ReturnKernel) -> list[PartitionTables]:
     """Tables of equal-length samples from one batched forward pass; row r
-    is ``forward_tables(samples[r], p, kern)`` bit for bit. The pass
-    allocates about four arrays of the rows' size, so batch long samples."""
+    is ``forward_tables(samples[r], p[r], kern)`` bit for bit. ``p`` is one
+    ModelParams for every row or one per row; rows may differ in h,
+    lam_tilde and h_tilde, which reach the pass only through each row's
+    prefix sums and rewards, but must share lam. The pass allocates about
+    four arrays of the rows' size, so batch long samples."""
     samples = list(samples)
     if not samples:
         raise GuardError("need at least one disorder sample")
+    params = [p] * len(samples) if isinstance(p, ModelParams) else list(p)
+    if len(params) != len(samples):
+        raise GuardError("need one ModelParams per sample")
+    if len({q.lam for q in params}) > 1:
+        raise GuardError("the rows of one pass must share lam")
     n = samples[0].n
     if any(d.n != n for d in samples):
         raise GuardError("samples must share one system size")
     _check_horizon(samples[0], kern)
     w = np.stack([d.w_prefix for d in samples])
-    lz = np.stack([_log_rewards(d, p) for d in samples])
-    zf = _forward_batch(0, n, w, lz, kern.log_k, p.lam)
+    lz = np.stack([_log_rewards(d, q) for d, q in zip(samples, params)])
+    zf = _forward_batch(0, n, w, lz, kern.log_k, params[0].lam)
     if not np.all(np.isfinite(zf)):
         raise NumericsError("forward table has non-finite entries")
     return [PartitionTables(n=n, log_zf=z, log_zeta_sites=z_sites,
-                            _source=(d, p, kern))
-            for d, z, z_sites in zip(samples, zf, lz)]
+                            _source=(d, q, kern))
+            for d, q, z, z_sites in zip(samples, params, zf, lz)]
 
 
 def _stacks(tables):
@@ -708,8 +716,8 @@ def _stacks(tables):
 
 
 def _fill_backward(tables):
-    """The backward tables of ``tables`` (one length, p and kern), built in
-    one batched ``_log_zb_rows`` pass."""
+    """The backward tables of ``tables`` (one length, lam and kern), built
+    in one batched ``_log_zb_rows`` pass."""
     _, p, kern = tables[0]._source
     zb = _log_zb_rows(*_stacks(tables), np.array([t.log_z for t in tables]),
                       kern.log_k, p.lam)

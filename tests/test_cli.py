@@ -336,6 +336,38 @@ def test_phase_scan_schema(tmp_path):
     assert lines[1].split(",")[4] in ("0", "1")
 
 
+def _csv_bytes(run):
+    return {f.name: f.read_bytes() for f in sorted(run.glob("*.csv"))}
+
+
+def test_shared_parser_keeps_calls_apart(tmp_path, capsys):
+    # the parser is built once per process: no call may see another's flags
+    argvs = [
+        ["free-energy", "--n-ladder", "16,32", "--replicas", "3",
+         "--seed", "2", "--lam", "0.5", "--h", "0.1"],
+        ["free-energy", "--replicas", "3"],
+        ["phase-scan", "--axis1", "lam", "--axis2", "h_tilde", "--values1",
+         "0,0.5", "--values2", "-0.5,0.5", "--n", "24", "--replicas", "3",
+         "--threads", "2"],
+        ["mu", "--n", "24", "--replicas", "4", "--seed", "7"],
+        ["phase-scan", "--n", "16", "--replicas", "2"],
+    ]
+    alone = []
+    for i, argv in enumerate(argvs):
+        build_parser.cache_clear()
+        out = tmp_path / f"alone{i}"
+        assert main(argv + ["--out", str(out)]) == 0
+        alone.append(_csv_bytes(_only_run_dir(out)))
+    for i, argv in enumerate(argvs):
+        out = tmp_path / f"after{i}"
+        assert main(argv + ["--out", str(out)]) == 0
+        assert _csv_bytes(_only_run_dir(out)) == alone[i]
+        assert main(["mu", "--no-such-flag"]) == 1
+        assert main(["--version"]) == 0
+        assert main(["free-energy", "--help"]) == 0
+    capsys.readouterr()
+
+
 def test_resolve_config_unknown_key():
     parser = build_parser()
     args = parser.parse_args(["free-energy"])

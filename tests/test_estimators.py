@@ -375,6 +375,96 @@ def test_pool_has_at_most_one_process_per_task(srw64, monkeypatch):
     assert got == estimate_free_energy(V_STAR, srw64, GG, [32], 2, 4)
 
 
+class _WorkSpy:
+    """Records the rows of every forward pass and every (h, replica)
+    drawn, at threads 1 (the pool's workers would not report)."""
+
+    def __init__(self, monkeypatch):
+        self.passes, self.draws = [], []
+        forward, draw = partition._forward_batch, est.sample_disorder
+
+        def forward_spy(j, stop, w, *args):
+            self.passes.append(len(w))
+            return forward(j, stop, w, *args)
+
+        def draw_spy(law, law_tilde, n, h, seed, replica):
+            self.draws.append((h, replica))
+            return draw(law, law_tilde, n, h, seed, replica)
+
+        monkeypatch.setattr(partition, "_forward_batch", forward_spy)
+        monkeypatch.setattr(est, "sample_disorder", draw_spy)
+
+
+def _loop_phase_scan(axis1, axis2, values1, values2, base, kern, n, replicas,
+                     seed):
+    """(f_hat, stderr) per grid point, one forward curve per replica."""
+    out = []
+    for v1 in values1:
+        for v2 in values2:
+            q = base.replace(**{axis1: v1, axis2: v2})
+            z = np.array([log_partition_curve(est._draw_disorder(
+                GG, n, q.h, seed, r), q, kern)[n] for r in range(replicas)])
+            out.append(est._mean_stderr(z / n))
+    return out
+
+
+def _scan_fields(points):
+    return [(pt.f_hat, pt.stderr) for pt in points]
+
+
+def test_phase_scan_makes_one_pass_per_lam(srw64, monkeypatch):
+    spy = _WorkSpy(monkeypatch)
+    grid = ("lam", "h_tilde", [0.0, 0.5, 1.0], [-0.5, 0.0, 0.5])
+    pts = phase_scan(*grid, V_STAR, srw64, GG, 40, 6, 4, threads=1)
+    assert spy.passes == [3 * 6] * 3
+    # each replica drawn once per lam group, not once per point
+    assert sorted(spy.draws) == sorted([(0.0, r) for r in range(6)] * 3)
+    assert _scan_fields(pts) == _loop_phase_scan(*grid, V_STAR, srw64, 40, 6,
+                                                 4)
+
+
+def test_phase_scan_over_h_draws_per_h(srw64, monkeypatch):
+    spy = _WorkSpy(monkeypatch)
+    p = V_STAR.replace(lam=0.5)
+    grid = ("h", "lam_tilde", [0.0, 0.3], [0.5, 1.0])
+    pts = phase_scan(*grid, p, srw64, GG, 40, 5, 4, threads=1)
+    # one pass, but the charge sums differ with h: one draw per (h, replica)
+    assert spy.passes == [4 * 5]
+    assert sorted(spy.draws) == sorted((h, r) for h in (0.0, 0.3)
+                                       for r in range(5))
+    assert _scan_fields(pts) == _loop_phase_scan(*grid, p, srw64, 40, 5, 4)
+
+
+def test_entropy_bound_makes_one_pass_per_chunk(srw64, monkeypatch):
+    spy = _WorkSpy(monkeypatch)
+    n, replicas = 32, 7
+    # four points, at most 3 replicas per chunk: 3 chunks
+    monkeypatch.setattr(est, "_BATCH_CELLS", 12 * (n + 1))
+    rep = entropy_bound(V_STAR, srw64, GG, replicas, n, [0.0, 0.1, 0.2, 0.3],
+                        1, threads=1)
+    assert sorted(spy.passes) == [4 * 2, 4 * 2, 4 * 3]
+    assert sorted(spy.draws) == [(0.0, r) for r in range(replicas)]
+    monkeypatch.setattr(est, "_BATCH_CELLS", 1 << 18)
+    np.testing.assert_equal(_fields(rep), _fields(entropy_bound(
+        V_STAR, srw64, GG, replicas, n, [0.0, 0.1, 0.2, 0.3], 1, threads=1)))
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_group_above_row_cap_is_split(srw64, monkeypatch, threads):
+    spy = _WorkSpy(monkeypatch)
+    n, replicas = 40, 5
+    # 4 points of one lam, at most 3 rows per pass
+    monkeypatch.setattr(est, "_BATCH_CELLS", 3 * (n + 1))
+    grid = ("lam_tilde", "h_tilde", [0.5, 1.0], [-0.5, 0.5])
+    pts = phase_scan(*grid, V_STAR, srw64, GG, n, replicas, 4,
+                     threads=threads)
+    if threads == 1:
+        assert spy.passes and max(spy.passes) <= 3
+        assert sum(spy.passes) == 4 * replicas
+    assert _scan_fields(pts) == _loop_phase_scan(*grid, V_STAR, srw64, n,
+                                                 replicas, 4)
+
+
 def test_per_replica_drops_each_replicas_tables(srw64):
     # a sampler window is (n, 32) floats: a chunk must not keep them all
     samples = [est._draw_disorder(GG, 32, 0.0, 3, r) for r in range(4)]
@@ -427,8 +517,8 @@ def test_replica_estimators_match_loop(srw64, monkeypatch, name, lam,
     with monkeypatch.context() as m:
         # the reference: one forward_tables per replica, backward table
         # built on its first read
-        m.setattr(est, "_table_rows", lambda samples, p, kern: [
-            forward_tables(d, p, kern) for d in samples])
+        m.setattr(est, "_table_rows", lambda samples, params, kern: [
+            forward_tables(d, q, kern) for d, q in zip(samples, params)])
         m.setattr(est, "_fill_backward", lambda tables: None)
         ref = run(srw64, replicas, 1, p)
     # at most 3 replicas per batched pass: several batches per run

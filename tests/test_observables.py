@@ -233,6 +233,36 @@ def test_max_excursion_values():
     assert max_excursion(PathSample(returns=(3, 10), signs=(1, -1))) == 7
 
 
+def _loop_max_excursion(path):
+    """The per-return loop ``max_excursion`` replaced, kept as the
+    reference."""
+    prev = best = 0
+    for r in path.returns:
+        best = max(best, r - prev)
+        prev = r
+    return best
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sets(st.integers(min_value=1, max_value=4096), min_size=1))
+def test_max_excursion_matches_loop(sites):
+    path = PathSample(returns=tuple(sorted(sites)), signs=(1,) * len(sites))
+    got = max_excursion(path)
+    assert type(got) is int and got == _loop_max_excursion(path)
+
+
+def test_max_excursion_of_sampled_paths_matches_loop(srw64):
+    p = ModelParams(0.5, 0.1, 1.0, 0.5)
+    d = sample_disorder(DisorderLaw.GAUSSIAN, DisorderLaw.GAUSSIAN, 64, p.h,
+                        4, 0)
+    t = forward_tables(d, p, srw64)
+    for i in range(16):
+        path = sample_path(t, d, p, srw64, PathRng(4, 0, i))
+        assert max_excursion(path) == _loop_max_excursion(path)
+    one = PathSample(returns=(64,), signs=(-1,))
+    assert max_excursion(one) == _loop_max_excursion(one) == 64
+
+
 def _loop_sample_path(tables, d, p, kern, rng):
     """The sampler before its window table: one full O(t) row per return,
     kept as the reference."""

@@ -623,6 +623,40 @@ def test_backward_rows_do_not_depend_on_batch(lam):
             assert not b.built_from(samples[i], p.replace(h=0.2), kern)
 
 
+@pytest.mark.parametrize("lam", [0.0, 0.5])
+def test_mixed_point_rows_match_single_point_rows(lam):
+    # rows of points that differ in h, lam_tilde and h_tilde, point-major,
+    # as the estimators' chunk worker stacks them
+    n = 300   # three blocks
+    kern = build_srw_kernel(n)
+    base = ModelParams(lam, 0.1, 1.0, 0.5)
+    points = [base, base.replace(h=0.4), base.replace(lam_tilde=0.3),
+              base.replace(h_tilde=-0.7), base.replace(h=0.0, h_tilde=1.2)]
+    samples = [[sample_disorder(DisorderLaw.GAUSSIAN, DisorderLaw.GAUSSIAN, n,
+                                q.h, 24, i) for i in range(3)] for q in points]
+    rows = partition._table_rows(
+        [d for ds in samples for d in ds],
+        [q for q in points for _ in range(3)], kern)
+    partition._fill_backward(rows)
+    for q, ds, got in zip(points, samples, zip(*[iter(rows)] * 3)):
+        for d, t in zip(ds, got):
+            alone = partition._table_rows([d], q, kern)[0]
+            assert t.built_from(d, q, kern)
+            assert np.array_equal(t.log_zf, alone.log_zf)
+            assert np.array_equal(t.log_zeta_sites, alone.log_zeta_sites)
+            assert np.array_equal(t.log_zb, alone.log_zb)
+
+
+def test_pass_mixing_lam_raises(srw64):
+    p = ModelParams(0.0, 0.1, 1.0, 0.5)
+    samples = [sample_disorder(DisorderLaw.GAUSSIAN, DisorderLaw.GAUSSIAN, 32,
+                               p.h, 25, i) for i in range(2)]
+    with pytest.raises(GuardError, match="share lam"):
+        partition._table_rows(samples, [p, p.replace(lam=0.5)], srw64)
+    with pytest.raises(GuardError, match="one ModelParams per sample"):
+        partition._table_rows(samples, [p], srw64)
+
+
 def test_backward_rows_each_checked(srw64):
     p = ModelParams(0.5, 0.1, 1.0, 0.5)
     samples = [sample_disorder(DisorderLaw.GAUSSIAN, DisorderLaw.GAUSSIAN, 40,
