@@ -376,20 +376,27 @@ def _cmd_maxexc(cfg):
                                     "frac_eps_05"], summary)}
 
 
+def _sample_rows(c, r, d, tables):
+    """The (replica, path, return site, sign) rows of replica r's paths
+    (top level, so that it pickles)."""
+    rows = []
+    for i in range(c["paths"]):
+        path = sample_path(tables, d, c["p"], c["kern"],
+                           PathRng(c["seed"], r, i))
+        rows += [(r, i, site, sign)
+                 for site, sign in zip(path.returns, path.signs)]
+    return rows
+
+
 def _cmd_sample(cfg):
     p, laws, kern, n = _setup(cfg, 1)
     reps = _int_field(cfg, "replicas", 1)
-    paths = _int_field(cfg, "paths", 1)
-    rows = []
-    for r in range(reps):
-        d = est._draw_disorder(laws, n, p.h, cfg["seed"], r)
-        tables = forward_tables(d, p, kern)
-        for i in range(paths):
-            path = sample_path(tables, d, p, kern, PathRng(cfg["seed"], r, i))
-            for site, sign in zip(path.returns, path.signs):
-                rows.append((r, i, site, sign))
+    common = dict(hook=est._per_replica, per_sample=_sample_rows,
+                  backward=False, p=p, kern=kern, laws=laws, seed=cfg["seed"],
+                  n=n, paths=_int_field(cfg, "paths", 1))
+    per_replica = est._fan_out([common], reps, cfg["threads"])[0]
     return {"sample.csv": (["replica", "path_index", "return_site", "sign"],
-                           rows)}
+                           [row for rows in per_replica for row in rows])}
 
 
 def _cmd_clt(cfg):

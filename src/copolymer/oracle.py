@@ -15,7 +15,7 @@ import numpy as np
 
 from .disorder import DisorderSample
 from .errors import ConfigError, GuardError, NumericsError
-from .kernel import KernelKind, ReturnKernel, build_powerlaw_kernel, build_srw_kernel
+from .kernel import KernelSpec, ReturnKernel, build_kernel
 from .logspace import LOG2, logsumexp, sigmoid, softplus
 from .partition import (ModelParams, _forward_batch, _log_zb_rows,
                         excursion_log_weight, log_zeta)
@@ -227,12 +227,6 @@ def renewal_mass_curve(kern: ReturnKernel, n: int) -> np.ndarray:
     return u
 
 
-def _rebuild_larger(kern: ReturnKernel, n_max: int) -> ReturnKernel:
-    if kern.kind == KernelKind.SRW:
-        return build_srw_kernel(n_max)
-    return build_powerlaw_kernel(kern.alpha, n_max)
-
-
 def homogeneous_pinning_free_energy(kern: ReturnKernel, reward: float,
                                     tol: float = 1e-12) -> float:
     """Root b* >= 0 of sum_n K(n) e^{-b n} = e^{-reward}, by bisection.
@@ -267,7 +261,8 @@ def homogeneous_pinning_free_energy(kern: ReturnKernel, reward: float,
                 / -np.expm1(-b_floor))
         if tail < 1e-13 or work.n_max >= (1 << 22):
             return root
-        work = _rebuild_larger(work, min(4 * work.n_max, 1 << 22))
+        n_max = min(4 * work.n_max, 1 << 22)
+        work = build_kernel(KernelSpec(work.kind, n_max, work.alpha))
 
 
 def factorization_patterns(n: int, max_segments: int = 3):

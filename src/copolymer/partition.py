@@ -21,8 +21,9 @@ it to rounding error.
 One recursion, ``_forward_batch``, builds every table. It cuts the sites
 into blocks of ``_BLOCK``, sums earlier blocks through BLAS products in
 linear domain, nearest block first, and solves each block as one
-lower-triangular system in scaled linear domain, with a per-site
-log-sum-exp for a row whose scales would overflow. A row stops adding
+lower-triangular system in scaled linear domain. A row whose scales or
+sums leave the linear range takes the reference recursion for that block:
+a per-site log-sum-exp over every earlier site. A row stops adding
 earlier blocks once the rest weighs below 2^-60 of its sums: in the
 localized phase that is after a few blocks, so a pass costs far less than
 O(N^2) there. The backward table is the same pass on the reversed sample
@@ -205,18 +206,18 @@ def _check_horizon(d: DisorderSample, kern: ReturnKernel):
 # (R x B).(B x B) product per source block, accumulated in linear domain
 # nearest first, until a row's remaining blocks weigh below ``_DROP`` =
 # 2^-60 of its sums. A row whose scale exponents leave +-600 in a block,
-# or whose solved values leave e^(+-600), takes the per-site log-sum-exp
-# there instead (``_log_domain_block``); a row whose cross sums fall below
-# e^-600 of its largest term takes one log per product instead
-# (``_CrossBlockSums._log_combine``).
+# or whose cross sums or solved values leave e^(+-600), takes the reference
+# recursion there instead (``_log_domain_block``): one log-sum-exp per site
+# over every earlier site from the anchor.
 #
 # Rounding bound. Every sum in every form has positive terms, so each Z_t
 # carries the relative errors of the Z_u it sums plus its own, and the
 # errors add along the chain. A site's own error in the log-domain form is
 # at most about (B + ceil(s/B) + c) units of 2^-52: B + 1 in-block terms
-# or a B-term dot product, ceil(s/B) linear additions (or logaddexp steps)
-# over the source blocks, and c (8 covers it) for exp, log and the scale
-# arithmetic, whose log-domain inputs carry absolute errors of order
+# or a B-term dot product, ceil(s/B) linear additions over the source
+# blocks (the reference recursion: one pairwise sum of s terms), and c (8
+# covers it) for exp, log and the scale arithmetic, whose log-domain
+# inputs carry absolute errors of order
 # max(1, |log Z|) 2^-52: one exp per (row, source block) and one log per
 # target, and the dropped far blocks, at most 2^-60 = 2^-8 units.
 # The linear solve costs less per site: its dot products of at most B
@@ -278,8 +279,8 @@ class _CrossBlockSums:
     takes one log. Since a product entry is at most B, a row whose
     remaining sources have B sum_a e^(x_a - ref) <= ``_DROP`` times its
     smallest running sum stops there: what it drops is below 2^-60 of
-    every sum. A row whose sum leaves [e^-_EXP_LIMIT, inf) takes the
-    per-product log combine over all sources instead (``_log_combine``).
+    every sum. A row with a sum below e^-_EXP_LIMIT, or NaN, is marked for
+    the reference recursion (``_log_domain_block``).
 
     At lam > 0 the coin average splits the weight in two sums,
     1/2 [sum_u Z_u K + e^{-2 lam W_t} sum_u Z_u e^{2 lam W_u} K]; their
@@ -331,9 +332,10 @@ class _CrossBlockSums:
         np.subtract(blk, scale[:, None], out=blk)
         np.exp(blk, out=blk)
 
-    def log_sums(self, b: int, w: np.ndarray) -> np.ndarray:
+    def log_sums(self, b: int, w: np.ndarray):
         """log of the excursion-weighted sums over blocks 0..b-1 at the
-        targets of block b, whose prefix sums are ``w`` (R, h): (R, h)."""
+        targets of block b, whose prefix sums are ``w`` (R, h): (R, h); and
+        which rows are in range (the others hold values to be replaced)."""
         n, h = self.n_rows, w.shape[1]
         acc, prod = self.acc, self.prod
         # column d - 1: the log scale of source b - d, nearest first
@@ -371,50 +373,34 @@ class _CrossBlockSums:
                 np.multiply(prod[rows], f[rows, d - 1, None], out=prod[rows])
                 np.add(acc[rows], prod[rows], out=acc[rows])
             self.pairs += 1
-        # a sum is at most B b, so only NaN makes it non-finite
-        np.minimum.reduce(sums, axis=1, out=low)
-        far = np.flatnonzero(~(low >= math.exp(-_EXP_LIMIT)))
-        # such a row may hold log 0; it takes the log combine below
-        sums[far] = 1.0
+        # a sum is at most B b: only underflow or NaN leaves the range
+        ok = _in_linear_range(sums)
         np.log(sums, out=sums)
         np.add(sums, ref[:n, None], out=sums)
-        if len(far):
-            sums[far] = self._log_combine(b, far)[:, :h]
         r = self.r
         if self.lam == 0.0:
-            return sums
+            return sums, ok
+        ok = ok[:r] & ok[r:]
         out = acc[r:2 * r, :h]
         np.multiply(-2.0 * self.lam, w, out=prod[:r, :h])
         np.add(out, prod[:r, :h], out=out)
         np.logaddexp(acc[:r, :h], out, out=out)
         np.subtract(out, LOG2, out=out)
-        return out
-
-    def _log_combine(self, b: int, rows: np.ndarray) -> np.ndarray:
-        """The sums of ``log_sums`` for the given stacked rows, each product
-        taken to log domain on its own and combined by logaddexp, in
-        chunks of at least two rows like the linear path."""
-        k = len(rows)
-        src = np.zeros((max(2, k), _BLOCK))
-        prod = np.empty_like(src)
-        out = np.full_like(src, -np.inf)
-        with np.errstate(divide="ignore"):
-            for a in range(b):
-                np.copyto(self.t_buf, self.toeplitz[b - a - 1])
-                src[:k] = self.src[a, rows]
-                for part in _row_chunks(len(src)):
-                    np.matmul(src[part], self.t_buf, out=prod[part])
-                np.log(prod, out=prod)
-                np.add(prod[:k], self.scale[rows, a, None], out=prod[:k])
-                np.add(prod, self.k_scale[b - a - 1], out=prod)
-                np.logaddexp(out, prod, out=out)
-        return out[:k]
+        return out, ok
 
 
 # Sites per sub-block of the in-block solve, and the largest |exponent| a
 # scale factor or a solved value may have on its linear path.
 _SUB = 16
 _EXP_LIMIT = 600.0
+
+
+def _in_linear_range(x: np.ndarray) -> np.ndarray:
+    """Whether each row of 2-d ``x`` lies in e^(+-_EXP_LIMIT); NaN fails."""
+    return np.all((x >= math.exp(-_EXP_LIMIT)) & (x <= math.exp(_EXP_LIMIT)),
+                  axis=1)
+
+
 # Rows x h^2 per chunk of ``_InBlockSolve``: 8 rows at a full block, whose
 # five (rows, h / 16, 16, 16) sub-block buffers then take 640 KiB.
 _SOLVE_CELLS = 8 * 128 * 128
@@ -445,8 +431,8 @@ class _InBlockSolve:
 
     A row's exponents -H, G, om - H and G - om must lie within
     ``_EXP_LIMIT`` and its solved y within e^(+-_EXP_LIMIT), else
-    ``solve`` marks the row for the log-domain loop. Every product runs on
-    one row's slice, so a row's bits depend neither on R nor on the rows
+    ``solve`` marks the row for the reference recursion. Every product runs
+    on one row's slice, so a row's bits depend neither on R nor on the rows
     beside it.
     """
 
@@ -541,8 +527,7 @@ class _InBlockSolve:
                     np.copyto(v, b[:, sub])
                 np.matmul(x[:, c], v, out=y[:, sub])
         yh = self.y[:, :h, 0]
-        ok &= np.all((yh >= math.exp(-_EXP_LIMIT))
-                     & (yh <= math.exp(_EXP_LIMIT)), axis=1)
+        ok &= _in_linear_range(yh)
         np.add(g, s[:, None], out=g)
         np.add(g, np.log(yh), out=g)
         return g, ok
@@ -564,46 +549,48 @@ class _InBlockSolve:
         return x
 
 
-def _log_domain_block(lz: np.ndarray, w: np.ndarray, cross: np.ndarray,
-                      base_rev: np.ndarray, lam: float) -> np.ndarray:
-    """log Z at the h sites of one block by a per-site log-sum-exp, for
-    the (k, h) rows given: the fallback of ``_InBlockSolve``.
+def _log_domain_block(z: np.ndarray, w: np.ndarray, lz: np.ndarray,
+                      start: int, base_rev: np.ndarray,
+                      lam: float) -> np.ndarray:
+    """The reference recursion, the linear path's fallback: fills the
+    columns ``start:`` of the (k, m) log Z rows ``z``, whose column 0 is
+    the anchor, from their prefix sums ``w`` and log rewards ``lz``.
 
-    Site t sums the block's earlier sites and the cross term ``cross[:, t]``
-    in one k x (t - lo + 1) log-sum-exp. ``base_rev`` ends with the log
-    weight bases of gaps ..., 2, 1. Each site applies the ufuncs of
-    ``_log_weight_core`` and of the max-shifted log-sum-exp elementwise or
-    along rows of C-contiguous buffers, so a row's bits do not depend on k.
+    Site t sums every earlier site in one k x t log-sum-exp; ``base_rev``
+    ends with the log weight bases of gaps ..., 2, 1. Each site applies the
+    ufuncs of ``_log_weight_core`` and of the max-shifted log-sum-exp in
+    the per-site loop's order, elementwise or along rows of C-contiguous
+    buffers: a row that takes this path from its anchor has the loop's
+    bits, and no row's bits depend on k.
     """
-    k, h = lz.shape
-    out = np.empty((k, h))
-    flat = np.empty(k * h)
-    flat_aux = np.empty(k * h) if lam != 0.0 else None
-    m = np.empty(k)
-    m_col = m[:, None]
+    k, m = z.shape
+    flat = np.empty(k * m)
+    flat_aux = np.empty(k * m) if lam != 0.0 else None
+    mx = np.empty(k)
+    mx_col = mx[:, None]
     s = np.empty(k)
     n_base = len(base_rev)
-    for t in range(h):
-        x = flat[:k * (t + 1)].reshape(k, t + 1)
-        terms = x[:, :t]
+    if start == 0:
+        z[:, 0] = 0.0
+    for t in range(max(start, 1), m):
+        x = flat[:k * t].reshape(k, t)
         if lam == 0.0:
-            np.add(out[:, :t], base_rev[n_base - t:], out=terms)
+            np.add(z[:, :t], base_rev[n_base - t:], out=x)
         else:
-            _log_weight_into(terms, flat_aux[:k * t].reshape(k, t),
+            _log_weight_into(x, flat_aux[:k * t].reshape(k, t),
                              base_rev[n_base - t:], w[:, t, None], w[:, :t],
                              lam)
-            np.add(out[:, :t], terms, out=terms)
-        x[:, t] = cross[:, t]
+            np.add(z[:, :t], x, out=x)
         # the reduce methods are what np.max and np.sum call, minus their
         # Python-level argument handling
-        np.maximum.reduce(x, axis=1, out=m)
-        np.subtract(x, m_col, out=x)
+        np.maximum.reduce(x, axis=1, out=mx)
+        np.subtract(x, mx_col, out=x)
         np.exp(x, out=x)
         np.add.reduce(x, axis=1, out=s)
         np.log(s, out=s)
-        np.add(lz[:, t], m, out=m)
-        np.add(m, s, out=out[:, t])
-    return out
+        np.add(lz[:, t], mx, out=mx)
+        np.add(mx, s, out=z[:, t])
+    return z[:, start:]
 
 
 def _forward_batch(j: int, stop: int, w: np.ndarray, lz: np.ndarray,
@@ -618,8 +605,8 @@ def _forward_batch(j: int, stop: int, w: np.ndarray, lz: np.ndarray,
 
     The span is cut into blocks of ``_BLOCK`` sites counted from j. Each
     block is one linear solve per row (``_InBlockSolve``) whose right-hand
-    side holds the earlier blocks' sums from ``_CrossBlockSums``; a row the
-    solve rejects takes the per-site log-sum-exp (``_log_domain_block``)
+    side holds the earlier blocks' sums from ``_CrossBlockSums``; a row
+    that either rejects takes the reference recursion (``_log_domain_block``)
     for that block. The first block's anchor enters as a cross term of
     log 1 with no reward. A block always runs to _BLOCK sites or the end
     of the sample, whatever ``stop``, so a bounded span is the full span's
@@ -630,27 +617,32 @@ def _forward_batch(j: int, stop: int, w: np.ndarray, lz: np.ndarray,
     span = stop - j
     seg = np.full((r, width), np.nan)
     h_max = min(_BLOCK, width - j)
-    base_rev = _log_weight_base(log_k, lam)[h_max - 1:0:-1]
+    # the log weight bases of gaps width - 1 - j, ..., 2, 1
+    base_rev = _log_weight_base(log_k, lam)[width - 1 - j:0:-1]
     solver = _InBlockSolve(r, h_max, log_k, lam)
     cross = _CrossBlockSums(r, span, log_k, lam) if span >= _BLOCK else None
     for b, lo in enumerate(range(j, stop + 1, _BLOCK)):
         end = min(lo + _BLOCK, width)
         block_lz = lz[:, lo:end]
-        if b:
-            sums = cross.log_sums(b, w[:, lo:end])
-        else:
-            # Z_j = 1: log C = 0 at the anchor, which earns no reward
-            block_lz = block_lz.copy()
-            block_lz[:, 0] = 0.0
-            sums = np.full(block_lz.shape, -np.inf)
-            sums[:, 0] = 0.0
         # a rejected row may overflow or take log 0 before it is replaced
         with np.errstate(all="ignore"):
-            seg[:, lo:end], ok = solver.solve(block_lz, w[:, lo:end], sums)
+            if b:
+                sums, ok = cross.log_sums(b, w[:, lo:end])
+            else:
+                # Z_j = 1: log C = 0 at the anchor, which earns no reward
+                block_lz = block_lz.copy()
+                block_lz[:, 0] = 0.0
+                sums = np.full(block_lz.shape, -np.inf)
+                sums[:, 0] = 0.0
+                ok = np.ones(r, dtype=bool)
+            seg[:, lo:end], solved = solver.solve(block_lz, w[:, lo:end],
+                                                  sums)
+        ok &= solved
         if not ok.all():
             rows = np.flatnonzero(~ok)
             seg[rows, lo:end] = _log_domain_block(
-                block_lz[rows], w[rows, lo:end], sums[rows], base_rev, lam)
+                seg[rows, j:end], w[rows, j:end], lz[rows, j:end], lo - j,
+                base_rev, lam)
         if lo + _BLOCK <= stop:
             cross.add_source(b, seg[:, lo:lo + _BLOCK], w[:, lo:lo + _BLOCK])
     seg[:, stop + 1:] = np.nan

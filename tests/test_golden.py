@@ -333,10 +333,11 @@ def test_golden_csv_digests(tmp_path, case, point, threads):
     assert got == GOLDEN[(case, point)]
 
 
-# the cases whose model points share one batched pass per replica chunk:
-# three workers cut the replicas into yet other chunks, with the same bytes
+# the cases whose model points share one batched pass per replica chunk,
+# and ``sample``, whose replicas run through the same fan-out: three
+# workers cut the replicas into yet other chunks, with the same bytes
 @pytest.mark.parametrize("point", sorted(POINTS))
-@pytest.mark.parametrize("case", ["entropy-bound", "phase-scan"])
+@pytest.mark.parametrize("case", ["entropy-bound", "phase-scan", "sample"])
 def test_shared_pass_digests_at_three_threads(tmp_path, case, point):
     got = run_digests(tmp_path / "runs", case, point, 3)
     assert got == GOLDEN[(case, point)]

@@ -477,7 +477,9 @@ def test_cross_block_sums_do_not_depend_on_rows(lam):
         for a in range(n_src):
             block = slice(a * b, (a + 1) * b)
             cross.add_source(a, log_z[rows, block], w[rows, block])
-        return cross.log_sums(n_src, w[rows, n_src * b:]).copy(), cross.pairs
+        got, ok = cross.log_sums(n_src, w[rows, n_src * b:])
+        assert ok.all()
+        return got.copy(), cross.pairs
 
     full, _ = sums(slice(0, 64))
     assert np.all(np.isfinite(full))
@@ -531,12 +533,12 @@ def test_rows_stop_at_their_own_source_blocks(monkeypatch, lam):
 
 
 @pytest.mark.parametrize("lam", [0.0, 0.5])
-def test_underflowing_cross_sums_take_the_log_combine(monkeypatch, lam):
+def test_underflowing_cross_sums_take_the_log_domain_block(monkeypatch, lam):
     # under K(n) ~ n^-150 a full block's last target gets e^-728 of its
-    # source block's weight, so every row takes the log combine there. In
-    # the 17-site last block only rows 1 and 2 do: their rewards of -1000
-    # over sites 346..383 leave the mass of block 2 at least 55 sites back.
-    # Alone, such a row's products there are padded to two rows.
+    # source block's weight, so every row takes the reference recursion
+    # there. In the 17-site last block only rows 1 and 2 do: their rewards
+    # of -1000 over sites 346..383 leave the mass of block 2 at least 55
+    # sites back.
     n = 400
     kern = build_powerlaw_kernel(150.0, n)
     p = ModelParams(lam, 0.1, 1.0, 0.5)
@@ -546,18 +548,9 @@ def test_underflowing_cross_sums_take_the_log_combine(monkeypatch, lam):
         tilde = samples[i].omega_tilde[1:].copy()
         tilde[345:383] = -1000.0
         samples[i] = disorder_from_arrays(samples[i].omega[1:], tilde, p.h)
-    calls = []
-    original = partition._CrossBlockSums._log_combine
-
-    def spy(self, b, rows):
-        calls.append((b, rows.tolist()))
-        return original(self, b, rows)
-
-    monkeypatch.setattr(partition._CrossBlockSums, "_log_combine", spy)
+    calls = _spy_fallback(monkeypatch)
     batch = _forward_batch(0, n, *_stack(samples, p), kern.log_k, p.lam)
-    stacked = list(range(4 if lam == 0.0 else 8))
-    assert calls == [(1, stacked), (2, stacked),
-                     (3, [1, 2] if lam == 0.0 else [1, 2, 5, 6])]
+    assert calls == [4, 4, 2]
     for row, d in zip(batch, samples):
         ref = _loop_forward(0, d, p, kern, n)
         assert np.all(np.abs(row - ref) <= _rounding_bound(ref, 0))
@@ -691,7 +684,8 @@ for lam in (0.0, 0.5):
     for a in range(2):
         block = slice(a * _BLOCK, (a + 1) * _BLOCK)
         cross.add_source(a, log_z[:, block], w[:, block])
-    sums = cross.log_sums(2, w[:, 2 * _BLOCK:])
+    sums, ok = cross.log_sums(2, w[:, 2 * _BLOCK:])
+    assert ok.all()
     print(hashlib.sha256(sums.tobytes()).hexdigest())
 """
 
@@ -747,6 +741,31 @@ def test_linear_and_fallback_rows_in_one_batch(monkeypatch, lam):
         alone = _forward_batch(0, n, *_stack([d], p), kern.log_k, p.lam)[0]
         assert np.array_equal(row, alone)
     assert calls == [1, 1, 1, 1]
+
+
+@pytest.mark.parametrize("fallback,linear", [
+    # charge sums of 400 per site put om past the exponent limit at once;
+    # a row with no charge keeps om = 0
+    (ModelParams(400.0, 400.0, 1.0, 0.5), ModelParams(400.0, 0.0, 1.0, 0.5)),
+    # rewards of about 4000 per site pass the limit at the first site
+    (ModelParams(0.0, 0.0, 800.0, 5.0), ModelParams(0.0, 0.0, 1.0, 0.5)),
+])
+def test_all_fallback_rows_equal_loop(monkeypatch, fallback, linear):
+    # a row that takes the reference recursion in every block is the
+    # per-site loop bit for bit, beside a row on the linear path
+    n = 300
+    kern = build_srw_kernel(n)
+    d = sample_disorder(DisorderLaw.GAUSSIAN, DisorderLaw.GAUSSIAN, n,
+                        fallback.h, 33, 0)
+    flat = freeze_zero_disorder(n, linear.h)
+    calls = _spy_fallback(monkeypatch)
+    both = partition._table_rows([d, flat], [fallback, linear], kern)
+    assert calls == [1, 1, 1]
+    assert np.array_equal(both[0].log_zf, _loop_forward(0, d, fallback, kern,
+                                                        n))
+    for t, (e, q) in zip(both, ((d, fallback), (flat, linear))):
+        alone = partition._table_rows([e], q, kern)[0]
+        assert np.array_equal(t.log_zf, alone.log_zf)
 
 
 def test_solve_rejects_rows_out_of_range():
