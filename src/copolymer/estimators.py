@@ -53,9 +53,16 @@ def _chunk_indices(replicas, threads, cap=None):
 
 
 def _fan_out(commons, replicas, threads):
-    """Run every common over replicas 0..replicas-1 in one pool of at most
-    one process per task, since fork starts them all; per common, return
+    """Run every common over replicas 0..replicas-1; per common, return
     its results flattened into replica order.
+
+    At threads > 1 and two or more tasks, P = min(threads, tasks) processes
+    share the tasks: a pool of P - 1 workers (fork starts them all) takes
+    the tail, and the parent runs the first ceil(tasks / P) itself. The
+    tail is submitted first, so the workers fork before the parent's share
+    grows its memory. Results merge in task order, so no byte depends on
+    which process ran a task, and a failing task raises what it would at
+    threads 1.
 
     Commons that share (n, lam, kern, laws, seed, backward) form a group,
     whose points may differ in h, lam_tilde and h_tilde. A task,
@@ -82,8 +89,16 @@ def _fan_out(commons, replicas, threads):
     if len(work) == 1 or threads <= 1:
         parts = [_chunk_task(t) for t in work]
     else:
-        with ProcessPoolExecutor(max_workers=min(threads, len(work))) as pool:
-            parts = list(pool.map(_chunk_task, work))
+        procs = min(threads, len(work))
+        head = -(-len(work) // procs)
+        with ProcessPoolExecutor(max_workers=procs - 1) as pool:
+            tail = pool.map(_chunk_task, work[head:])
+            try:
+                parts = [_chunk_task(t) for t in work[:head]] + list(tail)
+            except BaseException:
+                # the tail's queued tasks would only delay the error
+                pool.shutdown(cancel_futures=True)
+                raise
     out = [[] for _ in commons]
     for (points, _), part in zip(tasks, parts):
         for i, rows in zip(points, part):
@@ -733,17 +748,16 @@ class MeetDecay:
 
 def _meet_sample(c, r, d, tables):
     p, kern, n, seed = c["p"], c["kern"], c["n"], c["seed"]
-    windows, pairs = c["windows"], c["pairs"]
-    freq = np.zeros(len(windows))
+    windows, pairs = np.asarray(c["windows"]), c["pairs"]
+    a = (n - windows) // 2
+    b = a + windows
+    freq = np.zeros(windows.size)
     for i in range(pairs):
         r1 = sample_path(tables, d, p, kern, PathRng(seed, r, 2 * i))
         r2 = sample_path(tables, d, p, kern, PathRng(seed, r, 2 * i + 1))
-        shared = sorted(set(r1.returns) & set(r2.returns))
-        for wi, s in enumerate(windows):
-            a = (n - s) // 2
-            b = a + s
-            if not any(a < t < b for t in shared):
-                freq[wi] += 1.0
+        shared = np.intersect1d(r1.returns, r2.returns, assume_unique=True)
+        # no shared return t with a < t < b
+        freq += (shared.searchsorted(b) == shared.searchsorted(a, "right"))
     return freq / pairs
 
 

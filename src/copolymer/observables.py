@@ -403,8 +403,10 @@ def excursion_law(k: int, tables: PartitionTables, d: DisorderSample,
 # Returns u = t-1, ..., t-32 before a return at t. Excursion weights decay
 # exponentially in the localized phase, so nearly every draw lands here.
 _WINDOW = 32
-# sites per window-table chunk, returns per walk chunk, steps per draw block
+# sites per window-table chunk, returns per walk chunk
 _CHUNK = 128
+# steps per block of path draws; a path's unused draws are rewound
+_DRAW_STEPS = 1024
 
 
 def _return_probabilities(t, u, tables, w, base, lam):
@@ -419,12 +421,18 @@ def _return_probabilities(t, u, tables, w, base, lam):
     return np.exp(x, out=x)
 
 
-def _window_table(tables, w, base, lam):
-    """Row t-1: the probabilities that the return before t lies in
-    t-1-j..t-1, j < min(n, _WINDOW), built in chunks of sites once per
-    tables object from its own (d, p, kern) and cached on it, read-only."""
+def _window_table(tables, w, kern, lam):
+    """The sampler's state, built once per tables object from its own
+    (d, p, kern) and cached on it: (flat, first, width, base).
+
+    ``flat`` is a read-only (n, width) table, width = min(n, _WINDOW), as
+    a flat memoryview, built in chunks of sites: row t-1 holds the
+    probabilities that the return before t lies in t-1-j..t-1, j < width.
+    ``first`` is its first column (the gap-1 probabilities) as a list of
+    floats, and ``base`` is ``_log_weight_base`` of the kernel."""
     if tables._rows is None:
         n = tables.n
+        base = _log_weight_base(kern.log_k, lam)
         gaps = np.arange(1, min(n, _WINDOW) + 1)
         rows = np.empty((n, gaps.size))
         for lo in range(1, n + 1, _CHUNK):
@@ -434,7 +442,8 @@ def _window_table(tables, w, base, lam):
             x[t - gaps < 0] = 0.0
             np.cumsum(x, axis=1, out=rows[lo - 1:lo - 1 + t.size])
         rows.flags.writeable = False
-        tables._rows = rows
+        tables._rows = (memoryview(rows.reshape(-1)), rows[:, 0].tolist(),
+                        gaps.size, base)
     return tables._rows
 
 
@@ -461,33 +470,38 @@ def sample_path(tables: PartitionTables, d: DisorderSample, p: ModelParams,
     From the pinned endpoint, the previous return u is drawn with
     probability proportional to Zf[u] * K(t-u) * coin(u, t); each excursion
     sign is then negative with its exact conditional probability. Step i
-    reads draws 2i-1 (return) and 2i (sign) of ``rng``, and no others.
+    reads draws 2i-1 (return) and 2i (sign) of ``rng``, and no others: the
+    draws come in blocks of up to ``_DRAW_STEPS`` steps, and the unused
+    ones of the last block are rewound.
 
     The tables must be built from (d, p, kern), else GuardError. A return
-    draw searches the cached ``_window_table`` row at t and walks on left
-    in O(gap) only past it. The law is exact up to the forward table's
-    rounding, bounded at ``partition._BLOCK``.
+    draw at t is the first entry of the cached ``_window_table`` row at t
+    not below it: one float compare against the row's first entry (gap 1,
+    most returns of a localized path), else a bisection of the rest of the
+    row, and a walk on left in O(gap) only past the row. The law is exact
+    up to the forward table's rounding, bounded at ``partition._BLOCK``.
     """
     _check_source(tables, d, p, kern)
     w, lam = d.w_prefix, p.lam
-    base = _log_weight_base(kern.log_k, lam)
-    width = min(tables.n, _WINDOW)
-    flat = memoryview(_window_table(tables, w, base, lam).reshape(-1))
-    blocks, v, k = [], (), 0
-    t, rev_returns = tables.n, []
+    flat, first, width, base = _window_table(tables, w, kern, lam)
+    t, rev_returns, blocks = tables.n, [], []
+    push = rev_returns.append
     while t > 0:
-        if k == len(v):
-            blocks.append(rng.uniforms(2 * min(_CHUNK, t)))  # t steps at most
-            v, k = (1.0 - blocks[-1][::2]).tolist(), 0
-        lo = (t - 1) * width
-        j = bisect_left(flat, v[k], lo, lo + width) - lo
-        rev_returns.append(t)
-        if j < width:
-            t -= 1 + j
-        else:
-            t = _walk_past_window(t, v[k], flat[lo + width - 1], tables, w,
-                                  base, lam)
-        k += 1
+        blocks.append(rng.uniforms(2 * min(_DRAW_STEPS, t)))  # t steps at most
+        for v in (1.0 - blocks[-1][::2]).tolist():
+            push(t)
+            if v <= first[t - 1]:
+                t -= 1
+            else:
+                lo = (t - 1) * width
+                j = bisect_left(flat, v, lo + 1, lo + width) - lo
+                if j < width:
+                    t -= 1 + j
+                else:
+                    t = _walk_past_window(t, v, flat[lo + width - 1], tables,
+                                          w, base, lam)
+            if not t:
+                break
     draws = np.concatenate(blocks)[1::2]
     rng.rewind(2 * (draws.size - len(rev_returns)))
     ts = np.array(rev_returns + [0])

@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import multiprocessing
+import os
 import weakref
 
 import numpy as np
@@ -18,6 +20,7 @@ from copolymer.estimators import (VERDICT_BOUNDED, VERDICT_LOG_GROWTH,
                                   meet_probability, phase_scan)
 from copolymer.kernel import build_srw_kernel
 from copolymer.logspace import LOG2
+from copolymer.observables import PathSample
 from copolymer.oracle import (homogeneous_pinning_free_energy, log_srw_mass,
                               renewal_mass_curve)
 from copolymer.partition import (ModelParams, forward_tables,
@@ -369,9 +372,10 @@ def test_pool_has_at_most_one_process_per_task(srw64, monkeypatch):
             super().__init__(max_workers, **kwargs)
 
     monkeypatch.setattr(est, "ProcessPoolExecutor", RecordingPool)
-    # two replicas make two one-replica tasks, whatever the thread count
+    # two replicas make two one-replica tasks, whatever the thread count:
+    # the parent runs one beside a pool of one, two processes in all
     got = estimate_free_energy(V_STAR, srw64, GG, [32], 2, 4, threads=4)
-    assert sizes == [2]
+    assert sizes == [1]
     assert got == estimate_free_energy(V_STAR, srw64, GG, [32], 2, 4)
 
 
@@ -505,6 +509,87 @@ def _fields(result):
     if isinstance(result, list):
         return [dataclasses.asdict(x) for x in result]
     return dataclasses.asdict(result)
+
+
+def test_meet_sample_counts_shared_returns_strictly_inside(monkeypatch):
+    # windows 2, 4, 6 of n = 16 span (7, 9), (6, 10) and (5, 11)
+    paths = iter([(3, 6, 10, 16), (6, 10, 12, 16), (4, 8, 16), (2, 8, 16)])
+    monkeypatch.setattr(est, "sample_path", lambda *args: PathSample(
+        returns=next(paths), signs=()))
+    c = dict(p=V_STAR, kern=None, n=16, seed=1, windows=[2, 4, 6], pairs=2)
+    # shared 6, 10 and 16 meet only in the widest; shared 8 in all three
+    np.testing.assert_array_equal(est._meet_sample(c, 0, None, None),
+                                  [0.5, 0.5, 0.0])
+
+
+# module level, so the pool can pickle it: tasks the parent runs append to
+# its own list, a worker's to the worker's copy
+_PARENT_TASKS = []
+_CHUNK_TASK = est._chunk_task
+
+
+def _parent_chunk_task(task):
+    _PARENT_TASKS.append(os.getpid())
+    return _CHUNK_TASK(task)
+
+
+# with them, three one-task rungs: 3 tasks on 2 processes
+_FAN_OUT_RUNS = dict(_REPLICA_ESTIMATORS, maxexc_three_rungs=(
+    lambda k, r, t=1: max_excursion_study(V_STAR, k, GG, [16, 32, 64], 1, 2,
+                                          1, threads=t)))
+
+
+@pytest.mark.parametrize("threads", [2, 3])
+@pytest.mark.parametrize("name", sorted(_FAN_OUT_RUNS))
+def test_parent_runs_its_share_of_the_tasks(srw64, monkeypatch, name,
+                                            threads):
+    pools, tail = [], []
+
+    class RecordingPool(est.ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            pools.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+        def map(self, fn, *iterables, **kwargs):
+            tail.extend(iterables[0])
+            return super().map(fn, *iterables, **kwargs)
+
+    run = _FAN_OUT_RUNS[name]
+    ref = _fields(run(srw64, 7))
+    monkeypatch.setattr(est, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(est, "_chunk_task", _parent_chunk_task)
+    _PARENT_TASKS.clear()
+    got = _fields(run(srw64, 7, threads))
+    parent = _PARENT_TASKS.count(os.getpid())
+    assert parent == len(_PARENT_TASKS)
+    tasks = parent + len(tail)
+    processes = min(threads, tasks)
+    assert tasks >= 2 and parent == -(-tasks // processes)
+    assert pools == [processes - 1]
+    np.testing.assert_equal(got, ref)
+
+
+def _fail_at(c, r, d, tables):
+    if r == c["fail"]:
+        raise NumericsError(str(os.getpid()))
+    return r
+
+
+@pytest.mark.parametrize("threads", [2, 3])
+@pytest.mark.parametrize("fail, in_parent", [(0, True), (1, True),
+                                             (5, False), (7, False)])
+def test_failing_task_raises_and_leaves_no_process(srw64, fail, in_parent,
+                                                   threads):
+    # 8 replicas in one chunk per thread: the parent runs the first,
+    # replicas 0..3 at threads 2 and 0..1 at threads 3
+    common = dict(hook=est._per_replica, per_sample=_fail_at, backward=False,
+                  p=V_STAR, kern=srw64, laws=GG, seed=1, n=32, fail=None)
+    assert est._fan_out([common], 8, threads) == [list(range(8))]
+    common["fail"] = fail
+    with pytest.raises(NumericsError) as err:
+        est._fan_out([common], 8, threads)
+    assert (err.value.args[0] == str(os.getpid())) == in_parent
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("threads", [1, 2])

@@ -323,6 +323,28 @@ def test_sample_path_advances_rng_two_draws_per_step(srw64):
         assert rng.uniform() == ref.uniform()
 
 
+@pytest.mark.parametrize("steps", [1, 2, 3])
+def test_sample_path_across_draw_blocks(srw512, monkeypatch, steps):
+    # blocks of 1-3 steps end and rewind at every possible offset; n = 20
+    # is below the window width
+    monkeypatch.setattr(obs, "_DRAW_STEPS", steps)
+    for n, p in ((20, ModelParams(0.5, 0.1, 1.0, 0.5)),
+                 (4 * obs._WINDOW, ModelParams(0.5, 0.1, 0.0, -0.5))):
+        d = sample_disorder(DisorderLaw.GAUSSIAN, DisorderLaw.GAUSSIAN, n,
+                            p.h, 5, 0)
+        t = forward_tables(d, p, srw512)
+        gaps = []
+        for i in range(6):
+            rng = PathRng(5, 0, i)
+            path = sample_path(t, d, p, srw512, rng)
+            ref = PathRng(5, 0, i)
+            assert path == _loop_sample_path(t, d, p, srw512, ref)
+            assert rng.uniform() == ref.uniform()
+            gaps.append(max_excursion(path))
+    # the last paths walked past the window
+    assert max(gaps) > obs._WINDOW
+
+
 def test_sample_path_work_is_linear_in_n(monkeypatch):
     # counts the weights a path evaluates: the window table, once per
     # tables object, then only the walks past the window; a full row per
