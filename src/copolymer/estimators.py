@@ -57,11 +57,14 @@ def _fan_out(commons, replicas, threads):
     its results flattened into replica order.
 
     At threads > 1 and two or more tasks, P = min(threads, tasks) processes
-    share the tasks: a pool of P - 1 workers (fork starts them all) takes
-    the tail, and the parent runs the first ceil(tasks / P) itself. The
-    tail is submitted first, so the workers fork before the parent's share
-    grows its memory. Results merge in task order, so no byte depends on
-    which process ran a task, and a failing task raises what it would at
+    share the tasks: the parent runs every P-th task from the first,
+    ceil(tasks / P) of them, and a pool of P - 1 workers (fork starts them
+    all) takes the rest as workers come free. Tasks come grouped, a
+    ladder's in increasing n, so the stride gives the parent a share of
+    every group, not the cheapest groups' tasks. The pool's tasks are
+    submitted first, so the workers fork before the parent's share grows
+    its memory. Results merge in task order, so no byte depends on which
+    process ran a task, and a failing task raises what it would at
     threads 1.
 
     Commons that share (n, lam, kern, laws, seed, backward) form a group,
@@ -90,15 +93,15 @@ def _fan_out(commons, replicas, threads):
         parts = [_chunk_task(t) for t in work]
     else:
         procs = min(threads, len(work))
-        head = -(-len(work) // procs)
+        mine = range(0, len(work), procs)
+        rest = [i for i in range(len(work)) if i % procs]
+        parts = [None] * len(work)
         with ProcessPoolExecutor(max_workers=procs - 1) as pool:
-            tail = pool.map(_chunk_task, work[head:])
-            try:
-                parts = [_chunk_task(t) for t in work[:head]] + list(tail)
-            except BaseException:
-                # the tail's queued tasks would only delay the error
-                pool.shutdown(cancel_futures=True)
-                raise
+            tail = pool.map(_chunk_task, [work[i] for i in rest])
+            for i in mine:
+                parts[i] = _chunk_task(work[i])
+            for i, part in zip(rest, tail):
+                parts[i] = part
     out = [[] for _ in commons]
     for (points, _), part in zip(tasks, parts):
         for i, rows in zip(points, part):

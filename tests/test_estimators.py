@@ -529,7 +529,8 @@ _CHUNK_TASK = est._chunk_task
 
 
 def _parent_chunk_task(task):
-    _PARENT_TASKS.append(os.getpid())
+    commons, chunk = task
+    _PARENT_TASKS.append((os.getpid(), commons[0]["n"], chunk[0]))
     return _CHUNK_TASK(task)
 
 
@@ -560,12 +561,28 @@ def test_parent_runs_its_share_of_the_tasks(srw64, monkeypatch, name,
     monkeypatch.setattr(est, "_chunk_task", _parent_chunk_task)
     _PARENT_TASKS.clear()
     got = _fields(run(srw64, 7, threads))
-    parent = _PARENT_TASKS.count(os.getpid())
-    assert parent == len(_PARENT_TASKS)
+    parent = len(_PARENT_TASKS)
+    assert all(pid == os.getpid() for pid, *_ in _PARENT_TASKS)
     tasks = parent + len(tail)
     processes = min(threads, tasks)
     assert tasks >= 2 and parent == -(-tasks // processes)
     assert pools == [processes - 1]
+    np.testing.assert_equal(got, ref)
+
+
+@pytest.mark.parametrize("threads", [2, 3])
+def test_parent_share_spans_every_rung(srw64, monkeypatch, threads):
+    # three rungs of 3 replicas, one chunk per thread and rung: the parent
+    # runs every P-th task, the first chunk of every rung, not the
+    # cheapest rungs' tasks
+    run = lambda t: max_excursion_study(V_STAR, srw64, GG, [16, 32, 64], 3,
+                                        1, 1, threads=t)
+    ref = _fields(run(1))
+    monkeypatch.setattr(est, "_chunk_task", _parent_chunk_task)
+    _PARENT_TASKS.clear()
+    got = _fields(run(threads))
+    assert [task for _, *task in _PARENT_TASKS] == [[16, 0], [32, 0],
+                                                    [64, 0]]
     np.testing.assert_equal(got, ref)
 
 
