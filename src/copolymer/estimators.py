@@ -17,8 +17,7 @@ from .disorder import (DisorderLaw, PathRng, disorder_from_arrays,
 from .errors import ConfigError, GuardError, NumericsError
 from .logspace import logsumexp, softplus
 from .observables import excursion_law, max_excursion, sample_path
-from .partition import (_fill_backward, _segment_rows, _table_rows,
-                        log_partition_curves)
+from .partition import _segment_rows, _table_rows, log_partition_curves
 
 VERDICT_BOUNDED = "BoundedGap"
 VERDICT_LOG_GROWTH = "LogGrowth"
@@ -71,8 +70,9 @@ def _fan_out(commons, replicas, threads):
     whose points may differ in h, lam_tilde and h_tilde. A task,
     ``_chunk_task((group, chunk))``, runs one replica chunk of one group in
     one batched pass of points x replicas rows, at most ``_BATCH_CELLS``
-    cells per array; a group with more points than that row cap is split
-    into near-equal parts."""
+    cells per array, a replica counting two rows in a backward group; a
+    group with more points than that row cap is split into near-equal
+    parts."""
     if replicas < 1:
         raise GuardError(f"need at least one replica, got {replicas}")
     groups = {}
@@ -81,8 +81,8 @@ def _fan_out(commons, replicas, threads):
                c["backward"])
         groups.setdefault(key, []).append(i)
     tasks = []
-    for (n, *_), members in groups.items():
-        cap = max(1, _BATCH_CELLS // (n + 1))
+    for (n, *_, backward), members in groups.items():
+        cap = max(1, _BATCH_CELLS // ((n + 1) * (1 + backward)))
         # near-equal parts of at most cap points each
         for part in _chunk_indices(len(members), 1, cap):
             points = [members[i] for i in part]
@@ -189,8 +189,8 @@ def _validate_ladder(n_ladder):
 def _chunk_task(task):
     """Run one replica chunk of a group of commons (``_fan_out``), which
     share n, kern, laws, seed, backward and p.lam: draw each replica of the
-    chunk once per h, build every point's tables in one batched forward
-    pass (and backward pass, if "backward"), rows point-major, and return,
+    chunk once per h, build every point's tables in one batched pass (with
+    their backward tables, if "backward"), rows point-major, and return,
     per common, ``common["hook"](common, chunk, samples, tables)`` on its
     own samples and tables. A common also holds p and the hook's own keys."""
     commons, chunk = task
@@ -199,9 +199,7 @@ def _chunk_task(task):
                  for r in chunk] for h in {c["p"].h for c in commons}}
     tables = _table_rows([d for c in commons for d in draws[c["p"].h]],
                          [c["p"] for c in commons for _ in chunk],
-                         first["kern"])
-    if first["backward"]:
-        _fill_backward(tables)
+                         first["kern"], first["backward"])
     k = len(chunk)
     # hand each hook the only reference to its tables, so it can drop them
     parts = [tables[i:i + k] for i in range(0, len(tables), k)][::-1]

@@ -29,7 +29,7 @@ from .errors import GuardError, NumericsError
 from .kernel import ReturnKernel
 from .logspace import sigmoid
 from .partition import (_BLOCK, _EXP_LIMIT, ModelParams, PartitionTables,
-                        _log_weight_base, _log_weight_into, segment_tables)
+                        _log_weight_base, _log_weight_into, _segment_spans)
 
 
 @dataclass(frozen=True)
@@ -144,7 +144,7 @@ def _linear_factors(tables, d, p, kern, weight_neg):
 
 def _bounded_below(x) -> bool:
     """Every exponent >= -_EXP_LIMIT or -inf (an exact 0); NaN fails."""
-    return bool(np.all((x >= -_EXP_LIMIT) | (x == -np.inf)))
+    return bool(np.logical_and.reduce((x >= -_EXP_LIMIT) | (x == -np.inf)))
 
 
 def _block_factors(log_s, log_o):
@@ -152,14 +152,14 @@ def _block_factors(log_s, log_o):
     of one block, whose products keep their true scale. None unless every
     scaled exponent of ``log_s`` (all <= 0) passes ``_bounded_below`` and
     every one of ``log_o`` is <= _EXP_LIMIT, NaN included."""
-    c = log_s.max()
+    c = np.maximum.reduce(log_s)
     if c == -np.inf:  # an all-zero block: any scale is exact
         c = 0.0
     elif not np.isfinite(c):
         return None
     xs = log_s - c
     xo = log_o + c
-    if not (_bounded_below(xs) and xo.max() <= _EXP_LIMIT):
+    if not (_bounded_below(xs) and np.maximum.reduce(xo) <= _EXP_LIMIT):
         return None
     return np.exp(xs, out=xs), np.exp(xo, out=xo)
 
@@ -290,13 +290,13 @@ def joint_contact_probability(sites, tables: PartitionTables,
     """P(S_site = 0 simultaneously at every listed site), exactly.
 
     Each consecutive pair (a, b) reads log Z_{b-a} from the segment at a
-    bounded at b, an O((b - a)^2) pass with the full segment's bits.
+    bounded at b, with the full segment's bits, one pass per row width.
     """
     _check_source(tables, d, p, kern)
     sites = list(sites)
     _check_sites(sites, tables)
-    return _joint_from_segments(
-        sites, tables, lambda a, b: segment_tables(a, d, p, kern, stop=b)[b])
+    segs = _segment_spans(zip(sites, sites[1:]), d, p, kern)
+    return _joint_from_segments(sites, tables, lambda a, b: segs[a][b - a])
 
 
 def _set_partitions(items):
@@ -337,13 +337,13 @@ def ursell_from_tables(sites, tables, d, p, kern) -> float:
     """The Ursell function at ``sites`` with every subset joint computed
     exactly: one segment per site but the last, bounded at the last, holds
     the bits of every shorter bound, so each joint equals
-    ``joint_contact_probability`` bit for bit."""
+    ``joint_contact_probability`` bit for bit; one pass per row width."""
     _check_source(tables, d, p, kern)
     sites = sorted(sites)
     _check_sites(sites, tables)
-    segs = {a: segment_tables(a, d, p, kern, stop=sites[-1])
-            for a in sites[:-1]}
-    joints = {sub: _joint_from_segments(sub, tables, lambda a, b: segs[a][b])
+    segs = _segment_spans([(a, sites[-1]) for a in sites[:-1]], d, p, kern)
+    joints = {sub: _joint_from_segments(sub, tables,
+                                        lambda a, b: segs[a][b - a])
               for r in range(1, len(sites) + 1)
               for sub in combinations(sites, r)}
     return ursell(sites, joints)

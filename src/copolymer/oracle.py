@@ -14,10 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .disorder import DisorderSample
-from .errors import ConfigError, GuardError, NumericsError
+from .errors import ConfigError, GuardError
 from .kernel import KernelSpec, ReturnKernel, build_kernel
 from .logspace import LOG2, logsumexp, sigmoid, softplus
-from .partition import (ModelParams, _forward_batch, _log_zb_rows,
+from .partition import (ModelParams, _forward_batch, _log_z_rows,
                         excursion_log_weight, log_zeta)
 
 _HARD_MAX_PATHS = 20
@@ -327,12 +327,10 @@ def inequality_suite(p: ModelParams, kern: ReturnKernel, n: int,
     m = 1 << n
     w = np.repeat(w_grid, m, axis=0)
     lz = np.tile(lz_grid, (m, 1))
+    zf, zb = _log_z_rows(w, lz, kern.log_k, p.lam, True)
     # seg[j][:, t] = log Z on (j, t]; anchor 0 is the forward table
-    seg = [_forward_batch(j, n, w, lz, kern.log_k, p.lam) for j in range(n)]
-    zf = seg[0]
-    if not np.all(np.isfinite(zf)):
-        raise NumericsError("forward table has non-finite entries")
-    zb = _log_zb_rows(w, lz, zf[:, n], kern.log_k, p.lam)
+    seg = [zf] + [_forward_batch(j, n, w, lz, kern.log_k, p.lam)
+                  for j in range(1, n)]
     # single_excursion_log_lower_bound of every realization, same ufuncs
     single = (lz[:, n] + kern.log_k[n] - LOG2
               + softplus(-2.0 * p.lam * w[:, n]))

@@ -26,11 +26,12 @@ sums leave the linear range takes the reference recursion for that block:
 a per-site log-sum-exp over every earlier site. A row stops adding
 earlier blocks once the rest weighs below 2^-60 of its sums: in the
 localized phase that is after a few blocks, so a pass costs far less than
-O(N^2) there. The backward table is the same pass on the reversed sample
-(``_log_zb_rows``), within the same bound. ``_table_rows`` builds the
-forward tables of a batch of samples, and ``forward_tables`` is it at one
-row; rows of one pass may belong to model points that share lam.
-``_segment_rows`` builds a batch's segments.
+O(N^2) there. The backward table is the same recursion on the reversed
+sample, within the same bound, in the forward rows' pass (``_log_z_rows``).
+``_table_rows`` builds the tables of a batch of samples, which may belong
+to model points that share lam, and ``forward_tables`` both tables of one.
+``_segment_rows`` builds a batch's segments at one anchor, and
+``_segment_spans`` one sample's at several.
 """
 
 import math
@@ -78,19 +79,19 @@ class PartitionTables:
     log_zf[t] = log Z_t (forward, pinned at t), log_zf[0] = 0.
     log_zb[t] = log Z_{n-t} on disorder shifted by t, log_zb[n] = 0: the
     forward DP on the reversed sample, checked against log_zf[n] ==
-    log_zb[0]. Both are read-only rows of batched passes (``_table_rows``;
-    ``_fill_backward``, else the first read of log_zb). The tables, and the
-    sampler window and contact profile cached on them, are valid only with
-    the (d, p, kern) they were built from, which ``_source`` holds: every
-    reader raises GuardError unless ``built_from`` accepts that triple.
+    log_zb[0]. Both are read-only rows of one batched pass (``_table_rows``);
+    reading log_zb of tables built without it raises GuardError. The tables,
+    and the sampler window and contact profile cached on them, are valid
+    only with the (d, p, kern) they were built from, which ``_source``
+    holds: every reader raises GuardError unless ``built_from`` accepts that
+    triple.
     """
 
     n: int
     log_zf: np.ndarray
     log_zeta_sites: np.ndarray
     _source: tuple = field(repr=False, compare=False)
-    _log_zb: np.ndarray | None = field(default=None, init=False, repr=False,
-                                       compare=False)
+    _log_zb: np.ndarray | None = field(default=None, repr=False, compare=False)
     # the path sampler's (n, 32) window table, built on first use
     _rows: object = field(default=None, init=False, repr=False, compare=False)
     # the read-only contact profile, built on first use
@@ -98,8 +99,9 @@ class PartitionTables:
                              compare=False)
 
     def __post_init__(self):
-        for arr in (self.log_zf, self.log_zeta_sites):
-            arr.flags.writeable = False
+        for arr in (self.log_zf, self.log_zeta_sites, self._log_zb):
+            if arr is not None:
+                arr.flags.writeable = False
 
     def built_from(self, d, p, kern) -> bool:
         """Whether (d, p, kern) is the triple these tables were built from,
@@ -114,7 +116,7 @@ class PartitionTables:
     @property
     def log_zb(self) -> np.ndarray:
         if self._log_zb is None:
-            _fill_backward([self])
+            raise GuardError("these tables were built without log_zb")
         return self._log_zb
 
 
@@ -306,7 +308,7 @@ class _CrossBlockSums:
         log_k = np.concatenate((log_k[:size],
                                 np.full(max(0, size - len(log_k)), -np.inf)))
         log_strip = sliding_window_view(log_k[1:], 2 * b - 1)[::b]
-        self.k_scale = np.max(log_strip, axis=1)
+        self.k_scale = np.maximum.reduce(log_strip, axis=1)
         self.k_scale[self.k_scale == -np.inf] = 0.0
         strip = log_strip - self.k_scale[:, None]
         np.exp(strip, out=strip)
@@ -340,11 +342,11 @@ class _CrossBlockSums:
         acc, prod = self.acc, self.prod
         # column d - 1: the log scale of source b - d, nearest first
         x = self.scale[:, b - 1::-1] + self.k_scale[:b]
-        ref = np.max(x, axis=1)
+        ref = np.maximum.reduce(x, axis=1)  # np.max minus its wrapper
         fac = np.exp(x - ref[:, None])
         # column d - 1: B times the factors of the sources past distance d,
         # which bounds every entry of their products
-        tail = np.cumsum(fac[:, :0:-1], axis=1)[:, ::-1]
+        tail = np.add.accumulate(fac[:, :0:-1], axis=1)[:, ::-1]
         np.multiply(tail, _BLOCK, out=tail)
         sums = acc[:n, :h]
         low = np.empty(n)
@@ -397,8 +399,8 @@ _EXP_LIMIT = 600.0
 
 def _in_linear_range(x: np.ndarray) -> np.ndarray:
     """Whether each row of 2-d ``x`` lies in e^(+-_EXP_LIMIT); NaN fails."""
-    return np.all((x >= math.exp(-_EXP_LIMIT)) & (x <= math.exp(_EXP_LIMIT)),
-                  axis=1)
+    return ((np.minimum.reduce(x, axis=1) >= math.exp(-_EXP_LIMIT))
+            & (np.maximum.reduce(x, axis=1) <= math.exp(_EXP_LIMIT)))
 
 
 # Rows x h^2 per chunk of ``_InBlockSolve``: 8 rows at a full block, whose
@@ -440,10 +442,9 @@ class _InBlockSolve:
         self.lam = lam
         q = min(h_max, _SUB)
         hp = -(-h_max // q) * q
-        gap = np.subtract.outer(np.arange(hp), np.arange(hp))
-        k_lin = np.exp(_log_weight_base(log_k, lam)[:h_max])
-        self.t = np.where((gap > 0) & (gap < h_max),
-                          k_lin[np.clip(gap, 0, h_max - 1)], 0.0)
+        pad = np.zeros(2 * hp - 1)  # T[t, u] = pad[hp - 1 + t - u]
+        pad[hp:hp + h_max - 1] = np.exp(_log_weight_base(log_k, lam)[1:h_max])
+        self.t = sliding_window_view(pad, hp)[:, ::-1].copy()
         self.eye = np.eye(q)
         self.chunk = min(r, max(1, _SOLVE_CELLS // (hp * hp)))
         c = self.chunk
@@ -473,10 +474,10 @@ class _InBlockSolve:
         ns = -(-h // q)
         hp = ns * q
         nf = 1 if self.lam == 0.0 else 2
-        g = np.cumsum(lz, axis=1)
+        g = np.add.accumulate(lz, axis=1)
         hh = np.subtract(g, lz)
         rhs = np.subtract(cross, hh)
-        s = np.max(rhs, axis=1)
+        s = np.maximum.reduce(rhs, axis=1)
         left = self.left[:, :hp, :nf]
         right = self.right[:, :nf, :hp]
         np.negative(hh, out=left[:, :h, 0])
@@ -489,8 +490,9 @@ class _InBlockSolve:
         ok = np.ones(r, dtype=bool)
         for live in (left[:, :h], right[:, :, :h]):
             # NaN fails the comparison: such a row takes the loop
-            ok &= np.abs(live).max(axis=(1, 2)) <= _EXP_LIMIT
-            np.clip(live, -_EXP_LIMIT, _EXP_LIMIT, out=live)
+            ok &= np.maximum.reduce(np.abs(live), axis=(1, 2)) <= _EXP_LIMIT
+            np.minimum(live, _EXP_LIMIT, out=live)
+            np.maximum(live, -_EXP_LIMIT, out=live)
         left[:, h:] = -np.inf
         right[:, :, h:] = -np.inf
         np.exp(left, out=left)
@@ -649,21 +651,13 @@ def _forward_batch(j: int, stop: int, w: np.ndarray, lz: np.ndarray,
     return seg
 
 
-def _log_zb_rows(w: np.ndarray, lz: np.ndarray, log_z: np.ndarray,
-                 log_k: np.ndarray, lam: float) -> np.ndarray:
-    """The (R, n+1) backward tables of R samples from their prefix sums
-    ``w`` and log rewards ``lz``; NumericsError unless each row's log_zb[0]
-    is its log Z, ``log_z[r]``, within 1e-8 max(1, |log Z|).
-
-    This is ``_forward_batch`` on the reversed sample (prefix sums
-    W_n - W_{n-s}, rewards lz[n-s]), which collects each excursion's reward
-    at its left end t and none at n; - lz[t] + lz[n] moves it to the right.
-    """
-    n = w.shape[1] - 1
-    w_rev = w[:, n:] - w[:, ::-1]
-    lz_rev = np.ascontiguousarray(lz[:, ::-1])
-    zb = (_forward_batch(0, n, w_rev, lz_rev, log_k, lam)[:, ::-1]
-          - lz + lz[:, n:])
+def _log_zb_rows(rev: np.ndarray, lz: np.ndarray, log_z) -> np.ndarray:
+    """The (R, n+1) backward tables from ``rev``, the pass rows of the
+    reversed samples, which collect each excursion's reward at its left end
+    t and none at n: - lz[t] + lz[n] moves it to the right. NumericsError
+    unless each row's log_zb[0] is its log Z, ``log_z[r]``, within
+    1e-8 max(1, |log Z|)."""
+    zb = rev[:, ::-1] - lz + lz[:, -1:]
     agree = np.abs(log_z - zb[:, 0]) <= 1e-8 * np.maximum(1.0, np.abs(log_z))
     if not np.all(agree):
         r = int(np.argmin(agree))
@@ -672,13 +666,35 @@ def _log_zb_rows(w: np.ndarray, lz: np.ndarray, log_z: np.ndarray,
     return zb
 
 
-def _table_rows(samples, p, kern: ReturnKernel) -> list[PartitionTables]:
-    """Tables of equal-length samples from one batched forward pass; row r
-    is ``forward_tables(samples[r], p[r], kern)`` bit for bit. ``p`` is one
+def _log_z_rows(w: np.ndarray, lz: np.ndarray, log_k: np.ndarray, lam: float,
+                backward: bool):
+    """The (R, n+1) forward tables of R samples from their prefix sums
+    ``w`` and log rewards ``lz`` (NumericsError unless all finite), and
+    their backward tables if ``backward`` (else R Nones), from one pass:
+    each reversed sample's row, prefix sums W_n - W_{n-s} and rewards
+    lz[n-s], rides below the forward rows, and no row's bits depend on the
+    rows beside it."""
+    r, n = len(w), w.shape[1] - 1
+    if backward:
+        w = np.concatenate((w, w[:, n:] - w[:, ::-1]))
+        lz = np.concatenate((lz, lz[:, ::-1]))
+    seg = _forward_batch(0, n, w, lz, log_k, lam)
+    zf = seg[:r]
+    if not np.all(np.isfinite(zf)):
+        raise NumericsError("forward table has non-finite entries")
+    return zf, (_log_zb_rows(seg[r:], lz[:r], zf[:, n]) if backward
+                else [None] * r)
+
+
+def _table_rows(samples, p, kern: ReturnKernel,
+                backward: bool = False) -> list[PartitionTables]:
+    """Tables of equal-length samples from one batched forward pass, with
+    their backward tables if ``backward``; row r is
+    ``forward_tables(samples[r], p[r], kern)`` bit for bit. ``p`` is one
     ModelParams for every row or one per row; rows may differ in h,
     lam_tilde and h_tilde, which reach the pass only through each row's
     prefix sums and rewards, but must share lam. The pass allocates about
-    four arrays of the rows' size, so batch long samples."""
+    four arrays of its rows' size, so batch long samples."""
     samples = list(samples)
     if not samples:
         raise GuardError("need at least one disorder sample")
@@ -693,36 +709,17 @@ def _table_rows(samples, p, kern: ReturnKernel) -> list[PartitionTables]:
     _check_horizon(samples[0], kern)
     w = np.stack([d.w_prefix for d in samples])
     lz = np.stack([_log_rewards(d, q) for d, q in zip(samples, params)])
-    zf = _forward_batch(0, n, w, lz, kern.log_k, params[0].lam)
-    if not np.all(np.isfinite(zf)):
-        raise NumericsError("forward table has non-finite entries")
+    zf, zb = _log_z_rows(w, lz, kern.log_k, params[0].lam, backward)
     return [PartitionTables(n=n, log_zf=z, log_zeta_sites=z_sites,
-                            _source=(d, q, kern))
-            for d, q, z, z_sites in zip(samples, params, zf, lz)]
-
-
-def _stacks(tables):
-    """The (R, n+1) prefix sums and log rewards of the tables' samples."""
-    return (np.stack([t._source[0].w_prefix for t in tables]),
-            np.stack([t.log_zeta_sites for t in tables]))
-
-
-def _fill_backward(tables):
-    """The backward tables of ``tables`` (one length, lam and kern), built
-    in one batched ``_log_zb_rows`` pass."""
-    _, p, kern = tables[0]._source
-    zb = _log_zb_rows(*_stacks(tables), np.array([t.log_z for t in tables]),
-                      kern.log_k, p.lam)
-    zb.flags.writeable = False
-    for t, row in zip(tables, zb):
-        t._log_zb = row
+                            _source=(d, q, kern), _log_zb=b)
+            for d, q, z, z_sites, b in zip(samples, params, zf, lz, zb)]
 
 
 def forward_tables(d: DisorderSample, p: ModelParams,
                    kern: ReturnKernel) -> PartitionTables:
-    """Partition tables for one sample; O(N^2), exact. The forward table is
-    built here, the backward one on first read of ``log_zb``."""
-    return _table_rows([d], p, kern)[0]
+    """Partition tables for one sample, forward and backward, from one pass
+    of two rows; O(N^2), exact."""
+    return _table_rows([d], p, kern, backward=True)[0]
 
 
 def log_partition_curve(d: DisorderSample, p: ModelParams,
@@ -763,7 +760,34 @@ def _segment_rows(j: int, stop: int, tables) -> np.ndarray:
     the sample of ``tables[r]`` (one length, p and kern), bit for bit, from
     one batched pass."""
     _, p, kern = tables[0]._source
-    return _forward_batch(j, stop, *_stacks(tables), kern.log_k, p.lam)
+    return _forward_batch(j, stop,
+                          np.stack([t._source[0].w_prefix for t in tables]),
+                          np.stack([t.log_zeta_sites for t in tables]),
+                          kern.log_k, p.lam)
+
+
+def _segment_spans(spans, d: DisorderSample, p: ModelParams,
+                   kern: ReturnKernel) -> dict:
+    """Anchor a -> row, for the spans (a, b) of ``spans`` (distinct a,
+    0 <= a < b <= n): row[t - a] is ``segment_tables(a, d, p, kern,
+    stop=b)[t]`` bit for bit, t in [a, b], from one pass per row width.
+
+    The row is the pass at anchor 0 on w[a:a+W] and lz[a:a+W], where
+    W = min(B (1 + (b - a) // B), n + 1 - a) is the end of the block
+    holding b: the pass at anchor a reads nothing past it, and its blocks
+    are the same, so the row holds the full segment up to a + W - 1.
+    """
+    _check_horizon(d, kern)
+    w, lz = d.w_prefix, _log_rewards(d, p)
+    widths = {a: min(_BLOCK * (1 + (b - a) // _BLOCK), d.n + 1 - a)
+              for a, b in spans}
+    rows = {}
+    for width in set(widths.values()):
+        starts = [a for a, x in widths.items() if x == width]
+        rows.update(zip(starts, _forward_batch(
+            0, width - 1, np.stack([w[a:a + width] for a in starts]),
+            np.stack([lz[a:a + width] for a in starts]), kern.log_k, p.lam)))
+    return rows
 
 
 def single_excursion_log_lower_bound(d: DisorderSample, p: ModelParams,

@@ -469,6 +469,22 @@ def test_group_above_row_cap_is_split(srw64, monkeypatch, threads):
                                                  replicas, 4)
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+def test_backward_group_above_row_cap_is_split(srw64, monkeypatch, threads):
+    n, replicas = 40, 5
+    args = (V_STAR, srw64, GG, n, replicas, [4, 5, 6], 1)
+    ref = _fields(fit_correlation_decay(*args, threads=1))
+    spy = _WorkSpy(monkeypatch)
+    # at most 4 rows per pass: a replica's forward and reversed rows count
+    # two, so 2 replicas per chunk, where 4 would fit a forward-only group
+    monkeypatch.setattr(est, "_BATCH_CELLS", 4 * (n + 1))
+    got = _fields(fit_correlation_decay(*args, threads=threads))
+    if threads == 1:
+        # per chunk of 1, 2 and 2 replicas: the tables, then the segments
+        assert sorted(spy.passes) == [1, 2, 2, 2, 4, 4]
+    np.testing.assert_equal(got, ref)
+
+
 def test_per_replica_drops_each_replicas_tables(srw64):
     # a sampler window is (n, 32) floats: a chunk must not keep them all
     samples = [est._draw_disorder(GG, 32, 0.0, 3, r) for r in range(4)]
@@ -617,11 +633,10 @@ def test_replica_estimators_match_loop(srw64, monkeypatch, name, lam,
     run, replicas = _REPLICA_ESTIMATORS[name], 7
     p = V_STAR.replace(lam=lam, h=0.2 * lam)
     with monkeypatch.context() as m:
-        # the reference: one forward_tables per replica, backward table
-        # built on its first read
-        m.setattr(est, "_table_rows", lambda samples, params, kern: [
+        # the reference: one forward_tables per replica, both tables from
+        # a pass of their own
+        m.setattr(est, "_table_rows", lambda samples, params, kern, _: [
             forward_tables(d, q, kern) for d, q in zip(samples, params)])
-        m.setattr(est, "_fill_backward", lambda tables: None)
         ref = run(srw64, replicas, 1, p)
     # at most 3 replicas per batched pass: several batches per run
     monkeypatch.setattr(est, "_BATCH_CELLS", 3 * 33)

@@ -17,8 +17,10 @@ from copolymer.observables import (PathSample, contact_profile,
                                    max_excursion, sample_path, ursell,
                                    ursell_from_tables)
 from copolymer.oracle import brute_force_marginals
+import copolymer.partition as partition
 from copolymer.partition import (ModelParams, _log_weight_core,
-                                 forward_tables, log_partition_curve)
+                                 forward_tables, log_partition_curve,
+                                 segment_tables)
 
 ZERO = ModelParams(0.0, 0.0, 0.0, 0.0)
 
@@ -549,7 +551,8 @@ def test_fallback_fires_and_equals_loops(monkeypatch, case):
 @pytest.mark.parametrize("sites", [(1000, 1011), (1000, 1004, 1023),
                                    (997, 1000, 1013, 1024)])
 def test_ursell_reads_one_segment_per_anchor(monkeypatch, sites):
-    # the per-subset joints, bit for bit, from len(sites) - 1 segments
+    # the per-subset joints, bit for bit, from len(sites) - 1 segment rows;
+    # every span lies in one block, so the rows share one pass
     n = 2048
     kern = build_srw_kernel(n)
     p = ModelParams(0.5, 0.1, 1.0, 0.5)
@@ -559,16 +562,59 @@ def test_ursell_reads_one_segment_per_anchor(monkeypatch, sites):
     joints = {sub: joint_contact_probability(sub, t, d, p, kern)
               for r in range(1, len(sites) + 1)
               for sub in combinations(sites, r)}
-    segments = []
-    full = obs.segment_tables
-
-    def counted(j, *args, **kwargs):
-        segments.append(j)
-        return full(j, *args, **kwargs)
-
-    monkeypatch.setattr(obs, "segment_tables", counted)
+    passes = _spy_passes(monkeypatch)
     assert ursell_from_tables(sites, t, d, p, kern) == ursell(sites, joints)
-    assert segments == list(sites[:-1])
+    assert passes == [len(sites) - 1]
+
+
+def _spy_passes(monkeypatch):
+    """The rows of every ``_forward_batch`` pass from here on."""
+    passes = []
+    forward = partition._forward_batch
+
+    def spy(j, stop, w, *args):
+        passes.append(len(w))
+        return forward(j, stop, w, *args)
+
+    monkeypatch.setattr(partition, "_forward_batch", spy)
+    return passes
+
+
+def test_exact_single_sample_passes(monkeypatch):
+    # both tables of one sample in one pass of 2 rows, and the order-4
+    # Ursell function at N/2 + {0, 8, 16, 24} in one pass of 3 rows
+    n = 2048
+    kern = build_srw_kernel(n)
+    p = ModelParams(0.5, 0.1, 1.0, 0.5)
+    d = sample_disorder(DisorderLaw.GAUSSIAN, DisorderLaw.GAUSSIAN, n, p.h, 1,
+                        0)
+    passes = _spy_passes(monkeypatch)
+    t = forward_tables(d, p, kern)
+    assert passes == [2]
+    sites = [n // 2 + o for o in (0, 8, 16, 24)]
+    ursell_from_tables(sites, t, d, p, kern)
+    assert passes == [2, 3]
+    # the joint of one pair more than a block apart: one pass of one row
+    joint_contact_probability([10, 10 + 300], t, d, p, kern)
+    assert passes == [2, 3, 1]
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.5])
+def test_joint_reads_bounded_segments(lam):
+    # each consecutive pair from its own bounded segment, bit for bit, with
+    # pairs in several width groups
+    n = 300
+    kern = build_srw_kernel(n)
+    p = ModelParams(lam, 0.1, 1.0, 0.5)
+    d = sample_disorder(DisorderLaw.GAUSSIAN, DisorderLaw.GAUSSIAN, n, p.h, 4,
+                        0)
+    t = forward_tables(d, p, kern)
+    sites = [3, 20, 170, 171, 299, 300]
+    log_p = t.log_zf[3] + t.log_zb[300] - t.log_z
+    for a, b in zip(sites, sites[1:]):
+        log_p += segment_tables(a, d, p, kern, stop=b)[b]
+    assert joint_contact_probability(sites, t, d, p, kern) == float(
+        np.exp(log_p))
 
 
 def test_profile_cached_read_only_and_keyed_by_coupling(srw64, monkeypatch):

@@ -319,24 +319,29 @@ def test_forward_backward_check_catches_nan(srw16):
                        ModelParams(0.0, 0.0, 1.0, 0.0), srw16)
 
 
-def test_backward_table_checked_on_first_read(srw64, make_instance,
-                                              monkeypatch):
+def test_backward_table_checked_at_build(srw64, make_instance,
+                                         monkeypatch):
     p, d = make_instance(5, 40)
     exact = forward_tables(d, p, srw64).log_zb
     original = partition._log_zb_rows
 
-    def shifted(w, lz, log_z, log_k, lam):
+    def shifted(rev, lz, log_z):
         # the backward table checked against a log Z 1e-6 off
-        return original(w, lz, log_z + 1e-6, log_k, lam)
+        return original(rev, lz, log_z + 1e-6)
 
     monkeypatch.setattr(partition, "_log_zb_rows", shifted)
-    t = forward_tables(d, p, srw64)
     for _ in range(2):
         with pytest.raises(NumericsError):
-            t.log_zb
+            forward_tables(d, p, srw64)
     monkeypatch.setattr(partition, "_log_zb_rows", original)
+    t = forward_tables(d, p, srw64)
     assert np.array_equal(t.log_zb, exact)
     assert t.log_zb is t.log_zb and not t.log_zb.flags.writeable
+    # tables built without the backward table refuse to read one
+    forward_only = partition._table_rows([d], p, srw64)[0]
+    assert np.array_equal(forward_only.log_zf, t.log_zf)
+    with pytest.raises(GuardError, match="without log_zb"):
+        forward_only.log_zb
 
 
 # ---------------------------------------------------------------------------
@@ -602,12 +607,12 @@ def test_backward_rows_do_not_depend_on_batch(lam):
     single = [forward_tables(d, p, kern) for d in samples]
     for r in (1, 2, 3, 17):
         w, lz = _stack(samples[:r], p)
-        log_z = np.array([t.log_z for t in single[:r]])
-        rows = partition._log_zb_rows(w, lz, log_z, kern.log_k, p.lam)
+        rows_f, rows_b = partition._log_z_rows(w, lz, kern.log_k, p.lam, True)
         # the estimators' batched builder: every row is its sample's tables
-        built = partition._table_rows(samples[:r], p, kern)
-        partition._fill_backward(built)
-        for i, (row, t, b) in enumerate(zip(rows, single, built)):
+        built = partition._table_rows(samples[:r], p, kern, True)
+        for i, (row_f, row, t, b) in enumerate(zip(rows_f, rows_b, single,
+                                                   built)):
+            assert np.array_equal(row_f, t.log_zf)
             assert np.array_equal(row, t.log_zb)
             assert np.array_equal(b.log_zf, t.log_zf)
             assert np.array_equal(b.log_zb, t.log_zb)
@@ -629,11 +634,10 @@ def test_mixed_point_rows_match_single_point_rows(lam):
                                 q.h, 24, i) for i in range(3)] for q in points]
     rows = partition._table_rows(
         [d for ds in samples for d in ds],
-        [q for q in points for _ in range(3)], kern)
-    partition._fill_backward(rows)
+        [q for q in points for _ in range(3)], kern, True)
     for q, ds, got in zip(points, samples, zip(*[iter(rows)] * 3)):
         for d, t in zip(ds, got):
-            alone = partition._table_rows([d], q, kern)[0]
+            alone = partition._table_rows([d], q, kern, True)[0]
             assert t.built_from(d, q, kern)
             assert np.array_equal(t.log_zf, alone.log_zf)
             assert np.array_equal(t.log_zeta_sites, alone.log_zeta_sites)
@@ -656,12 +660,74 @@ def test_backward_rows_each_checked(srw64):
                                p.h, 23, i) for i in range(3)]
     log_z = np.array([log_partition_curve(d, p, srw64)[40] for d in samples])
     w, lz = _stack(samples, p)
-    partition._log_zb_rows(w, lz, log_z, srw64.log_k, p.lam)
+    # the pass on the reversed samples
+    rev = _forward_batch(0, 40, w[:, 40:] - w[:, ::-1],
+                         np.ascontiguousarray(lz[:, ::-1]), srw64.log_k, p.lam)
+    partition._log_zb_rows(rev, lz, log_z)
     for r in range(3):
         off = log_z.copy()
         off[r] += 1e-6 * max(1.0, abs(off[r]))
         with pytest.raises(NumericsError, match="disagree"):
-            partition._log_zb_rows(w, lz, off, srw64.log_k, p.lam)
+            partition._log_zb_rows(rev, lz, off)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 17])
+@pytest.mark.parametrize("lam", [0.0, 0.5])
+def test_stacked_backward_rows_equal_separate_passes(lam, r):
+    # each sample's reversed row rides below the forward rows of one pass:
+    # both tables equal a forward pass and a reversed pass of their own
+    n = 300   # three blocks
+    kern = build_srw_kernel(n)
+    base = ModelParams(lam, 0.1, 1.0, 0.5)
+    points = [base, base.replace(h=0.4), base.replace(lam_tilde=0.3),
+              base.replace(h_tilde=-0.7)]
+    params = [points[i % len(points)] for i in range(r)]
+    samples = [sample_disorder(DisorderLaw.GAUSSIAN, DisorderLaw.GAUSSIAN, n,
+                               q.h, 26, i) for i, q in enumerate(params)]
+    w = np.stack([d.w_prefix for d in samples])
+    lz = np.stack([_log_rewards(d, q) for d, q in zip(samples, params)])
+    zf = _forward_batch(0, n, w, lz, kern.log_k, lam)
+    rev = _forward_batch(0, n, w[:, n:] - w[:, ::-1],
+                         np.ascontiguousarray(lz[:, ::-1]), kern.log_k, lam)
+    zb = rev[:, ::-1] - lz + lz[:, n:]
+    tables = partition._table_rows(samples, params, kern, backward=True)
+    for t, row_f, row_b in zip(tables, zf, zb):
+        assert np.array_equal(t.log_zf, row_f)
+        assert np.array_equal(t.log_zb, row_b)
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.5])
+def test_segment_spans_equal_segment_tables(monkeypatch, lam):
+    # spans in seven width groups: within one block, over two and three
+    # blocks, cut by the sample end, and the last anchor a = n - 1
+    n = 300
+    kern = build_srw_kernel(n)
+    p = ModelParams(lam, 0.1, 1.0, 0.5)
+    d = sample_disorder(DisorderLaw.GAUSSIAN, DisorderLaw.GAUSSIAN, n, p.h,
+                        27, 0)
+    spans = [(0, 5), (3, 200), (10, 300), (100, 299), (299, 300), (5, 133),
+             (40, 167), (171, 300), (200, 300)]
+    widths = [128, 256, 291, 201, 2, 256, 128, 130, 101]
+    passes = []
+    forward = partition._forward_batch
+
+    def spy(j, stop, w, *args):
+        passes.append((stop + 1, len(w)))
+        return forward(j, stop, w, *args)
+
+    monkeypatch.setattr(partition, "_forward_batch", spy)
+    rows = partition._segment_spans(spans, d, p, kern)
+    assert sorted(passes) == [(2, 1), (101, 1), (128, 2), (130, 1), (201, 1),
+                              (256, 2), (291, 1)]
+    monkeypatch.setattr(partition, "_forward_batch", forward)
+    assert sorted(rows) == sorted(a for a, _ in spans)
+    for (a, b), width in zip(spans, widths):
+        row = rows[a]
+        assert row.shape == (width,)
+        bounded = segment_tables(a, d, p, kern, stop=b)
+        assert np.array_equal(row[:b + 1 - a], bounded[a:b + 1])
+        # past b, the row holds the full segment to its block's end
+        assert np.array_equal(row, segment_tables(a, d, p, kern)[a:a + width])
 
 
 _THREADS_SCRIPT = """
