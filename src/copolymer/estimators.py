@@ -3,11 +3,15 @@
 Each estimator draws independent replicas through the counter-based
 disorder streams, computes exact per-sample quantities with the DP engine,
 and aggregates in fixed replica order, so results are bit-identical for a
-given (seed, replica count) regardless of the worker-pool size.
+given (seed, replica count) regardless of the number of processes.
 """
 
 import math
-from concurrent.futures import ProcessPoolExecutor
+import multiprocessing
+import pickle
+# unused here since the fan-out forks its own workers; kept importable for
+# bench/tracer.py, whose PoolCounter reads and replaces it
+from concurrent.futures import ProcessPoolExecutor  # noqa: F401
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,7 +47,7 @@ def _draw_disorder(laws, n, h, seed, replica):
 # replica fan-out
 
 def _chunk_indices(replicas, threads, cap=None):
-    """As few equal replica chunks as the pool size and the chunk-size cap
+    """As few equal replica chunks as the thread count and the chunk-size cap
     allow (no cap: one chunk per worker)."""
     n_chunks = max(threads, 1 if cap is None else -(-replicas // cap))
     n_chunks = min(replicas, n_chunks)
@@ -56,15 +60,17 @@ def _fan_out(commons, replicas, threads):
     its results flattened into replica order.
 
     At threads > 1 and two or more tasks, P = min(threads, tasks) processes
-    share the tasks: the parent runs every P-th task from the first,
-    ceil(tasks / P) of them, and a pool of P - 1 workers (fork starts them
-    all) takes the rest as workers come free. Tasks come grouped, a
-    ladder's in increasing n, so the stride gives the parent a share of
-    every group, not the cheapest groups' tasks. The pool's tasks are
-    submitted first, so the workers fork before the parent's share grows
-    its memory. Results merge in task order, so no byte depends on which
-    process ran a task, and a failing task raises what it would at
-    threads 1.
+    share the tasks by a fixed stride: the parent runs tasks 0, P, 2P, ...,
+    ceil(tasks / P) of them, and each call forks P - 1 workers, worker w
+    running tasks w, w + P, ... and sending its results back through a
+    one-way pipe of its own when its share is done. Tasks come grouped, a
+    ladder's in increasing n, so the stride gives every process a share of
+    every group, not the cheapest groups' tasks. Results merge in task
+    order, so no byte depends on which process ran a task. A share stops at
+    its first failing task, and the call raises the failure of the
+    lowest-index task, which is what threads 1 would raise; a worker that
+    dies without reporting fails at its first task. Every worker is joined
+    before the call returns or raises.
 
     Commons that share (n, lam, kern, laws, seed, backward) form a group,
     whose points may differ in h, lam_tilde and h_tilde. A task,
@@ -89,24 +95,78 @@ def _fan_out(commons, replicas, threads):
             tasks += [(points, c) for c in
                       _chunk_indices(replicas, threads, cap // len(points))]
     work = [([commons[i] for i in points], c) for points, c in tasks]
-    if len(work) == 1 or threads <= 1:
-        parts = [_chunk_task(t) for t in work]
-    else:
-        procs = min(threads, len(work))
-        mine = range(0, len(work), procs)
-        rest = [i for i in range(len(work)) if i % procs]
-        parts = [None] * len(work)
-        with ProcessPoolExecutor(max_workers=procs - 1) as pool:
-            tail = pool.map(_chunk_task, [work[i] for i in rest])
-            for i in mine:
-                parts[i] = _chunk_task(work[i])
-            for i, part in zip(rest, tail):
-                parts[i] = part
+    procs = 1 if threads <= 1 else min(threads, len(work))
+    parts = [None] * len(work)
+    workers, heard = [], 0
+    try:
+        for first in range(1, procs):
+            recv, send = multiprocessing.Pipe(duplex=False)
+            workers.append((_start_worker(work, first, procs, send), recv))
+            send.close()
+        failure = _run_share(work, 0, procs, parts)
+        for first, (proc, recv) in enumerate(workers, 1):
+            if failure is not None and failure[0] < first:
+                break
+            try:
+                reply = recv.recv()
+            except EOFError:
+                proc.join()
+                reply = first, RuntimeError(
+                    f"fan-out worker {proc.pid} exited with code "
+                    f"{proc.exitcode} without reporting")
+            heard += 1
+            if isinstance(reply, list):
+                parts[first::procs] = reply
+            elif failure is None or reply[0] < failure[0]:
+                failure = reply
+    finally:
+        # a worker not heard from is not needed (or the parent failed)
+        for proc, _ in workers[heard:]:
+            proc.terminate()
+        for proc, recv in workers:
+            proc.join()
+            recv.close()
+    if failure is not None:
+        raise failure[1]
     out = [[] for _ in commons]
     for (points, _), part in zip(tasks, parts):
         for i, rows in zip(points, part):
             out[i] += rows
     return out
+
+
+def _run_share(work, first, step, parts):
+    """Run tasks work[first::step] in order into parts[first::step]; stop at
+    the first failing task and return (its index, its exception), or None
+    once every task is done."""
+    for i in range(first, len(work), step):
+        try:
+            parts[i] = _chunk_task(work[i])
+        except Exception as exc:
+            return i, exc
+    return None
+
+
+def _start_worker(work, first, step, conn):
+    """Start (fork, on Linux) a process that runs work[first::step] and
+    sends through conn its results in task order or its first failure."""
+    proc = multiprocessing.Process(target=_worker,
+                                   args=(work, first, step, conn))
+    proc.start()
+    return proc
+
+
+def _worker(work, first, step, conn):
+    parts = [None] * len(work)
+    failure = _run_share(work, first, step, parts)
+    if failure is not None:
+        try:
+            # an exception that does not survive pickling arrives as its repr
+            pickle.loads(pickle.dumps(failure[1]))
+        except Exception:
+            failure = failure[0], RuntimeError(repr(failure[1]))
+    conn.send(parts[first::step] if failure is None else failure)
+    conn.close()
 
 
 def _mean_stderr(x):
@@ -448,7 +508,7 @@ def max_excursion_study(p, kern, laws, n_ladder, replicas, paths_per_replica,
     Expects localized parameters; the guard flag records whether
     f_hat > 5 stderr held. At mu_hat <= 0 the concentration fractions are
     reported as NaN (out of the theorem's domain). Every rung runs in one
-    pool."""
+    fan-out."""
     ladder = _validate_ladder(n_ladder)
     if ladder[0] < 2:
         # the scale log N is 0 at N = 1

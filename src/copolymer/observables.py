@@ -513,7 +513,9 @@ def sample_path(tables: PartitionTables, d: DisorderSample, p: ModelParams,
 
 def max_excursion(path: PathSample) -> int:
     """Largest gap between consecutive elements of {0} union returns."""
-    return int(np.max(np.diff(path.returns, prepend=0), initial=0))
+    # np.fromiter skips the slow conversion of a long tuple of ints
+    returns = np.fromiter(path.returns, np.int64, len(path.returns))
+    return int(np.max(np.diff(returns, prepend=0), initial=0))
 
 
 def log_z_gradients(tables: PartitionTables, d: DisorderSample,

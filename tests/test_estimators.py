@@ -2,6 +2,7 @@ import dataclasses
 import math
 import multiprocessing
 import os
+import threading
 import weakref
 
 import numpy as np
@@ -327,35 +328,35 @@ def test_chunk_indices_fewest_equal_chunks(replicas, threads, cap, n_chunks):
     assert [r for c in chunks for r in c] == list(range(replicas))
 
 
+def _spy_worker_starts(monkeypatch):
+    """Patch the fan-out's worker-start seam; the returned list gets one
+    (first, step, tasks) per worker started, its share being
+    tasks[first::step]."""
+    starts, start = [], est._start_worker
+
+    def spy(work, first, step, conn):
+        starts.append((first, step, len(work)))
+        return start(work, first, step, conn)
+
+    monkeypatch.setattr(est, "_start_worker", spy)
+    return starts
+
+
 def test_phase_scan_starts_one_pool(srw64, monkeypatch):
-    pools = []
-
-    class CountingPool(est.ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            pools.append(1)
-            super().__init__(*args, **kwargs)
-
-    monkeypatch.setattr(est, "ProcessPoolExecutor", CountingPool)
+    starts = _spy_worker_starts(monkeypatch)
     pts = phase_scan("lam", "h_tilde", [0.0, 0.5], [-0.5, 0.5], V_STAR,
                      srw64, GG, 32, 5, 3, threads=2)
-    assert len(pools) == 1
+    assert len(starts) == 1
     ref = phase_scan("lam", "h_tilde", [0.0, 0.5], [-0.5, 0.5], V_STAR,
                      srw64, GG, 32, 5, 3, threads=1)
     assert pts == ref
 
 
 def test_maxexc_ladder_starts_one_pool(srw64, monkeypatch):
-    pools = []
-
-    class CountingPool(est.ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            pools.append(1)
-            super().__init__(*args, **kwargs)
-
-    monkeypatch.setattr(est, "ProcessPoolExecutor", CountingPool)
+    starts = _spy_worker_starts(monkeypatch)
     studies = max_excursion_study(V_STAR, srw64, GG, [32, 64], 3, 2, 5,
                                   threads=2)
-    assert len(pools) == 1
+    assert len(starts) == 1
     ref = max_excursion_study(V_STAR, srw64, GG, [32, 64], 3, 2, 5,
                               threads=1)
     assert [s.n for s in studies] == [32, 64]
@@ -364,18 +365,11 @@ def test_maxexc_ladder_starts_one_pool(srw64, monkeypatch):
 
 
 def test_pool_has_at_most_one_process_per_task(srw64, monkeypatch):
-    sizes = []
-
-    class RecordingPool(est.ProcessPoolExecutor):
-        def __init__(self, max_workers=None, **kwargs):
-            sizes.append(max_workers)
-            super().__init__(max_workers, **kwargs)
-
-    monkeypatch.setattr(est, "ProcessPoolExecutor", RecordingPool)
+    starts = _spy_worker_starts(monkeypatch)
     # two replicas make two one-replica tasks, whatever the thread count:
-    # the parent runs one beside a pool of one, two processes in all
+    # the parent runs one beside one worker, two processes in all
     got = estimate_free_energy(V_STAR, srw64, GG, [32], 2, 4, threads=4)
-    assert sizes == [1]
+    assert starts == [(1, 2, 2)]
     assert got == estimate_free_energy(V_STAR, srw64, GG, [32], 2, 4)
 
 
@@ -538,7 +532,7 @@ def test_meet_sample_counts_shared_returns_strictly_inside(monkeypatch):
                                   [0.5, 0.5, 0.0])
 
 
-# module level, so the pool can pickle it: tasks the parent runs append to
+# module level, so a worker can pickle it: tasks the parent runs append to
 # its own list, a worker's to the worker's copy
 _PARENT_TASKS = []
 _CHUNK_TASK = est._chunk_task
@@ -560,29 +554,19 @@ _FAN_OUT_RUNS = dict(_REPLICA_ESTIMATORS, maxexc_three_rungs=(
 @pytest.mark.parametrize("name", sorted(_FAN_OUT_RUNS))
 def test_parent_runs_its_share_of_the_tasks(srw64, monkeypatch, name,
                                             threads):
-    pools, tail = [], []
-
-    class RecordingPool(est.ProcessPoolExecutor):
-        def __init__(self, max_workers=None, **kwargs):
-            pools.append(max_workers)
-            super().__init__(max_workers, **kwargs)
-
-        def map(self, fn, *iterables, **kwargs):
-            tail.extend(iterables[0])
-            return super().map(fn, *iterables, **kwargs)
-
     run = _FAN_OUT_RUNS[name]
     ref = _fields(run(srw64, 7))
-    monkeypatch.setattr(est, "ProcessPoolExecutor", RecordingPool)
+    starts = _spy_worker_starts(monkeypatch)
     monkeypatch.setattr(est, "_chunk_task", _parent_chunk_task)
     _PARENT_TASKS.clear()
     got = _fields(run(srw64, 7, threads))
     parent = len(_PARENT_TASKS)
     assert all(pid == os.getpid() for pid, *_ in _PARENT_TASKS)
-    tasks = parent + len(tail)
+    tasks = parent + sum(len(range(first, t, step))
+                         for first, step, t in starts)
     processes = min(threads, tasks)
     assert tasks >= 2 and parent == -(-tasks // processes)
-    assert pools == [processes - 1]
+    assert starts == [(w, processes, tasks) for w in range(1, processes)]
     np.testing.assert_equal(got, ref)
 
 
@@ -622,6 +606,78 @@ def test_failing_task_raises_and_leaves_no_process(srw64, fail, in_parent,
     with pytest.raises(NumericsError) as err:
         est._fan_out([common], 8, threads)
     assert (err.value.args[0] == str(os.getpid())) == in_parent
+    assert multiprocessing.active_children() == []
+
+
+def _fail_at_3_and_5(c, r, d, tables):
+    if r in (3, 5):
+        raise NumericsError(f"replica {r}")
+    return r
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_lowest_index_failure_is_raised(srw64, monkeypatch, threads):
+    # tasks of 2 replicas, [0, 1] [2, 3] [4, 5] [6, 7]: at threads 2 the
+    # parent's share (tasks 0 and 2) fails at replica 5, a worker's (tasks
+    # 1 and 3) at replica 3; threads 1 meets replica 3 first
+    monkeypatch.setattr(est, "_BATCH_CELLS", 2 * 33)
+    common = dict(hook=est._per_replica, per_sample=_fail_at_3_and_5,
+                  backward=False, p=V_STAR, kern=srw64, laws=GG, seed=1,
+                  n=32)
+    threads_before = threading.active_count()
+    with pytest.raises(NumericsError, match="^replica 3$"):
+        est._fan_out([common], 8, threads)
+    assert multiprocessing.active_children() == []
+    assert threading.active_count() == threads_before
+
+
+def _exit_in_worker(c, r, d, tables):
+    if os.getpid() != c["parent"]:
+        os._exit(7)
+    return r
+
+
+class _Unpicklable(Exception):
+    def __init__(self, a, b):
+        super().__init__(f"{a} and {b}")
+
+
+def _raise_unpicklable(c, r, d, tables):
+    if os.getpid() != c["parent"]:
+        raise _Unpicklable(r, "more")
+    return r
+
+
+@pytest.mark.parametrize("threads", [2, 3])
+def test_dead_worker_raises_and_leaves_no_process(srw64, threads):
+    common = dict(hook=est._per_replica, per_sample=_exit_in_worker,
+                  backward=False, p=V_STAR, kern=srw64, laws=GG, seed=1,
+                  n=32, parent=os.getpid())
+    threads_before = threading.active_count()
+    with pytest.raises(RuntimeError, match="exited with code 7"):
+        est._fan_out([common], 8, threads)
+    assert multiprocessing.active_children() == []
+    assert threading.active_count() == threads_before
+
+
+def test_unpicklable_worker_error_arrives_as_its_repr(srw64):
+    # _Unpicklable pickles, but does not unpickle: its constructor wants
+    # two arguments. Replicas 4..7 run in the worker, 4 first
+    common = dict(hook=est._per_replica, per_sample=_raise_unpicklable,
+                  backward=False, p=V_STAR, kern=srw64, laws=GG, seed=1,
+                  n=32, parent=os.getpid())
+    with pytest.raises(RuntimeError) as err:
+        est._fan_out([common], 8, 2)
+    assert err.value.args[0] == repr(_Unpicklable(4, "more"))
+    assert multiprocessing.active_children() == []
+
+
+def test_threaded_fan_out_starts_no_thread(srw64):
+    common = dict(hook=est._per_replica, per_sample=_fail_at, backward=False,
+                  p=V_STAR, kern=srw64, laws=GG, seed=1, n=32, fail=None)
+    threads_before = threading.active_count()
+    assert est._fan_out([common], 8, 2) == [list(range(8))]
+    assert threading.active_count() == threads_before
     assert multiprocessing.active_children() == []
 
 

@@ -265,6 +265,27 @@ def test_max_excursion_of_sampled_paths_matches_loop(srw64):
     assert max_excursion(one) == _loop_max_excursion(one) == 64
 
 
+def _tuple_diff_max_excursion(path):
+    """``max_excursion`` before it read the returns through np.fromiter,
+    kept as the reference."""
+    return int(np.max(np.diff(path.returns, prepend=0), initial=0))
+
+
+def test_max_excursion_matches_tuple_diff():
+    rng = np.random.default_rng(22)
+    paths = [PathSample(returns=(64,), signs=(1,)),
+             PathSample(returns=(40, 41, 45, 64), signs=(1, -1, 1, 1))]
+    for n in (2, 100, 4096):
+        sites = np.flatnonzero(rng.random(n) < 0.5) + 1
+        returns = tuple(sites.tolist()) + (n + 1,)
+        paths.append(PathSample(returns=returns, signs=(1,) * len(returns)))
+    for path in paths:
+        got = max_excursion(path)
+        assert type(got) is int
+        assert got == _tuple_diff_max_excursion(path)
+    assert [max_excursion(p) for p in paths[:2]] == [64, 40]
+
+
 def _loop_sample_path(tables, d, p, kern, rng):
     """The sampler before its window table: one full O(t) row per return,
     kept as the reference."""
