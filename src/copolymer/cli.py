@@ -368,8 +368,7 @@ def _cmd_maxexc(cfg):
                 rows.append((s.n, r, i, int(s.deltas[r, i])))
         summary.append((s.n, s.mu_hat, s.f_hat, s.f_stderr,
                         int(s.localized_guard),
-                        s.frac_within.get(0.3, float("nan")),
-                        s.frac_within.get(0.5, float("nan"))))
+                        s.frac_within[0.3], s.frac_within[0.5]))
     return {"maxexc.csv": (["N", "replica", "path_index", "delta_n"], rows),
             "maxexc_summary.csv": (["N", "mu_hat", "f_hat", "f_stderr",
                                     "localized", "frac_eps_03",

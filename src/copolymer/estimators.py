@@ -21,7 +21,7 @@ from .disorder import (DisorderLaw, PathRng, disorder_from_arrays,
 from .errors import ConfigError, GuardError, NumericsError
 from .logspace import logsumexp, softplus
 from .observables import excursion_law, max_excursion, sample_path
-from .partition import _segment_rows, _table_rows, log_partition_curves
+from .partition import _segments, _table_rows, log_partition_curves
 
 VERDICT_BOUNDED = "BoundedGap"
 VERDICT_LOG_GROWTH = "LogGrowth"
@@ -384,14 +384,17 @@ class DecayFit:
 def _decay_chunk(c, chunk, samples, tables):
     """Each replica's |covariances| at the chunk's one anchor, with the
     segments of all its replicas from one batched pass."""
-    n, anchor = c["n"], c["anchor"]
-    sites = anchor + c["distances"]
+    n, anchor, dists = c["n"], c["anchor"], c["distances"]
+    sites = anchor + dists
+    segs = _segments([(d.w_prefix, t.log_zeta_sites, anchor, int(sites[-1]))
+                      for d, t in zip(samples, tables)],
+                     c["kern"].log_k, c["p"].lam)
     rows = []
-    for t, seg in zip(tables, _segment_rows(anchor, int(sites[-1]), tables)):
+    for t, seg in zip(tables, segs):
         zf, zb = t.log_zf, t.log_zb
         log_z = zf[n]
         pj = math.exp(zf[anchor] + zb[anchor] - log_z)
-        joint = np.exp(zf[anchor] + seg[sites] + zb[sites] - log_z)
+        joint = np.exp(zf[anchor] + seg[dists] + zb[sites] - log_z)
         single = np.exp(zf[sites] + zb[sites] - log_z)
         rows.append(np.abs(joint - pj * single))
     return rows
@@ -437,20 +440,22 @@ class BoundaryDecay:
 
 def _boundary_chunk(c, chunk, samples, tables):
     """Each replica's differences per k, with the prefix systems of all
-    the chunk's replicas at one k from one batched pass."""
+    the chunk's replicas and k from one ``_segments`` call."""
     n, k_list = c["n"], c["k_list"]
+    # the prefix system's log Z_{k-m} after m = k // 2: a segment bounded at
+    # k, for each k < n (k = n is the same system, identically zero)
+    segs = iter(_segments([(d.w_prefix, t.log_zeta_sites, k // 2, k)
+                           for d, t in zip(samples, tables)
+                           for k in k_list if k < n],
+                          c["kern"].log_k, c["p"].lam))
     rows = [np.zeros(len(k_list)) for _ in tables]
-    for i, k in enumerate(k_list):
-        m = k // 2
-        if k == n:
-            continue  # same system, identically zero
-        # the prefix system's log Z_{k-m} after m: one segment, bounded at k
-        zb_k = _segment_rows(m, k, tables)[:, k]
-        for diffs, t, z in zip(rows, tables, zb_k):
-            zf, zb = t.log_zf, t.log_zb
-            big = math.exp(zf[m] + zb[m] - zf[n])
-            small = math.exp(zf[m] + z - zf[k])
-            diffs[i] = abs(big - small)
+    for diffs, t in zip(rows, tables):
+        zf, zb = t.log_zf, t.log_zb
+        for i, k in enumerate(k_list):
+            if k < n:
+                m = k // 2
+                diffs[i] = abs(math.exp(zf[m] + zb[m] - zf[n])
+                               - math.exp(zf[m] + next(segs)[k - m] - zf[k]))
     return rows
 
 
@@ -489,7 +494,9 @@ class MaxExcursionStudy:
     tail: dict                    # C -> fraction with Delta > C log N
 
 
-_DEFAULT_C_GRID = (0.5, 1.0, 1.5, 2.0, 2.5, 3.0)
+# the eps of frac_within and the C of tail in every MaxExcursionStudy
+_EPS_GRID = (0.3, 0.5)
+_C_GRID = (0.5, 1.0, 1.5, 2.0, 2.5, 3.0)
 
 
 def _maxexc_sample(c, r, d, tables):
@@ -501,8 +508,7 @@ def _maxexc_sample(c, r, d, tables):
 
 
 def max_excursion_study(p, kern, laws, n_ladder, replicas, paths_per_replica,
-                        seed, eps_grid=(0.3, 0.5), c_grid=_DEFAULT_C_GRID,
-                        threads=1):
+                        seed, threads=1):
     """Sample maximal excursions and report Delta_N / log N concentration.
 
     Expects localized parameters; the guard flag records whether
@@ -527,13 +533,13 @@ def max_excursion_study(p, kern, laws, n_ladder, replicas, paths_per_replica,
         ratio = deltas / math.log(n)
         frac_within = {}
         tail = {}
-        for eps in eps_grid:
+        for eps in _EPS_GRID:
             if mu_hat > 0:
                 lo, hi = (1.0 - eps) / mu_hat, (1.0 + eps) / mu_hat
                 frac_within[eps] = float(np.mean((ratio >= lo) & (ratio <= hi)))
             else:
                 frac_within[eps] = math.nan
-        for c in c_grid:
+        for c in _C_GRID:
             tail[c] = float(np.mean(deltas > c * math.log(n)))
         out.append(MaxExcursionStudy(
             n=n, replicas=replicas, paths_per_replica=paths_per_replica,

@@ -29,7 +29,7 @@ from .errors import GuardError, NumericsError
 from .kernel import ReturnKernel
 from .logspace import sigmoid
 from .partition import (_BLOCK, _EXP_LIMIT, ModelParams, PartitionTables,
-                        _log_weight_base, _log_weight_into, _segment_spans)
+                        _log_weight_base, _log_weight_into, _segments)
 
 
 @dataclass(frozen=True)
@@ -274,13 +274,14 @@ def _check_sites(sites, tables):
         raise GuardError("sites must be strictly increasing")
 
 
-def _joint_from_segments(sites, tables, segment_at):
-    """P(a contact at every one of ``sites``) from the tables and
-    ``segment_at(a, b)`` = log Z_{b-a} on the segment anchored at a."""
+def _joint_from_segments(sites, tables, segs):
+    """P(a contact at every one of ``sites``) from the tables and the
+    segment rows ``segs[a]`` (``partition._segments``) anchored at each
+    site a but the last: segs[a][b - a] = log Z_{b-a} after a."""
     log_p = (tables.log_zf[sites[0]] + tables.log_zb[sites[-1]]
              - tables.log_zf[tables.n])
     for a, b in zip(sites[:-1], sites[1:]):
-        log_p += segment_at(a, b)
+        log_p += segs[a][b - a]
     return float(np.exp(log_p))
 
 
@@ -295,8 +296,9 @@ def joint_contact_probability(sites, tables: PartitionTables,
     _check_source(tables, d, p, kern)
     sites = list(sites)
     _check_sites(sites, tables)
-    segs = _segment_spans(zip(sites, sites[1:]), d, p, kern)
-    return _joint_from_segments(sites, tables, lambda a, b: segs[a][b - a])
+    segs = _segments([(d.w_prefix, tables.log_zeta_sites, a, b)
+                      for a, b in zip(sites, sites[1:])], kern.log_k, p.lam)
+    return _joint_from_segments(sites, tables, dict(zip(sites, segs)))
 
 
 def _set_partitions(items):
@@ -341,9 +343,10 @@ def ursell_from_tables(sites, tables, d, p, kern) -> float:
     _check_source(tables, d, p, kern)
     sites = sorted(sites)
     _check_sites(sites, tables)
-    segs = _segment_spans([(a, sites[-1]) for a in sites[:-1]], d, p, kern)
-    joints = {sub: _joint_from_segments(sub, tables,
-                                        lambda a, b: segs[a][b - a])
+    segs = dict(zip(sites, _segments(
+        [(d.w_prefix, tables.log_zeta_sites, a, sites[-1])
+         for a in sites[:-1]], kern.log_k, p.lam)))
+    joints = {sub: _joint_from_segments(sub, tables, segs)
               for r in range(1, len(sites) + 1)
               for sub in combinations(sites, r)}
     return ursell(sites, joints)

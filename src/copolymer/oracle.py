@@ -20,27 +20,14 @@ from .logspace import LOG2, logsumexp, sigmoid, softplus
 from .partition import (ModelParams, _forward_batch, _log_z_rows,
                         excursion_log_weight, log_zeta)
 
-_HARD_MAX_PATHS = 20
-_HARD_MAX_DISORDER = 8
+# Largest n of the 2^(n-1) path and 2^(2n) disorder enumerations.
+_MAX_N_PATHS = 20
+_MAX_N_DISORDER = 8
 
 
-@dataclass(frozen=True)
-class EnumerationBudget:
-    """Guards for the 2^(N-1) path and 2^(2N) disorder enumerations."""
-
-    max_n_paths: int = _HARD_MAX_PATHS
-    max_n_disorder: int = _HARD_MAX_DISORDER
-
-    def __post_init__(self):
-        if not 1 <= self.max_n_paths <= _HARD_MAX_PATHS:
-            raise ConfigError(
-                f"max_n_paths must be in [1, {_HARD_MAX_PATHS}]")
-        if not 1 <= self.max_n_disorder <= _HARD_MAX_DISORDER:
-            raise ConfigError(
-                f"max_n_disorder must be in [1, {_HARD_MAX_DISORDER}]")
-
-
-_DEFAULT_BUDGET = EnumerationBudget()
+def _check_enumeration(n, limit, what):
+    if n > limit:
+        raise GuardError(f"n = {n} exceeds {what}-enumeration limit {limit}")
 
 
 def return_configurations(n):
@@ -62,12 +49,9 @@ def _config_log_weight(returns, d, p, kern):
 
 
 def brute_force_partition(d: DisorderSample, p: ModelParams,
-                          kern: ReturnKernel,
-                          budget: EnumerationBudget = _DEFAULT_BUDGET) -> float:
+                          kern: ReturnKernel) -> float:
     """log Z by explicit summation over all 2^(N-1) return configurations."""
-    if d.n > budget.max_n_paths:
-        raise GuardError(
-            f"n = {d.n} exceeds path-enumeration budget {budget.max_n_paths}")
+    _check_enumeration(d.n, _MAX_N_PATHS, "path")
     logs = [_config_log_weight(r, d, p, kern) for r in return_configurations(d.n)]
     return logsumexp(np.array(logs))
 
@@ -89,12 +73,8 @@ class BruteForceMarginals:
 
 
 def brute_force_marginals(d: DisorderSample, p: ModelParams,
-                          kern: ReturnKernel,
-                          budget: EnumerationBudget = _DEFAULT_BUDGET
-                          ) -> BruteForceMarginals:
-    if d.n > budget.max_n_paths:
-        raise GuardError(
-            f"n = {d.n} exceeds path-enumeration budget {budget.max_n_paths}")
+                          kern: ReturnKernel) -> BruteForceMarginals:
+    _check_enumeration(d.n, _MAX_N_PATHS, "path")
     n = d.n
     configs = list(return_configurations(n))
     logs = np.array([_config_log_weight(r, d, p, kern) for r in configs])
@@ -145,8 +125,7 @@ def _path_terms(p, kern, n, w, lz_sites):
         yield returns, a, b
 
 
-def enumerate_rademacher(p: ModelParams, kern: ReturnKernel, n: int,
-                         budget: EnumerationBudget = _DEFAULT_BUDGET):
+def enumerate_rademacher(p: ModelParams, kern: ReturnKernel, n: int):
     """Exact enumeration over all 2^(2n) Rademacher disorder realizations.
 
     Returns (log_z, w_n, lz_sites) where ``log_z[i, j]`` is log Z for
@@ -155,9 +134,7 @@ def enumerate_rademacher(p: ModelParams, kern: ReturnKernel, n: int,
     (2^n, n+1) matrix of per-site log zeta values for the tilde
     configurations.
     """
-    if n > budget.max_n_disorder:
-        raise GuardError(
-            f"n = {n} exceeds disorder-enumeration budget {budget.max_n_disorder}")
+    _check_enumeration(n, _MAX_N_DISORDER, "disorder")
     w, lz_sites = _rademacher_grid(p, n)
     m = 1 << n
     log_z = np.full((m, m), -np.inf)
@@ -167,15 +144,14 @@ def enumerate_rademacher(p: ModelParams, kern: ReturnKernel, n: int,
 
 
 def exact_disorder_expectation(tag: str, p: ModelParams, kern: ReturnKernel,
-                               n: int,
-                               budget: EnumerationBudget = _DEFAULT_BUDGET):
+                               n: int):
     """Exact E over Rademacher disorder of a tagged functional of Z.
 
     Tags: ``log_z``, ``z``, ``inv_z`` (E[1/Z]), ``exp_ratio``
     (E[e^{-2 lam W_n}/Z]), ``mu_ratio`` (E[(1 + e^{-2 lam W_n})/Z]),
     ``contact`` (array of E P(S_k = 0), k = 0..n).
     """
-    log_z, w_n, _ = enumerate_rademacher(p, kern, n, budget)
+    log_z, w_n, _ = enumerate_rademacher(p, kern, n)
     if tag == "log_z":
         return float(np.mean(log_z))
     if tag == "z":
@@ -227,8 +203,12 @@ def renewal_mass_curve(kern: ReturnKernel, n: int) -> np.ndarray:
     return u
 
 
-def homogeneous_pinning_free_energy(kern: ReturnKernel, reward: float,
-                                    tol: float = 1e-12) -> float:
+# Bisection width of ``homogeneous_pinning_free_energy``.
+_ROOT_TOL = 1e-12
+
+
+def homogeneous_pinning_free_energy(kern: ReturnKernel,
+                                    reward: float) -> float:
     """Root b* >= 0 of sum_n K(n) e^{-b n} = e^{-reward}, by bisection.
 
     The free energy of the pinning model with constant per-contact reward.
@@ -248,7 +228,7 @@ def homogeneous_pinning_free_energy(kern: ReturnKernel, reward: float,
             return float(np.sum(k_lin * np.exp(-b * sites)))
 
         lo, hi = 0.0, reward - float(work.log_k[1]) + 1.0
-        while hi - lo > tol:
+        while hi - lo > _ROOT_TOL:
             mid = 0.5 * (lo + hi)
             if partial_sum(mid) > target:
                 lo = mid
@@ -256,7 +236,7 @@ def homogeneous_pinning_free_energy(kern: ReturnKernel, reward: float,
                 hi = mid
         root = 0.5 * (lo + hi)
         # monotone-K tail bound at the small end of the bracket
-        b_floor = max(root - tol, tol)
+        b_floor = max(root - _ROOT_TOL, _ROOT_TOL)
         tail = (np.exp(work.log_k[work.n_max]) * np.exp(-b_floor * (work.n_max + 1))
                 / -np.expm1(-b_floor))
         if tail < 1e-13 or work.n_max >= (1 << 22):
@@ -282,8 +262,7 @@ def _pinned_kernel_constant(kern: ReturnKernel, n: int) -> float:
     return best
 
 
-def inequality_suite(p: ModelParams, kern: ReturnKernel, n: int,
-                     budget: EnumerationBudget = _DEFAULT_BUDGET) -> dict:
+def inequality_suite(p: ModelParams, kern: ReturnKernel, n: int) -> dict:
     """Exact inequality checks over fully enumerated Rademacher disorder.
 
     Returns a dict of worst-case violations (positive = broken, and the
@@ -298,15 +277,13 @@ def inequality_suite(p: ModelParams, kern: ReturnKernel, n: int,
     - ``pin_lower_bound``: explicit-constant contact-probability lower bound
     - ``jensen``: E[log Z] <= log E[Z]
     """
-    if n > budget.max_n_disorder:
-        raise GuardError(
-            f"n = {n} exceeds disorder-enumeration budget {budget.max_n_disorder}")
+    _check_enumeration(n, _MAX_N_DISORDER, "disorder")
     if n > kern.n_max:
         raise GuardError(f"system size {n} exceeds kernel horizon {kern.n_max}")
     out = {}
     m_ratio = np.empty(n + 1)
     for size in range(1, n + 1):
-        log_z, w_last, _ = enumerate_rademacher(p, kern, size, budget)
+        log_z, w_last, _ = enumerate_rademacher(p, kern, size)
         m_ratio[size] = np.mean(np.exp(softplus(-2.0 * p.lam * w_last)[:, None]
                                        - log_z))
     # log_z and w_last are those of size n
@@ -328,8 +305,8 @@ def inequality_suite(p: ModelParams, kern: ReturnKernel, n: int,
     w = np.repeat(w_grid, m, axis=0)
     lz = np.tile(lz_grid, (m, 1))
     zf, zb = _log_z_rows(w, lz, kern.log_k, p.lam, True)
-    # seg[j][:, t] = log Z on (j, t]; anchor 0 is the forward table
-    seg = [zf] + [_forward_batch(j, n, w, lz, kern.log_k, p.lam)
+    # seg[j][:, t - j] = log Z on (j, t]; anchor 0 is the forward table
+    seg = [zf] + [_forward_batch(w[:, j:], lz[:, j:], kern.log_k, p.lam)
                   for j in range(1, n)]
     # single_excursion_log_lower_bound of every realization, same ufuncs
     single = (lz[:, n] + kern.log_k[n] - LOG2
@@ -337,7 +314,7 @@ def inequality_suite(p: ModelParams, kern: ReturnKernel, n: int,
     out["single_excursion"] = np.max(single - zf[:, n])
     out["factorization"] = max(
         np.max(zf[:, pat[0]]
-               + sum(seg[a][:, b] for a, b in zip(pat[:-1], pat[1:]))
+               + sum(seg[a][:, b - a] for a, b in zip(pat[:-1], pat[1:]))
                + zb[:, pat[-1]] - zf[:, n])
         for pat in factorization_patterns(n, 3))
     c_k = _pinned_kernel_constant(kern, n)

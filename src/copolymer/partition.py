@@ -30,8 +30,8 @@ O(N^2) there. The backward table is the same recursion on the reversed
 sample, within the same bound, in the forward rows' pass (``_log_z_rows``).
 ``_table_rows`` builds the tables of a batch of samples, which may belong
 to model points that share lam, and ``forward_tables`` both tables of one.
-``_segment_rows`` builds a batch's segments at one anchor, and
-``_segment_spans`` one sample's at several.
+A pinned segment is the same pass on a slice of its sample: ``_segments``
+builds any spans of any samples, one pass per row width.
 """
 
 import math
@@ -266,8 +266,8 @@ def _row_chunks(rows: int) -> list[slice]:
 class _CrossBlockSums:
     """Linear-domain sums over the completed blocks of one forward pass.
 
-    The forward sum at target t = j + bB + k over a source block
-    a = b - d < b is sum_i Z_{j + aB + i} K(dB + k - i): a product of the
+    The forward sum at target t = bB + k over a source block
+    a = b - d < b is sum_i Z_{aB + i} K(dB + k - i): a product of the
     block's Z row with the Toeplitz matrix T_d[i, k] = K(dB + k - i),
     which depends on d alone. Each completed block is stored linearly,
     divided by a per-(row, block) log scale (the block max), and each T_d
@@ -595,35 +595,33 @@ def _log_domain_block(z: np.ndarray, w: np.ndarray, lz: np.ndarray,
     return z[:, start:]
 
 
-def _forward_batch(j: int, stop: int, w: np.ndarray, lz: np.ndarray,
-                   log_k: np.ndarray, lam: float) -> np.ndarray:
-    """Exact forward recursion restarted at pinned site j, for R samples
-    at once.
+def _forward_batch(w: np.ndarray, lz: np.ndarray, log_k: np.ndarray,
+                   lam: float) -> np.ndarray:
+    """Exact forward recursion pinned at column 0, for R samples at once.
 
-    ``w`` and ``lz`` are (R, n+1) stacks of prefix sums and log return
-    rewards. Returns seg of the same shape with seg[:, j] = 0 and
-    seg[:, t] = log Z_{t-j} on disorder shifted by j for t in (j, stop];
-    entries outside are NaN.
+    ``w`` and ``lz`` are (R, m) stacks of prefix sums and log return
+    rewards, which may be slices of longer samples (a segment): only their
+    differences and rewards enter, and column 0 earns none. Returns the
+    (R, m) log Z_t, t = 0..m-1, with log Z_0 = 0.
 
-    The span is cut into blocks of ``_BLOCK`` sites counted from j. Each
-    block is one linear solve per row (``_InBlockSolve``) whose right-hand
-    side holds the earlier blocks' sums from ``_CrossBlockSums``; a row
-    that either rejects takes the reference recursion (``_log_domain_block``)
-    for that block. The first block's anchor enters as a cross term of
-    log 1 with no reward. A block always runs to _BLOCK sites or the end
-    of the sample, whatever ``stop``, so a bounded span is the full span's
-    prefix bit for bit; and no step mixes rows, so neither R nor the batch
-    a sample shares changes a row's bits.
+    The columns are cut into blocks of ``_BLOCK`` sites. Each block is one
+    linear solve per row (``_InBlockSolve``) whose right-hand side holds
+    the earlier blocks' sums from ``_CrossBlockSums``; a row that either
+    rejects takes the reference recursion (``_log_domain_block``) for that
+    block. The first block's anchor enters as a cross term of log 1 with
+    no reward. Column t reads no column past the end of its block, so a
+    pass on a prefix that ends at a block's end is the longer pass's prefix
+    bit for bit; and no step mixes rows, so neither R nor the batch a
+    sample shares changes a row's bits.
     """
     r, width = w.shape
-    span = stop - j
-    seg = np.full((r, width), np.nan)
-    h_max = min(_BLOCK, width - j)
-    # the log weight bases of gaps width - 1 - j, ..., 2, 1
-    base_rev = _log_weight_base(log_k, lam)[width - 1 - j:0:-1]
-    solver = _InBlockSolve(r, h_max, log_k, lam)
-    cross = _CrossBlockSums(r, span, log_k, lam) if span >= _BLOCK else None
-    for b, lo in enumerate(range(j, stop + 1, _BLOCK)):
+    seg = np.empty((r, width))
+    # the log weight bases of gaps width - 1, ..., 2, 1
+    base_rev = _log_weight_base(log_k, lam)[width - 1:0:-1]
+    solver = _InBlockSolve(r, min(_BLOCK, width), log_k, lam)
+    cross = (_CrossBlockSums(r, width - 1, log_k, lam) if width > _BLOCK
+             else None)
+    for b, lo in enumerate(range(0, width, _BLOCK)):
         end = min(lo + _BLOCK, width)
         block_lz = lz[:, lo:end]
         # a rejected row may overflow or take log 0 before it is replaced
@@ -631,7 +629,7 @@ def _forward_batch(j: int, stop: int, w: np.ndarray, lz: np.ndarray,
             if b:
                 sums, ok = cross.log_sums(b, w[:, lo:end])
             else:
-                # Z_j = 1: log C = 0 at the anchor, which earns no reward
+                # Z_0 = 1: log C = 0 at the anchor, which earns no reward
                 block_lz = block_lz.copy()
                 block_lz[:, 0] = 0.0
                 sums = np.full(block_lz.shape, -np.inf)
@@ -643,11 +641,10 @@ def _forward_batch(j: int, stop: int, w: np.ndarray, lz: np.ndarray,
         if not ok.all():
             rows = np.flatnonzero(~ok)
             seg[rows, lo:end] = _log_domain_block(
-                seg[rows, j:end], w[rows, j:end], lz[rows, j:end], lo - j,
-                base_rev, lam)
-        if lo + _BLOCK <= stop:
-            cross.add_source(b, seg[:, lo:lo + _BLOCK], w[:, lo:lo + _BLOCK])
-    seg[:, stop + 1:] = np.nan
+                seg[rows, :end], w[rows, :end], lz[rows, :end], lo, base_rev,
+                lam)
+        if end < width:
+            cross.add_source(b, seg[:, lo:end], w[:, lo:end])
     return seg
 
 
@@ -678,7 +675,7 @@ def _log_z_rows(w: np.ndarray, lz: np.ndarray, log_k: np.ndarray, lam: float,
     if backward:
         w = np.concatenate((w, w[:, n:] - w[:, ::-1]))
         lz = np.concatenate((lz, lz[:, ::-1]))
-    seg = _forward_batch(0, n, w, lz, log_k, lam)
+    seg = _forward_batch(w, lz, log_k, lam)
     zf = seg[:r]
     if not np.all(np.isfinite(zf)):
         raise NumericsError("forward table has non-finite entries")
@@ -741,53 +738,47 @@ def segment_tables(j: int, d: DisorderSample, p: ModelParams,
                    stop: int | None = None) -> np.ndarray:
     """log Z_seg(j, t) = log Z_{t-j} on disorder shifted by j, t in (j, stop].
 
-    ``stop`` (default n) bounds the span, at O((stop - j)^2) cost; entries
-    past it are NaN, and the entries up to it are those of the full
-    segment, bit for bit. With j = 0 and no stop this is identical to the
-    forward table.
+    ``stop`` (default n) bounds the span; entries past it are NaN, and the
+    entries up to it are those of the full segment, bit for bit. The pass
+    still runs to the end of the ``_BLOCK``-site block (counted from j)
+    that holds ``stop``, or to n, so it costs O(W^2) for that width W.
+    With j = 0 and no stop this is identical to the forward table.
     """
     if not 0 <= j < d.n:
         raise GuardError(f"anchor j must satisfy 0 <= j < n, got {j}")
     if stop is not None and not j < stop <= d.n:
         raise GuardError(f"stop must lie in (j, n], got {stop}")
     _check_horizon(d, kern)
-    return _forward_batch(j, d.n if stop is None else stop, d.w_prefix[None],
-                          _log_rewards(d, p)[None], kern.log_k, p.lam)[0]
+    stop = d.n if stop is None else stop
+    row, = _segments([(d.w_prefix, _log_rewards(d, p), j, stop)], kern.log_k,
+                     p.lam)
+    seg = np.full(d.n + 1, np.nan)
+    seg[j:stop + 1] = row[:stop + 1 - j]
+    return seg
 
 
-def _segment_rows(j: int, stop: int, tables) -> np.ndarray:
-    """(R, n+1): row r is ``segment_tables(j, d, p, kern, stop=stop)`` of
-    the sample of ``tables[r]`` (one length, p and kern), bit for bit, from
-    one batched pass."""
-    _, p, kern = tables[0]._source
-    return _forward_batch(j, stop,
-                          np.stack([t._source[0].w_prefix for t in tables]),
-                          np.stack([t.log_zeta_sites for t in tables]),
-                          kern.log_k, p.lam)
+def _segments(spans, log_k: np.ndarray, lam: float) -> list:
+    """One row per span (w, lz, a, b) of a sample's prefix sums ``w`` and
+    log rewards ``lz``, 0 <= a < b < len(w), from samples of any length
+    and point that share ``lam`` and the kernel: row[t - a] is
+    ``segment_tables(a, d, p, kern, stop=b)[t]`` bit for bit, t in [a, b],
+    from one ``_forward_batch`` pass per row width over all the spans.
 
-
-def _segment_spans(spans, d: DisorderSample, p: ModelParams,
-                   kern: ReturnKernel) -> dict:
-    """Anchor a -> row, for the spans (a, b) of ``spans`` (distinct a,
-    0 <= a < b <= n): row[t - a] is ``segment_tables(a, d, p, kern,
-    stop=b)[t]`` bit for bit, t in [a, b], from one pass per row width.
-
-    The row is the pass at anchor 0 on w[a:a+W] and lz[a:a+W], where
-    W = min(B (1 + (b - a) // B), n + 1 - a) is the end of the block
-    holding b: the pass at anchor a reads nothing past it, and its blocks
-    are the same, so the row holds the full segment up to a + W - 1.
+    The row is the pass on w[a:a+W] and lz[a:a+W], with
+    W = min(B (1 + (b - a) // B), len(w) - a): the end of the block that
+    holds b, or of the sample. No column reads past its own block, so the
+    row holds the full segment's values up to a + W - 1.
     """
-    _check_horizon(d, kern)
-    w, lz = d.w_prefix, _log_rewards(d, p)
-    widths = {a: min(_BLOCK * (1 + (b - a) // _BLOCK), d.n + 1 - a)
-              for a, b in spans}
-    rows = {}
-    for width in set(widths.values()):
-        starts = [a for a, x in widths.items() if x == width]
-        rows.update(zip(starts, _forward_batch(
-            0, width - 1, np.stack([w[a:a + width] for a in starts]),
-            np.stack([lz[a:a + width] for a in starts]), kern.log_k, p.lam)))
-    return rows
+    groups, rows = {}, {}
+    for i, (w, lz, a, b) in enumerate(spans):
+        width = min(_BLOCK * (1 + (b - a) // _BLOCK), len(w) - a)
+        groups.setdefault(width, []).append((i, w[a:a + width],
+                                             lz[a:a + width]))
+    for group in groups.values():
+        index, w, lz = zip(*group)
+        rows.update(zip(index, _forward_batch(np.stack(w), np.stack(lz),
+                                              log_k, lam)))
+    return [rows[i] for i in range(len(rows))]
 
 
 def single_excursion_log_lower_bound(d: DisorderSample, p: ModelParams,

@@ -25,7 +25,7 @@ from copolymer.observables import PathSample
 from copolymer.oracle import (homogeneous_pinning_free_energy, log_srw_mass,
                               renewal_mass_curve)
 from copolymer.partition import (ModelParams, forward_tables,
-                                 log_partition_curve)
+                                 log_partition_curve, segment_tables)
 
 ZERO = ModelParams(0.0, 0.0, 0.0, 0.0)
 V_STAR = ModelParams(0.0, 0.0, 1.0, 0.5)
@@ -381,9 +381,9 @@ class _WorkSpy:
         self.passes, self.draws = [], []
         forward, draw = partition._forward_batch, est.sample_disorder
 
-        def forward_spy(j, stop, w, *args):
+        def forward_spy(w, *args):
             self.passes.append(len(w))
-            return forward(j, stop, w, *args)
+            return forward(w, *args)
 
         def draw_spy(law, law_tilde, n, h, seed, replica):
             self.draws.append((h, replica))
@@ -698,6 +698,75 @@ def test_replica_estimators_match_loop(srw64, monkeypatch, name, lam,
     monkeypatch.setattr(est, "_BATCH_CELLS", 3 * 33)
     np.testing.assert_equal(_fields(run(srw64, replicas, threads, p)),
                             _fields(ref))
+
+
+def _decay_loop(p, kern, n, replicas, dists, seed):
+    """fit_correlation_decay's replica rows, from forward_tables and one
+    bounded segment_tables per replica."""
+    anchor = n // 4
+    sites = anchor + dists
+    rows = []
+    for r in range(replicas):
+        d = est._draw_disorder(GG, n, p.h, seed, r)
+        t = forward_tables(d, p, kern)
+        seg = segment_tables(anchor, d, p, kern, stop=int(sites[-1]))
+        zf, zb = t.log_zf, t.log_zb
+        pj = math.exp(zf[anchor] + zb[anchor] - zf[n])
+        joint = np.exp(zf[anchor] + seg[sites] + zb[sites] - zf[n])
+        single = np.exp(zf[sites] + zb[sites] - zf[n])
+        rows.append(np.abs(joint - pj * single))
+    return rows
+
+
+def _boundary_loop(p, kern, n, replicas, k_list, seed):
+    """boundary_influence's replica rows, from forward_tables and one
+    segment_tables bounded at k per replica and k < n."""
+    rows = []
+    for r in range(replicas):
+        d = est._draw_disorder(GG, n, p.h, seed, r)
+        t = forward_tables(d, p, kern)
+        zf, zb = t.log_zf, t.log_zb
+        diffs = np.zeros(len(k_list))
+        for i, k in enumerate(k_list):
+            m = k // 2
+            if k < n:
+                z = segment_tables(m, d, p, kern, stop=k)[k]
+                diffs[i] = abs(math.exp(zf[m] + zb[m] - zf[n])
+                               - math.exp(zf[m] + z - zf[k]))
+        rows.append(diffs)
+    return rows
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("lam", [0.0, 0.5])
+def test_multi_block_segment_estimators_match_loop(monkeypatch, lam,
+                                                   threads):
+    # N = 600 is five blocks: the decay segment at anchor 150 reaches
+    # site 599 over four, and the boundary segments end in every block
+    n, replicas, seed = 600, 5, 3
+    kern = build_srw_kernel(n)
+    p = V_STAR.replace(lam=lam, h=0.2 * lam)
+    dists = np.array([1, 2, 5, 64, 127, 128, 129, 200, 256, 300, 400, 449])
+    k_list = [2, 3, 129, 256, 257, 300, 450, 599, n]
+    # two replicas per chunk, each a forward and a reversed row
+    monkeypatch.setattr(est, "_BATCH_CELLS", 4 * (n + 1))
+    decay = fit_correlation_decay(p, kern, GG, n, replicas, dists, seed,
+                                  threads)
+    mean, se, fit = est._exponential_fit(
+        _decay_loop(p, kern, n, replicas, dists, seed), dists, 1e-14,
+        keep=dists >= 4)
+    assert np.array_equal(decay.mean_abs_cov, mean)
+    assert np.array_equal(decay.stderr, se)
+    assert (decay.c1_hat, decay.c2_hat, decay.r_squared) == (
+        math.exp(fit[0]), -fit[1], fit[2])
+    bound = boundary_influence(p, kern, GG, n, k_list, replicas, seed,
+                               threads)
+    dist = np.array([k - k // 2 for k in k_list], dtype=float)
+    mean, se, fit = est._exponential_fit(
+        _boundary_loop(p, kern, n, replicas, k_list, seed), dist, 1e-14)
+    assert np.array_equal(bound.mean_abs_diff, mean)
+    assert np.array_equal(bound.stderr, se)
+    assert (bound.rate, bound.r_squared) == (-fit[1], fit[2])
 
 
 @pytest.mark.parametrize("name", sorted(_REPLICA_ESTIMATORS))

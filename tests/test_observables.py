@@ -593,9 +593,9 @@ def _spy_passes(monkeypatch):
     passes = []
     forward = partition._forward_batch
 
-    def spy(j, stop, w, *args):
+    def spy(w, *args):
         passes.append(len(w))
-        return forward(j, stop, w, *args)
+        return forward(w, *args)
 
     monkeypatch.setattr(partition, "_forward_batch", spy)
     return passes

@@ -7,7 +7,7 @@ from copolymer.disorder import disorder_from_arrays, freeze_zero_disorder
 from copolymer.errors import ConfigError, GuardError
 from copolymer.kernel import build_powerlaw_kernel, build_srw_kernel
 from copolymer.logspace import LOG2, softplus
-from copolymer.oracle import (EnumerationBudget, _pinned_kernel_constant,
+from copolymer.oracle import (_pinned_kernel_constant,
                               brute_force_marginals,
                               brute_force_partition, enumerate_rademacher,
                               exact_disorder_expectation,
@@ -22,16 +22,17 @@ ZERO = ModelParams(0.0, 0.0, 0.0, 0.0)
 
 
 def test_budget_validation():
-    with pytest.raises(ConfigError):
-        EnumerationBudget(max_n_paths=25)
-    with pytest.raises(ConfigError):
-        EnumerationBudget(max_n_disorder=9)
-    budget = EnumerationBudget(max_n_paths=6, max_n_disorder=4)
-    d = freeze_zero_disorder(8, 0.0)
-    with pytest.raises(GuardError):
-        brute_force_partition(d, ZERO, build_srw_kernel(8), budget)
-    with pytest.raises(GuardError):
-        enumerate_rademacher(ZERO, build_srw_kernel(8), 5, budget)
+    # one past the largest enumerable n: 20 for paths, 8 for disorder
+    kern = build_srw_kernel(21)
+    d = freeze_zero_disorder(21, 0.0)
+    for enumerate_n in (lambda: brute_force_partition(d, ZERO, kern),
+                        lambda: brute_force_marginals(d, ZERO, kern),
+                        lambda: enumerate_rademacher(ZERO, kern, 9),
+                        lambda: exact_disorder_expectation("log_z", ZERO,
+                                                           kern, 9),
+                        lambda: inequality_suite(ZERO, kern, 9)):
+        with pytest.raises(GuardError, match="enumeration limit"):
+            enumerate_n()
 
 
 def test_single_site_partition(srw16):

@@ -286,12 +286,11 @@ def test_batched_anchored_stop_equals_shifted_curve(r, n, lam, data):
     stop = data.draw(st.integers(min_value=j + 1, max_value=n))
     samples = [sample_disorder(DisorderLaw.UNIFORM_SYM, DisorderLaw.GAUSSIAN,
                                n, p.h, 17, i) for i in range(r)]
-    w = np.stack([d.w_prefix for d in samples])
-    lz = np.stack([_log_rewards(d, p) for d in samples])
-    batch = _forward_batch(j, stop, w, lz, kern.log_k, p.lam)
+    batch = partition._segments(_spans(samples, p, j, stop), kern.log_k,
+                                p.lam)
     for row, d in zip(batch, samples):
         shifted = segment_tables(j, d, p, kern, stop=stop)
-        assert np.array_equal(row, shifted, equal_nan=True)
+        assert np.array_equal(row[:stop + 1 - j], shifted[j:stop + 1])
         ref = _loop_forward(j, d, p, kern, stop)
         assert np.all(np.isnan(shifted[:j]))
         assert np.all(np.isnan(shifted[stop + 1:]))
@@ -373,6 +372,12 @@ def _stack(samples, p):
             np.stack([_log_rewards(d, p) for d in samples]))
 
 
+def _spans(samples, p, a, b):
+    """The span (a, b] of every sample, as ``partition._segments`` takes
+    it."""
+    return [(d.w_prefix, _log_rewards(d, p), a, b) for d in samples]
+
+
 @pytest.mark.parametrize("lam", [0.0, 0.8])
 @pytest.mark.parametrize("law", list(DisorderLaw))
 def test_small_blocks_match_brute_force(srw16, monkeypatch, law, lam):
@@ -397,12 +402,14 @@ def test_small_blocks_anchored_match_loop(n, lam, data):
                                n, p.h, 19, i) for i in range(3)]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(partition, "_BLOCK", 4)
-        batch = _forward_batch(j, stop, *_stack(samples, p), kern.log_k,
-                               p.lam)
-    for row, d in zip(batch, samples):
+        batch = partition._segments(_spans(samples, p, j, stop), kern.log_k,
+                                    p.lam)
+        shifted = [segment_tables(j, d, p, kern, stop=stop) for d in samples]
+    for row, seg, d in zip(batch, shifted, samples):
         ref = _loop_forward(j, d, p, kern, stop)
-        assert np.all(np.isnan(row[:j])) and np.all(np.isnan(row[stop + 1:]))
-        assert np.all(np.abs(row[j:stop + 1] - ref[j:stop + 1])
+        assert np.array_equal(row[:stop + 1 - j], seg[j:stop + 1])
+        assert np.all(np.isnan(seg[:j])) and np.all(np.isnan(seg[stop + 1:]))
+        assert np.all(np.abs(row[:stop + 1 - j] - ref[j:stop + 1])
                       <= _rounding_bound(ref[:stop + 1], j, 4))
 
 
@@ -418,16 +425,17 @@ def test_blocked_forward_within_rounding_bound(n, j, stop, lam, r):
     p = ModelParams(lam, 0.1, 1.0, 0.5)
     samples = [sample_disorder(DisorderLaw.GAUSSIAN, DisorderLaw.GAUSSIAN, n,
                                p.h, 5, i) for i in range(r)]
-    w, lz = _stack(samples, p)
-    batch = _forward_batch(j, stop, w, lz, kern.log_k, p.lam)
+    batch = partition._segments(_spans(samples, p, j, stop), kern.log_k,
+                                p.lam)
     # a bounded span is the prefix of the full one, bit for bit
-    full = _forward_batch(j, n, w, lz, kern.log_k, p.lam)
-    assert np.array_equal(batch[:, :stop + 1], full[:, :stop + 1],
-                          equal_nan=True)
-    for row, d in zip(batch, samples):
+    full = partition._segments(_spans(samples, p, j, n), kern.log_k, p.lam)
+    for row, whole, d in zip(batch, full, samples):
+        assert np.array_equal(row[:stop + 1 - j], whole[:stop + 1 - j])
+        seg = segment_tables(j, d, p, kern, stop=stop)
+        assert np.array_equal(row[:stop + 1 - j], seg[j:stop + 1])
+        assert np.all(np.isnan(seg[:j])) and np.all(np.isnan(seg[stop + 1:]))
         ref = _loop_forward(j, d, p, kern, stop)
-        assert np.all(np.isnan(row[:j])) and np.all(np.isnan(row[stop + 1:]))
-        err = np.abs(row[j:stop + 1] - ref[j:stop + 1])
+        err = np.abs(row[:stop + 1 - j] - ref[j:stop + 1])
         assert np.all(err <= _rounding_bound(ref[:stop + 1], j))
 
 
@@ -442,7 +450,7 @@ def test_kernel_without_far_gaps_weighs_zero():
     p = ModelParams(0.5, 0.1, 1.0, 0.5)
     samples = [sample_disorder(DisorderLaw.GAUSSIAN, DisorderLaw.GAUSSIAN, n,
                                p.h, 8, i) for i in range(2)]
-    batch = _forward_batch(0, n, *_stack(samples, p), log_k, p.lam)
+    batch = _forward_batch(*_stack(samples, p), log_k, p.lam)
     assert np.all(np.isfinite(batch))
     for row, d in zip(batch, samples):
         ref = _loop_forward(0, d, p, short, n)
@@ -524,12 +532,12 @@ def test_rows_stop_at_their_own_source_blocks(monkeypatch, lam):
                else disorder_from_arrays(rng.normal(size=n), np.full(n, 3.0),
                                          0.0) for i in range(10)]
     made = _spy_cross_sums(monkeypatch)
-    batch = _forward_batch(0, n, *_stack(samples, p), kern.log_k, p.lam)
+    batch = _forward_batch(*_stack(samples, p), kern.log_k, p.lam)
     blocks = n // b
     every = blocks * (blocks + 1) // 2
     assert made[0].pairs == every
     for i, (row, d) in enumerate(zip(batch, samples)):
-        alone = _forward_batch(0, n, *_stack([d], p), kern.log_k, p.lam)[0]
+        alone = _forward_batch(*_stack([d], p), kern.log_k, p.lam)[0]
         assert np.array_equal(row, alone)
         # one source block per target block, or all of them
         assert made[-1].pairs == (every if i in free else blocks)
@@ -554,12 +562,12 @@ def test_underflowing_cross_sums_take_the_log_domain_block(monkeypatch, lam):
         tilde[345:383] = -1000.0
         samples[i] = disorder_from_arrays(samples[i].omega[1:], tilde, p.h)
     calls = _spy_fallback(monkeypatch)
-    batch = _forward_batch(0, n, *_stack(samples, p), kern.log_k, p.lam)
+    batch = _forward_batch(*_stack(samples, p), kern.log_k, p.lam)
     assert calls == [4, 4, 2]
     for row, d in zip(batch, samples):
         ref = _loop_forward(0, d, p, kern, n)
         assert np.all(np.abs(row - ref) <= _rounding_bound(ref, 0))
-        alone = _forward_batch(0, n, *_stack([d], p), kern.log_k, p.lam)[0]
+        alone = _forward_batch(*_stack([d], p), kern.log_k, p.lam)[0]
         assert np.array_equal(row, alone)
 
 
@@ -661,7 +669,7 @@ def test_backward_rows_each_checked(srw64):
     log_z = np.array([log_partition_curve(d, p, srw64)[40] for d in samples])
     w, lz = _stack(samples, p)
     # the pass on the reversed samples
-    rev = _forward_batch(0, 40, w[:, 40:] - w[:, ::-1],
+    rev = _forward_batch(w[:, 40:] - w[:, ::-1],
                          np.ascontiguousarray(lz[:, ::-1]), srw64.log_k, p.lam)
     partition._log_zb_rows(rev, lz, log_z)
     for r in range(3):
@@ -686,8 +694,8 @@ def test_stacked_backward_rows_equal_separate_passes(lam, r):
                                q.h, 26, i) for i, q in enumerate(params)]
     w = np.stack([d.w_prefix for d in samples])
     lz = np.stack([_log_rewards(d, q) for d, q in zip(samples, params)])
-    zf = _forward_batch(0, n, w, lz, kern.log_k, lam)
-    rev = _forward_batch(0, n, w[:, n:] - w[:, ::-1],
+    zf = _forward_batch(w, lz, kern.log_k, lam)
+    rev = _forward_batch(w[:, n:] - w[:, ::-1],
                          np.ascontiguousarray(lz[:, ::-1]), kern.log_k, lam)
     zb = rev[:, ::-1] - lz + lz[:, n:]
     tables = partition._table_rows(samples, params, kern, backward=True)
@@ -698,36 +706,39 @@ def test_stacked_backward_rows_equal_separate_passes(lam, r):
 
 @pytest.mark.parametrize("lam", [0.0, 0.5])
 def test_segment_spans_equal_segment_tables(monkeypatch, lam):
-    # spans in seven width groups: within one block, over two and three
-    # blocks, cut by the sample end, and the last anchor a = n - 1
-    n = 300
-    kern = build_srw_kernel(n)
+    # spans of two samples, of lengths 300 and 200, in nine width groups:
+    # within one block, over two and three blocks, cut by the sample end,
+    # and the last anchor a = n - 1; widths 128 and 201 hold spans of both
+    kern = build_srw_kernel(300)
     p = ModelParams(lam, 0.1, 1.0, 0.5)
-    d = sample_disorder(DisorderLaw.GAUSSIAN, DisorderLaw.GAUSSIAN, n, p.h,
-                        27, 0)
-    spans = [(0, 5), (3, 200), (10, 300), (100, 299), (299, 300), (5, 133),
-             (40, 167), (171, 300), (200, 300)]
-    widths = [128, 256, 291, 201, 2, 256, 128, 130, 101]
+    d, e = (sample_disorder(DisorderLaw.GAUSSIAN, DisorderLaw.GAUSSIAN, n,
+                            p.h, 27, i) for i, n in ((0, 300), (1, 200)))
+    spans = [(d, 0, 5), (d, 3, 200), (d, 10, 300), (d, 100, 299),
+             (d, 299, 300), (d, 5, 133), (d, 40, 167), (d, 171, 300),
+             (d, 200, 300), (e, 0, 130), (e, 60, 200), (e, 150, 160),
+             (e, 0, 127)]
+    widths = [128, 256, 291, 201, 2, 256, 128, 130, 101, 201, 141, 51, 128]
     passes = []
     forward = partition._forward_batch
 
-    def spy(j, stop, w, *args):
-        passes.append((stop + 1, len(w)))
-        return forward(j, stop, w, *args)
+    def spy(w, *args):
+        passes.append((w.shape[1], len(w)))
+        return forward(w, *args)
 
     monkeypatch.setattr(partition, "_forward_batch", spy)
-    rows = partition._segment_spans(spans, d, p, kern)
-    assert sorted(passes) == [(2, 1), (101, 1), (128, 2), (130, 1), (201, 1),
-                              (256, 2), (291, 1)]
+    rows = partition._segments(
+        [(s.w_prefix, _log_rewards(s, p), a, b) for s, a, b in spans],
+        kern.log_k, p.lam)
+    assert sorted(passes) == [(2, 1), (51, 1), (101, 1), (128, 3), (130, 1),
+                              (141, 1), (201, 2), (256, 2), (291, 1)]
     monkeypatch.setattr(partition, "_forward_batch", forward)
-    assert sorted(rows) == sorted(a for a, _ in spans)
-    for (a, b), width in zip(spans, widths):
-        row = rows[a]
+    assert len(rows) == len(spans)
+    for row, (s, a, b), width in zip(rows, spans, widths):
         assert row.shape == (width,)
-        bounded = segment_tables(a, d, p, kern, stop=b)
+        bounded = segment_tables(a, s, p, kern, stop=b)
         assert np.array_equal(row[:b + 1 - a], bounded[a:b + 1])
         # past b, the row holds the full segment to its block's end
-        assert np.array_equal(row, segment_tables(a, d, p, kern)[a:a + width])
+        assert np.array_equal(row, segment_tables(a, s, p, kern)[a:a + width])
 
 
 _THREADS_SCRIPT = """
@@ -799,12 +810,12 @@ def test_linear_and_fallback_rows_in_one_batch(monkeypatch, lam):
     samples[1] = disorder_from_arrays(samples[1].omega[1:], np.full(n, 10.0),
                                       p.h)
     calls = _spy_fallback(monkeypatch)
-    batch = _forward_batch(0, n, *_stack(samples, p), kern.log_k, p.lam)
+    batch = _forward_batch(*_stack(samples, p), kern.log_k, p.lam)
     assert calls == [1, 1]
     for i, (row, d) in enumerate(zip(batch, samples)):
         ref = _loop_forward(0, d, p, kern, n)
         assert np.all(np.abs(row - ref) <= _rounding_bound(ref, 0))
-        alone = _forward_batch(0, n, *_stack([d], p), kern.log_k, p.lam)[0]
+        alone = _forward_batch(*_stack([d], p), kern.log_k, p.lam)[0]
         assert np.array_equal(row, alone)
     assert calls == [1, 1, 1, 1]
 
