@@ -21,8 +21,9 @@ def softplus(x):
 def sigmoid(x):
     """1 / (1 + e^-x) without overflow."""
     x = np.asarray(x, dtype=float)
-    out = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                   np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    # 1/(1 + e) where x >= 0, e/(1 + e) elsewhere, e = exp(-|x|) once
+    e = np.exp(-np.abs(x))
+    out = np.where(x >= 0, 1.0, e) / (1.0 + e)
     if out.ndim == 0:
         return float(out)
     return out

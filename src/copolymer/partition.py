@@ -21,20 +21,26 @@ it to rounding error.
 One recursion, ``_forward_batch``, builds every table. It cuts the sites
 into blocks of ``_BLOCK``, sums earlier blocks through BLAS products in
 linear domain, nearest block first, and solves each block as one
-lower-triangular system in scaled linear domain. A row whose scales or
-sums leave the linear range takes the reference recursion for that block:
-a per-site log-sum-exp over every earlier site. A row stops adding
-earlier blocks once the rest weighs below 2^-60 of its sums: in the
-localized phase that is after a few blocks, so a pass costs far less than
-O(N^2) there. The backward table is the same recursion on the reversed
-sample, within the same bound, in the forward rows' pass (``_log_z_rows``).
+lower-triangular system in scaled linear domain. At lam = 0 every row of
+a block shares that system's matrix but for its diagonal, and a block of
+``_TRSV_WIDTH`` sites or more is one BLAS triangular solve per row. A row
+whose scales or sums leave the linear range takes the reference recursion
+for that block: a per-site log-sum-exp over every earlier site. A row
+stops adding earlier blocks once the rest weighs below 2^-60 of its sums:
+in the localized phase that is after a few blocks, so a pass costs far
+less than O(N^2) there. The backward table is the same recursion on the
+reversed sample, within the same bound, in the forward rows' pass
+(``_log_z_rows``).
 ``_table_rows`` builds the tables of a batch of samples, which may belong
 to model points that share lam, and ``forward_tables`` both tables of one.
 A pinned segment is the same pass on a slice of its sample: ``_segments``
 builds any spans of any samples, one pass per row width.
 """
 
+import ctypes
+import functools
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -210,7 +216,8 @@ def _check_horizon(d: DisorderSample, kern: ReturnKernel):
 # 2^-60 of its sums. A row whose scale exponents leave +-600 in a block,
 # or whose cross sums or solved values leave e^(+-600), takes the reference
 # recursion there instead (``_log_domain_block``): one log-sum-exp per site
-# over every earlier site from the anchor.
+# over every earlier site from the anchor. (At lam = 0 a row first tries
+# the triangular path, whose only exponents are its log rewards.)
 #
 # Rounding bound. Every sum in every form has positive terms, so each Z_t
 # carries the relative errors of the Z_u it sums plus its own, and the
@@ -226,7 +233,10 @@ def _check_horizon(d: DisorderSample, kern: ReturnKernel):
 # terms and its sub-block inverse (four levels of 16-term products over
 # chains of at most 15 steps) run once per 16-site sub-block, about
 # (B + 70)/16 units per site. It adds about |x| units for each scale factor
-# e^x in row t of M and r, where |x| <= 600. So at s = t - j sites from the
+# e^x in row t of M and r, where |x| <= 600. A row on the lam = 0
+# triangular path sums at most B positive terms per site, plus one exp per
+# right-hand side and diagonal entry and one log: about B + 2 units, with
+# no scale-factor term. So at s = t - j sites from the
 # anchor, log Z_t lies within s (B + ceil(s/B) + 8) 2^-52
 # max(1, max_{u <= t} |log Z_u|) of the exact value, provided each such
 # |x| stays below about B max(1, |log Z_t|). At s = 4096 that is 1.5e-10
@@ -407,10 +417,44 @@ def _in_linear_range(x: np.ndarray) -> np.ndarray:
 # five (rows, h / 16, 16, 16) sub-block buffers then take 640 KiB.
 _SOLVE_CELLS = 8 * 128 * 128
 
+# Block width from which ``_InBlockSolve`` solves a lam = 0 block by one
+# dtrsv call per row; below it, the scaled solve of a batch of rows is
+# faster at every row count.
+_TRSV_WIDTH = 17
+# the CBLAS enum values of row-major, lower, no transpose and non-unit
+_ROW_MAJOR, _LOWER, _NO_TRANS, _NON_UNIT = 101, 122, 111, 131
+
+
+@functools.cache
+def _dtrsv():
+    """cblas_dtrsv of the 64-bit-integer OpenBLAS that numpy's wheel ships
+    and has loaded, through ctypes, or None where there is none: so neither
+    scipy.linalg nor a second BLAS is loaded."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    try:
+        name = next(f for f in os.listdir(libs)
+                    if f.startswith("libscipy_openblas64_"))
+        fn = ctypes.CDLL(os.path.join(libs, name)).scipy_cblas_dtrsv64_
+    except (OSError, StopIteration, AttributeError):
+        return None
+    fn.restype = None
+    fn.argtypes = ([ctypes.c_int] * 4
+                   + [ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64,
+                      ctypes.c_void_p, ctypes.c_int64])
+    return fn
+
 
 class _InBlockSolve:
-    """The in-block part of one forward pass: per (row, block), one unit
+    """The in-block part of one forward pass: per (row, block), one
     lower-triangular linear system in linear domain.
+
+    At lam = 0 the coin average is 1, so the system is
+    (diag(e^-lz) - T) Z = C for every row, T[t, u] = K(t - u) for t > u:
+    only the diagonal differs between rows. A block of at least
+    ``_TRSV_WIDTH`` sites is then one BLAS dtrsv per row (``_triangular``)
+    on one copy of -T per pass, whose diagonal the row overwrites; a row it
+    rejects, every block at lam > 0 and every narrower block take the
+    scaled solve below (``_scaled``), which works for any lam.
 
     Inside a block, Z_t / zeta_t - sum_{lo <= u < t} wgt(u, t) Z_u = C_t,
     with C_t the cross-block sum. The scaling Z_t = e^{s + G_t} y_t, G the
@@ -433,9 +477,9 @@ class _InBlockSolve:
 
     A row's exponents -H, G, om - H and G - om must lie within
     ``_EXP_LIMIT`` and its solved y within e^(+-_EXP_LIMIT), else
-    ``solve`` marks the row for the reference recursion. Every product runs
-    on one row's slice, so a row's bits depend neither on R nor on the rows
-    beside it.
+    ``solve`` marks the row for the reference recursion. Every product and
+    every dtrsv runs on one row's slice, so a row's bits depend neither on
+    R nor on the rows beside it.
     """
 
     def __init__(self, r: int, h_max: int, log_k: np.ndarray, lam: float):
@@ -445,6 +489,11 @@ class _InBlockSolve:
         pad = np.zeros(2 * hp - 1)  # T[t, u] = pad[hp - 1 + t - u]
         pad[hp:hp + h_max - 1] = np.exp(_log_weight_base(log_k, lam)[1:h_max])
         self.t = sliding_window_view(pad, hp)[:, ::-1].copy()
+        # the triangular path's -T, whose diagonal each row overwrites
+        self.neg_t = None
+        if lam == 0.0 and h_max >= _TRSV_WIDTH and _dtrsv() is not None:
+            self.neg_t = np.negative(self.t[:h_max, :h_max])
+            self.diag = self.neg_t.reshape(-1)[::h_max + 1]
         self.eye = np.eye(q)
         self.chunk = min(r, max(1, _SOLVE_CELLS // (hp * hp)))
         c = self.chunk
@@ -469,6 +518,44 @@ class _InBlockSolve:
         """log Z at the h sites of one block from its (R, h) log rewards,
         prefix sums and cross-block log sums; and which rows took the
         linear path (the others hold values to be replaced)."""
+        if self.neg_t is None or lz.shape[1] < _TRSV_WIDTH:
+            return self._scaled(lz, w, cross)
+        out, ok = self._triangular(lz, cross)
+        if not ok.all():
+            rows = np.flatnonzero(~ok)
+            out[rows], ok[rows] = self._scaled(lz[rows], w[rows], cross[rows])
+        return out, ok
+
+    def _triangular(self, lz: np.ndarray, cross: np.ndarray):
+        """``solve`` at lam = 0, one BLAS dtrsv per row: (diag(e^-lz) - T) z
+        = e^(log C - s), s the row maximum of log C, and log Z = s + log z.
+        A row with |lz| past ``_EXP_LIMIT`` or z outside e^(+-_EXP_LIMIT)
+        is marked for the scaled solve."""
+        r, h = lz.shape
+        trsv, n_max = _dtrsv(), len(self.neg_t)
+        if h > n_max:
+            raise GuardError(f"a block of {h} sites exceeds the solver's "
+                             f"{n_max}")
+        s = np.maximum.reduce(cross, axis=1)
+        # a new C-ordered float64 buffer, each row solved in place
+        z = np.subtract(cross, s[:, None], dtype=float)
+        np.exp(z, out=z)
+        # NaN fails the comparison
+        ok = np.maximum.reduce(np.abs(lz), axis=1) <= _EXP_LIMIT
+        inv = np.negative(lz)
+        np.exp(inv, out=inv)
+        a, diag, base = self.neg_t.ctypes.data, self.diag[:h], z.ctypes.data
+        for i in np.flatnonzero(ok).tolist():
+            np.copyto(diag, inv[i])
+            trsv(_ROW_MAJOR, _LOWER, _NO_TRANS, _NON_UNIT, h, a, n_max,
+                 base + 8 * h * i, 1)
+        ok &= _in_linear_range(z)
+        np.log(z, out=z)
+        np.add(z, s[:, None], out=z)
+        return z, ok
+
+    def _scaled(self, lz: np.ndarray, w: np.ndarray, cross: np.ndarray):
+        """``solve`` by the scaled sub-block walk, for any lam."""
         r, h = lz.shape
         q = min(h, _SUB)
         ns = -(-h // q)
@@ -478,8 +565,8 @@ class _InBlockSolve:
         hh = np.subtract(g, lz)
         rhs = np.subtract(cross, hh)
         s = np.maximum.reduce(rhs, axis=1)
-        left = self.left[:, :hp, :nf]
-        right = self.right[:, :nf, :hp]
+        left = self.left[:r, :hp, :nf]
+        right = self.right[:r, :nf, :hp]
         np.negative(hh, out=left[:, :h, 0])
         np.copyto(right[:, 0, :h], g)
         if nf == 2:
@@ -497,12 +584,12 @@ class _InBlockSolve:
         right[:, :, h:] = -np.inf
         np.exp(left, out=left)
         np.exp(right, out=right)
-        rr = self.rhs[:, :hp, 0]
+        rr = self.rhs[:r, :hp, 0]
         np.subtract(rhs, s[:, None], out=rr[:, :h])
         rr[:, h:] = -np.inf
         np.exp(rr, out=rr)
         for lo in range(0, r, self.chunk):
-            rows = slice(lo, lo + self.chunk)
+            rows = slice(lo, min(lo + self.chunk, r))
             lc = self.left[rows, :hp]
             rc = self.right[rows, :, :hp]
             k = len(lc)
@@ -528,7 +615,7 @@ class _InBlockSolve:
                 else:
                     np.copyto(v, b[:, sub])
                 np.matmul(x[:, c], v, out=y[:, sub])
-        yh = self.y[:, :h, 0]
+        yh = self.y[:r, :h, 0]
         ok &= _in_linear_range(yh)
         np.add(g, s[:, None], out=g)
         np.add(g, np.log(yh), out=g)

@@ -261,6 +261,24 @@ def test_cli_import_loads_no_scipy():
     assert done.stdout.strip() == "[]"
 
 
+def test_lam_zero_clt_loads_no_scipy_linalg(tmp_path):
+    # the lam = 0 triangular solve calls numpy's own OpenBLAS: importing
+    # scipy.linalg for it would add several MiB of resident memory
+    code = ("import sys, copolymer.cli, copolymer.partition as p; "
+            "assert copolymer.cli.main(['clt', '--n-ladder', '256', "
+            "'--replicas', '8', '--lam', '0', '--h', '0', '--threads', '1', "
+            f"'--out', {str(tmp_path)!r}]) == 0; "
+            "print(p._dtrsv.cache_info().currsize, "
+            "'scipy.linalg' in sys.modules)")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep
+               + os.environ.get("PYTHONPATH", ""))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120,
+                          check=True)
+    assert done.stdout.splitlines()[-1].split() == ["1", "False"]
+
+
 def test_unknown_law_exits_one_at_zero_disorder(tmp_path):
     # the homogeneous model draws no charges, but a bad law is still a
     # config error

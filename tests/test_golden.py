@@ -45,6 +45,14 @@ excursion law went to linear domain, as blocked Toeplitz correlations
 integer column kept their bytes, threads 1 and 2 gave the same bytes, and
 no float moved by more than 2.2e-14 absolute in ``p_neg`` or 1.0e-14
 relative elsewhere. The other cases kept their digests.
+All ``lam0`` entries but those of ``meet``, ``meet-192``, ``sample`` and
+``sample-deloc`` were re-recorded when a lam = 0 block of 17 sites or
+more became one BLAS triangular solve per row (it sums in another order).
+No integer or text column or sampled path moved, threads 1, 2 and 3 gave
+the same bytes, and no float moved by more than 5.7e-14 relative, or
+2.2e-12 in the ``boundary`` and ``correlations`` tables and fits, where
+differences of contact probabilities cancel. The ``lam05`` entries kept
+their digests.
 A refactor that shifts every number consistently still passes a
 rerun-against-rerun comparison; it fails here.
 
@@ -114,9 +122,9 @@ OVERRIDES = {
 GOLDEN = {
     ('boundary', 'lam0'): {
         "boundary.csv":
-            "ab0919c2e23e96c0f695f80583feb49438e287110af92bf09cf115eb193faa7a",
+            "fa44512bb416cbad7a7c6c6871b0e4c9c4e9f7361378dc7b837180d6197609e0",
         "boundary_fit.csv":
-            "2345ea6bad43d98935eff66b209084ebc057506ec2d7f02771d469085941337e",
+            "ce28c954a9dab7da74bd1696f51d31f7bd62ac01c6d4c6eb669f5aaefbf252c0",
     },
     ('boundary', 'lam05'): {
         "boundary.csv":
@@ -126,7 +134,7 @@ GOLDEN = {
     },
     ('clt', 'lam0'): {
         "clt.csv":
-            "a0a1e4aca67ebe7fecbdc155f47f1c105d6c15500c5488e81020f8f47700efee",
+            "8ec7ce853ec619f6cc3e556715d84767fa775539fd8bd21260ad386fa39f2989",
     },
     ('clt', 'lam05'): {
         "clt.csv":
@@ -134,9 +142,9 @@ GOLDEN = {
     },
     ('correlations', 'lam0'): {
         "decay.csv":
-            "232f87d201b80d5b3bc7455cba5336c196458ac81785abe505c64ddfc982ea01",
+            "5731e1f1d84afab4c9339d84a307103d9385f92568dfed16f9747381d76b2aeb",
         "decay_fit.csv":
-            "eb46a6acf02617a5d0563af3716ac15c597c7febde70184348264b37e83faf68",
+            "f0a05b0f7cb02a938790773e765f9300a56b136bb4e92cff0ddb88af49df6423",
     },
     ('correlations', 'lam05'): {
         "decay.csv":
@@ -146,9 +154,9 @@ GOLDEN = {
     },
     ('entropy-bound', 'lam0'): {
         "entropy.csv":
-            "9ffbc73dd1e5941d83f86c309011dd1c781d7e708411110ebaf4ee013e0a4292",
+            "bf7cef353c1138733130151c85b8b2a89a05514d5d585c1c254f7854c19dbe36",
         "entropy_summary.csv":
-            "25d116780ba89b52335002d112929b066bb3444578d358d8831f58ff8681df72",
+            "ff8398776a94ac6c0c463c1c6974f5dc0bd771b4a9fdce2d0d2c6c345a524db1",
     },
     ('entropy-bound', 'lam05'): {
         "entropy.csv":
@@ -158,11 +166,11 @@ GOLDEN = {
     },
     ('excursions', 'lam0'): {
         "excursion_law.csv":
-            "374236b86fea9095f50564bd50024224f0037f093e18553954399a095015dc69",
+            "d6b741968f0e90707ae7dccf6eb33e82cc0833a5868cce68a09d5b85c94a9605",
         "excursion_rates.csv":
-            "83b3cfe47bb3d429544a6b1b0b1fa57c44380c7f031412f96b142266da5ff6fb",
+            "252f74ea5f8d1b3eb97d714860e2c7fcefda939ff8236d229614be9ae2591e3a",
         "excursion_summary.csv":
-            "0acc67767d1caceca7061bdb0fe443015a71eb10beb4e1ddf3e7140212b12c89",
+            "cb65b5b77b8eed51d0b5a439dceada602292cbef9b6029930b3c9f23993630a3",
     },
     ('excursions', 'lam05'): {
         "excursion_law.csv":
@@ -174,7 +182,7 @@ GOLDEN = {
     },
     ('finite-size', 'lam0'): {
         "finite_size.csv":
-            "4411dc77c349839c5777caec5cdec0800e0ff9e1a78bdfd3a720842ea45995dd",
+            "51e481e48cc08b2ddf929aa854d8697f0bdacddbd3b7e0c928717b50e88303b2",
         "finite_size_verdict.csv":
             "e3ce68634307cf3fa54302157af621eec5f16fbd990ac198bed9242017556821",
     },
@@ -186,7 +194,7 @@ GOLDEN = {
     },
     ('free-energy', 'lam0'): {
         "free_energy.csv":
-            "6c5dd310533c1b3fa87081a4e033be59b7213944419a8ca16d9861278fbe5576",
+            "0d1e6403c8bac20b8e742a3ebc3bb9684b0cde9b4b220f410264113a5164a3ab",
     },
     ('free-energy', 'lam05'): {
         "free_energy.csv":
@@ -194,7 +202,7 @@ GOLDEN = {
     },
     ('free-energy-2048', 'lam0'): {
         "free_energy.csv":
-            "66ff76c47ec7d89ea57c49177928b3562c66540c5f396399e1ba5a6c96ba5a58",
+            "751548fd308f7c5a62c99045f5aef7aa2f7958b27160779c4e2304c7964ceec4",
     },
     ('free-energy-2048', 'lam05'): {
         "free_energy.csv":
@@ -202,11 +210,11 @@ GOLDEN = {
     },
     ('excursions-512', 'lam0'): {
         "excursion_law.csv":
-            "06df6d8a66da781dc3a1ad61b9cddfd8ef4a90e4c1a87ffb25f4e498ff279a14",
+            "1cc8dcd5e6b1db580a01b606000a62d660be02c6db763b9988c7ea1c6edbb5a4",
         "excursion_rates.csv":
-            "8b02a8d2772baaba48ac96d106c50df89b2884a62eabfa0f6cecca249bbeac2f",
+            "64067b542c5aee36c0c2d65ed09371abfdd0f24cb79a838414b05bd7d58e51b4",
         "excursion_summary.csv":
-            "fe999233f172dc817323d6b0b3f91c74a832059bebc70a71370587088eb675c4",
+            "3dc4e93d64464713f633c5e01be54a5dd819d4eb7defa5a512733f0cc1727cd4",
     },
     ('excursions-512', 'lam05'): {
         "excursion_law.csv":
@@ -220,7 +228,7 @@ GOLDEN = {
         "maxexc.csv":
             "f9c26288ce00979a15e724e63c2804430474be925fa786dafdccd2264d2f933c",
         "maxexc_summary.csv":
-            "660fb29bb699832835cfc4539e1af9fcd7fb6c34d4ae182379972870444c5e46",
+            "6667fafc87beaaf68004ef2ad7034deb53041f6d8bbcc08a825ab384ba77c4f5",
     },
     ('maxexc', 'lam05'): {
         "maxexc.csv":
@@ -232,7 +240,7 @@ GOLDEN = {
         "maxexc.csv":
             "8c039358d513829f542922ba37ad20c5d0f4c99439338ce4faaf53c4d71cf54a",
         "maxexc_summary.csv":
-            "e36fc3efff4683623e8dcb03914653b1a33520ad484e068338f8624a96b0f5ce",
+            "1f60118eb3c477216e6ab5e7fbf7845fa51a8784eff894628eab11e0b62f43b5",
     },
     ('maxexc-256', 'lam05'): {
         "maxexc.csv":
@@ -266,7 +274,7 @@ GOLDEN = {
     },
     ('mu', 'lam0'): {
         "mu.csv":
-            "7813dbd52860b816d639030fd55c45e55045130bb895cad2599ff9f8ce50c99b",
+            "af9c650088d331200b4ee06a8a47e9df5cd63cc29a5a27cdcb173358ccff0af9",
     },
     ('mu', 'lam05'): {
         "mu.csv":
@@ -274,7 +282,7 @@ GOLDEN = {
     },
     ('phase-scan', 'lam0'): {
         "phase.csv":
-            "1e5d6130e834483e59deb00e7bbec246d886c232dd8f38ed3e47bbab19ccff2f",
+            "bd242857b75b918650e5172e5c1d2711eb262e3aa7a4fc0af1e89fda875d4e7a",
     },
     ('phase-scan', 'lam05'): {
         "phase.csv":
@@ -282,7 +290,7 @@ GOLDEN = {
     },
     ('profile', 'lam0'): {
         "profile.csv":
-            "a6f84237eb7d117aa13ae1193129b5b84b04bc4130339aab2a36950e5c5af1a7",
+            "ea066981c69eccd6b238ac722156007f120eb0fc790cfca7db567da0a5288a58",
     },
     ('profile', 'lam05'): {
         "profile.csv":
@@ -290,7 +298,7 @@ GOLDEN = {
     },
     ('profile-512', 'lam0'): {
         "profile.csv":
-            "3f1c3df9d55a1b28125f6209eedda1a4d9eb863855c35586c19e8895b2ce8495",
+            "109564ce40cb0d4424e2497de193cb715285f064a34fc5634975685fbca643ec",
     },
     ('profile-512', 'lam05'): {
         "profile.csv":

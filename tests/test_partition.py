@@ -848,17 +848,59 @@ def test_all_fallback_rows_equal_loop(monkeypatch, fallback, linear):
 def test_solve_rejects_rows_out_of_range():
     # a cross term e^-740 is subnormal on the linear path: the solved y
     # must leave [e^-600, e^600] and send the row to the loop; a NaN reward
-    # fails the exponent check
+    # fails the exponent check. At lam = 0 the block takes the triangular
+    # path and both rows go on through the scaled solve, which rejects
+    # them too; at lam = 0.5 only the scaled solve runs.
     h = 20
     kern = build_srw_kernel(h)
-    solver = partition._InBlockSolve(3, h, kern.log_k, 0.0)
-    lz = np.zeros((3, h))
-    lz[2, 7] = np.nan
-    cross = np.full((3, h), -3.0)
-    cross[1, 0] = -740.0
-    with np.errstate(all="ignore"):
-        _, ok = solver.solve(lz, np.zeros((3, h)), cross)
-    assert ok.tolist() == [True, False, False]
+    for lam in (0.0, 0.5):
+        solver = partition._InBlockSolve(3, h, kern.log_k, lam)
+        assert (solver.neg_t is not None) == (lam == 0.0)
+        lz = np.zeros((3, h))
+        lz[2, 7] = np.nan
+        cross = np.full((3, h), -3.0)
+        cross[1, 0] = -740.0
+        with np.errstate(all="ignore"):
+            _, ok = solver.solve(lz, np.zeros((3, h)), cross)
+        assert ok.tolist() == [True, False, False]
+
+
+def test_large_rewards_at_lam_zero_stay_linear(monkeypatch):
+    # log zeta = 5 + omega_tilde per site: the scaled solve's in-block
+    # prefix sums pass the exponent limit in every block, while the
+    # triangular path's solved values stay in range, so no row-block
+    # takes the reference recursion
+    n = 2048
+    kern = build_srw_kernel(n)
+    p = ModelParams(0.0, 0.0, 1.0, 5.0)
+    samples = [sample_disorder(DisorderLaw.GAUSSIAN, DisorderLaw.GAUSSIAN, n,
+                               p.h, 1, i) for i in range(4)]
+    calls = _spy_fallback(monkeypatch)
+    batch = _forward_batch(*_stack(samples, p), kern.log_k, p.lam)
+    assert calls == []
+    ref = _loop_forward(0, samples[0], p, kern, n)
+    assert np.all(np.abs(batch[0] - ref) <= _rounding_bound(ref, 0))
+
+
+def test_lam_zero_without_blas_binding_takes_scaled_solve(monkeypatch):
+    # where numpy's OpenBLAS or its dtrsv symbol is absent, the lookup
+    # finds nothing and a lam = 0 pass runs the scaled solve
+    monkeypatch.setattr(partition.os, "listdir", lambda path: [])
+    assert partition._dtrsv.__wrapped__() is None
+    monkeypatch.undo()
+    n = 300
+    kern = build_srw_kernel(n)
+    p = ModelParams(0.0, 0.0, 1.0, 0.5)
+    samples = [sample_disorder(DisorderLaw.GAUSSIAN, DisorderLaw.GAUSSIAN, n,
+                               p.h, 5, i) for i in range(3)]
+    monkeypatch.setattr(partition, "_dtrsv", lambda: None)
+    batch = _forward_batch(*_stack(samples, p), kern.log_k, p.lam)
+    monkeypatch.setattr(partition, "_TRSV_WIDTH", 10 ** 9)
+    assert np.array_equal(
+        batch, _forward_batch(*_stack(samples, p), kern.log_k, p.lam))
+    for row, d in zip(batch, samples):
+        ref = _loop_forward(0, d, p, kern, n)
+        assert np.all(np.abs(row - ref) <= _rounding_bound(ref, 0))
 
 
 def test_benchmark_inputs_take_the_linear_path(tmp_path, monkeypatch):
