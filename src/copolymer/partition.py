@@ -21,9 +21,10 @@ it to rounding error.
 One recursion, ``_forward_batch``, builds every table. It cuts the sites
 into blocks of ``_BLOCK``, sums earlier blocks through BLAS products in
 linear domain, nearest block first, and solves each block as one
-lower-triangular system in scaled linear domain. At lam = 0 every row of
-a block shares that system's matrix but for its diagonal, and a block of
-``_TRSV_WIDTH`` sites or more is one BLAS triangular solve per row. A row
+lower-triangular system in scaled linear domain: a block of
+``_TRSV_WIDTH`` sites or more is one BLAS triangular solve per row (at
+lam = 0 on one matrix that the rows share but for its diagonal), a
+narrower block one column substitution of all rows. A row
 whose scales or sums leave the linear range takes the reference recursion
 for that block: a per-site log-sum-exp over every earlier site. A row
 stops adding earlier blocks once the rest weighs below 2^-60 of its sums:
@@ -229,19 +230,19 @@ def _check_horizon(d: DisorderSample, kern: ReturnKernel):
 # inputs carry absolute errors of order
 # max(1, |log Z|) 2^-52: one exp per (row, source block) and one log per
 # target, and the dropped far blocks, at most 2^-60 = 2^-8 units.
-# The linear solve costs less per site: its dot products of at most B
-# terms and its sub-block inverse (four levels of 16-term products over
-# chains of at most 15 steps) run once per 16-site sub-block, about
-# (B + 70)/16 units per site. It adds about |x| units for each scale factor
-# e^x in row t of M and r, where |x| <= 600. A row on the lam = 0
-# triangular path sums at most B positive terms per site, plus one exp per
-# right-hand side and diagonal entry and one log: about B + 2 units, with
-# no scale-factor term. So at s = t - j sites from the
-# anchor, log Z_t lies within s (B + ceil(s/B) + 8) 2^-52
+# The scaled linear solve, by dtrsv or by column substitution, adds to
+# each site's r_t one sum of at most B - 1 products M[t, u] y_u, each entry
+# of M rounded in at most three operations (the two-term product of scale
+# factors and the factor T): about B + 3 units per site. It adds about |x|
+# units for each scale factor e^x in row t of M and r, where |x| <= 600. A
+# row on the lam = 0 triangular path sums at most B positive terms per
+# site, plus one exp per right-hand side and diagonal entry and one log:
+# about B + 2 units, with no scale-factor term. So at s = t - j sites from
+# the anchor, log Z_t lies within s (B + ceil(s/B) + 8) 2^-52
 # max(1, max_{u <= t} |log Z_u|) of the exact value, provided each such
 # |x| stays below about B max(1, |log Z_t|). At s = 4096 that is 1.5e-10
 # relative. Measured differences from the per-site loop stay below 5e-14
-# relative, at most 0.8% of the bound.
+# relative, at most 1.2% of the bound.
 #
 # The backward table, this recursion on the reversed sample, obeys the
 # bound at s = n - t sites from the end, read on the reversed curve
@@ -401,9 +402,8 @@ class _CrossBlockSums:
         return out, ok
 
 
-# Sites per sub-block of the in-block solve, and the largest |exponent| a
-# scale factor or a solved value may have on its linear path.
-_SUB = 16
+# The largest |exponent| a scale factor or a solved value may have on the
+# linear path.
 _EXP_LIMIT = 600.0
 
 
@@ -413,16 +413,15 @@ def _in_linear_range(x: np.ndarray) -> np.ndarray:
             & (np.maximum.reduce(x, axis=1) <= math.exp(_EXP_LIMIT)))
 
 
-# Rows x h^2 per chunk of ``_InBlockSolve``: 8 rows at a full block, whose
-# five (rows, h / 16, 16, 16) sub-block buffers then take 640 KiB.
+# Rows x h^2 per chunk of the scaled stage of ``_InBlockSolve``: 8 rows at
+# a full block, whose matrices M then take 1 MiB.
 _SOLVE_CELLS = 8 * 128 * 128
 
-# Block width from which ``_InBlockSolve`` solves a lam = 0 block by one
-# dtrsv call per row; below it, the scaled solve of a batch of rows is
-# faster at every row count.
+# Block width from which ``_InBlockSolve`` solves by one dtrsv call per
+# row; below it, the column substitution of a batch of rows is faster.
 _TRSV_WIDTH = 17
-# the CBLAS enum values of row-major, lower, no transpose and non-unit
-_ROW_MAJOR, _LOWER, _NO_TRANS, _NON_UNIT = 101, 122, 111, 131
+# the CBLAS enum values of row-major, lower, no transpose, non-unit and unit
+_ROW_MAJOR, _LOWER, _NO_TRANS, _NON_UNIT, _UNIT = 101, 122, 111, 131, 132
 
 
 @functools.cache
@@ -454,7 +453,7 @@ class _InBlockSolve:
     ``_TRSV_WIDTH`` sites is then one BLAS dtrsv per row (``_triangular``)
     on one copy of -T per pass, whose diagonal the row overwrites; a row it
     rejects, every block at lam > 0 and every narrower block take the
-    scaled solve below (``_scaled``), which works for any lam.
+    scaled stage below (``_scaled``), which works for any lam.
 
     Inside a block, Z_t / zeta_t - sum_{lo <= u < t} wgt(u, t) Z_u = C_t,
     with C_t the cross-block sum. The scaling Z_t = e^{s + G_t} y_t, G the
@@ -465,60 +464,54 @@ class _InBlockSolve:
         M[t, u] = T[t, u] (e^{-H_t} e^{G_u} + e^{om_t - H_t} e^{G_u - om_u})
 
     where T[t, u] = K(t - u) (K / 2 at lam > 0) for t > u and 0 otherwise,
-    and om_t = -2 lam (W_t - W_lo): the coin average has rank 2. Any part
-    of M is a rank-2 BLAS product of scale vectors (the second pair 0 at
-    lam = 0) times T, so no cell takes an exp. Every entry of M and r is
-    nonnegative. The solve walks the sub-blocks of ``_SUB`` sites:
-    v = r_sub + M[sub, :a] y[:a], then y_sub = X v, with
-    X = (I - D)^-1 = (I + D)(I + D^2)(I + D^4)(I + D^8) for the strictly
-    lower-triangular diagonal sub-block D. All D and X of a chunk of rows
-    are built at once by batched products; each strip M[sub, :a] when the
-    walk reaches it, so M is never held whole.
+    and om_t = -2 lam (W_t - W_lo): the coin average has rank 2. The scaled
+    stage builds -M, a BLAS product of the scale vectors (the second pair 0
+    at lam = 0) times -T, for a chunk of rows at a time, so no cell takes
+    an exp; every entry of M and r is nonnegative. A block of
+    ``_TRSV_WIDTH`` sites or more then solves (I - M) y = r by one
+    unit-diagonal BLAS dtrsv per row; a narrower block, or any block where
+    numpy's OpenBLAS is not found, by a column substitution of the chunk's
+    rows at once: y_t = r_t + sum_{u < t} M[t, u] y_u, one row-wise sum per
+    column.
 
     A row's exponents -H, G, om - H and G - om must lie within
     ``_EXP_LIMIT`` and its solved y within e^(+-_EXP_LIMIT), else
     ``solve`` marks the row for the reference recursion. Every product and
-    every dtrsv runs on one row's slice, so a row's bits depend neither on
-    R nor on the rows beside it.
+    every dtrsv runs on one row's slice, and every row-wise sum reduces one
+    row of a C-ordered buffer, so a row's bits depend neither on R nor on
+    the rows beside it.
     """
 
     def __init__(self, r: int, h_max: int, log_k: np.ndarray, lam: float):
         self.lam = lam
-        q = min(h_max, _SUB)
-        hp = -(-h_max // q) * q
-        pad = np.zeros(2 * hp - 1)  # T[t, u] = pad[hp - 1 + t - u]
-        pad[hp:hp + h_max - 1] = np.exp(_log_weight_base(log_k, lam)[1:h_max])
-        self.t = sliding_window_view(pad, hp)[:, ::-1].copy()
-        # the triangular path's -T, whose diagonal each row overwrites
-        self.neg_t = None
-        if lam == 0.0 and h_max >= _TRSV_WIDTH and _dtrsv() is not None:
-            self.neg_t = np.negative(self.t[:h_max, :h_max])
-            self.diag = self.neg_t.reshape(-1)[::h_max + 1]
-        self.eye = np.eye(q)
-        self.chunk = min(r, max(1, _SOLVE_CELLS // (hp * hp)))
-        c = self.chunk
-        # the scale vectors of M = T (left . right): e^{-H}, e^{om - H} and
+        pad = np.zeros(2 * h_max - 1)  # -T[t, u] = pad[h_max - 1 + t - u]
+        pad[h_max:] = np.exp(_log_weight_base(log_k, lam)[1:h_max])
+        np.negative(pad, out=pad)
+        # the triangular path overwrites the diagonal, which M never reads
+        self.neg_t = sliding_window_view(pad, h_max)[:, ::-1].copy()
+        self.diag = self.neg_t.reshape(-1)[::h_max + 1]
+        self.trsv = _dtrsv()
+        # whether a lam = 0 block of _TRSV_WIDTH sites or more takes the
+        # triangular path
+        self.shared = lam == 0.0 and self.trsv is not None
+        # the scale vectors of -M = -T (left . right): e^{-H}, e^{om - H} and
         # e^{G}, e^{G - om}. At lam = 0 the second pair stays 0, since a
-        # product over two terms runs in BLAS and one over a single term
-        # ran 4x slower on numpy's own loop.
-        self.left = np.zeros((r, hp, 2))
-        self.right = np.zeros((r, 2, hp))
-        self.rhs = np.empty((r, hp, 1))
-        self.y = np.empty((r, hp, 1))
-        self.v = np.empty((c, q, 1))
-        # flat, so that each strip is contiguous: a strided one took 2.5x
-        # longer to multiply by T
-        self.strip = np.empty(c * q * (hp - q))
-        self.d = np.empty((c, hp // q, q, q))
-        self.x = np.empty_like(self.d)
-        self.pw = np.empty_like(self.d)
-        self.tmp = np.empty_like(self.d)
+        # product over two terms runs in BLAS, 4x faster than numpy's own
+        # loop over one term or its broadcast outer product.
+        self.left = np.zeros((r, h_max, 2))
+        self.right = np.zeros((r, 2, h_max))
+        self.m = np.empty(min(r, max(1, _SOLVE_CELLS // h_max ** 2))
+                          * h_max ** 2)
 
     def solve(self, lz: np.ndarray, w: np.ndarray, cross: np.ndarray):
         """log Z at the h sites of one block from its (R, h) log rewards,
         prefix sums and cross-block log sums; and which rows took the
         linear path (the others hold values to be replaced)."""
-        if self.neg_t is None or lz.shape[1] < _TRSV_WIDTH:
+        h, n_max = lz.shape[1], len(self.neg_t)
+        if h > n_max:
+            raise GuardError(f"a block of {h} sites exceeds the solver's "
+                             f"{n_max}")
+        if not self.shared or h < _TRSV_WIDTH:
             return self._scaled(lz, w, cross)
         out, ok = self._triangular(lz, cross)
         if not ok.all():
@@ -530,12 +523,8 @@ class _InBlockSolve:
         """``solve`` at lam = 0, one BLAS dtrsv per row: (diag(e^-lz) - T) z
         = e^(log C - s), s the row maximum of log C, and log Z = s + log z.
         A row with |lz| past ``_EXP_LIMIT`` or z outside e^(+-_EXP_LIMIT)
-        is marked for the scaled solve."""
-        r, h = lz.shape
-        trsv, n_max = _dtrsv(), len(self.neg_t)
-        if h > n_max:
-            raise GuardError(f"a block of {h} sites exceeds the solver's "
-                             f"{n_max}")
+        is marked for the scaled stage."""
+        h, n_max = lz.shape[1], len(self.neg_t)
         s = np.maximum.reduce(cross, axis=1)
         # a new C-ordered float64 buffer, each row solved in place
         z = np.subtract(cross, s[:, None], dtype=float)
@@ -547,95 +536,73 @@ class _InBlockSolve:
         a, diag, base = self.neg_t.ctypes.data, self.diag[:h], z.ctypes.data
         for i in np.flatnonzero(ok).tolist():
             np.copyto(diag, inv[i])
-            trsv(_ROW_MAJOR, _LOWER, _NO_TRANS, _NON_UNIT, h, a, n_max,
-                 base + 8 * h * i, 1)
+            self.trsv(_ROW_MAJOR, _LOWER, _NO_TRANS, _NON_UNIT, h, a, n_max,
+                      base + 8 * h * i, 1)
         ok &= _in_linear_range(z)
         np.log(z, out=z)
         np.add(z, s[:, None], out=z)
         return z, ok
 
     def _scaled(self, lz: np.ndarray, w: np.ndarray, cross: np.ndarray):
-        """``solve`` by the scaled sub-block walk, for any lam."""
+        """``solve`` on the scaled system, for any lam."""
         r, h = lz.shape
-        q = min(h, _SUB)
-        ns = -(-h // q)
-        hp = ns * q
         nf = 1 if self.lam == 0.0 else 2
         g = np.add.accumulate(lz, axis=1)
         hh = np.subtract(g, lz)
-        rhs = np.subtract(cross, hh)
-        s = np.maximum.reduce(rhs, axis=1)
-        left = self.left[:r, :hp, :nf]
-        right = self.right[:r, :nf, :hp]
-        np.negative(hh, out=left[:, :h, 0])
-        np.copyto(right[:, 0, :h], g)
+        # r, then y: a new C-ordered buffer, each row solved in place
+        y = np.subtract(cross, hh)
+        s = np.maximum.reduce(y, axis=1)
+        np.subtract(y, s[:, None], out=y)
+        np.exp(y, out=y)
+        left = self.left[:r, :h]
+        right = self.right[:r, :, :h]
+        np.negative(hh, out=left[:, :, 0])
+        np.copyto(right[:, 0], g)
         if nf == 2:
             om = np.subtract(w, w[:, :1])
             np.multiply(-2.0 * self.lam, om, out=om)
-            np.subtract(om, hh, out=left[:, :h, 1])
-            np.subtract(g, om, out=right[:, 1, :h])
+            np.subtract(om, hh, out=left[:, :, 1])
+            np.subtract(g, om, out=right[:, 1])
         ok = np.ones(r, dtype=bool)
-        for live in (left[:, :h], right[:, :, :h]):
+        for live in (left[:, :, :nf], right[:, :nf]):
             # NaN fails the comparison: such a row takes the loop
             ok &= np.maximum.reduce(np.abs(live), axis=(1, 2)) <= _EXP_LIMIT
             np.minimum(live, _EXP_LIMIT, out=live)
             np.maximum(live, -_EXP_LIMIT, out=live)
-        left[:, h:] = -np.inf
-        right[:, :, h:] = -np.inf
-        np.exp(left, out=left)
-        np.exp(right, out=right)
-        rr = self.rhs[:r, :hp, 0]
-        np.subtract(rhs, s[:, None], out=rr[:, :h])
-        rr[:, h:] = -np.inf
-        np.exp(rr, out=rr)
-        for lo in range(0, r, self.chunk):
-            rows = slice(lo, min(lo + self.chunk, r))
-            lc = self.left[rows, :hp]
-            rc = self.right[rows, :, :hp]
-            k = len(lc)
-            # the diagonal sub-blocks of M; T has one, its leading q x q
-            d = self.d[:k, :ns, :q, :q]
-            np.matmul(lc.reshape(k, ns, q, 2),
-                      rc.reshape(k, 2, ns, q).transpose(0, 2, 1, 3), out=d)
-            np.multiply(d, self.t[:q, :q], out=d)
-            x = self._inverse(d)
-            y = self.y[rows, :hp]
-            b = self.rhs[rows, :hp]
-            v = self.v[:k, :q]
-            for c in range(ns):
-                sub = slice(c * q, (c + 1) * q)
-                if c:
-                    # the strip M[sub, :a] left of the diagonal sub-block
-                    a = c * q
-                    strip = self.strip[:k * q * a].reshape(k, q, a)
-                    np.matmul(lc[:, sub], rc[:, :, :a], out=strip)
-                    np.multiply(strip, self.t[sub, :a], out=strip)
-                    np.matmul(strip, y[:, :a], out=v)
-                    np.add(v, b[:, sub], out=v)
-                else:
-                    np.copyto(v, b[:, sub])
-                np.matmul(x[:, c], v, out=y[:, sub])
-        yh = self.y[:r, :h, 0]
-        ok &= _in_linear_range(yh)
+            np.exp(live, out=live)
+        trsv = self.trsv if h >= _TRSV_WIDTH else None
+        chunk = max(1, min(r, len(self.m) // (h * h)))
+        for lo in range(0, r, chunk):
+            rows = slice(lo, min(lo + chunk, r))
+            k = rows.stop - lo
+            # contiguous, so that row i's matrix starts h^2 entries on
+            m = self.m[:k * h * h].reshape(k, h, h)
+            np.matmul(left[rows], right[rows], out=m)
+            np.multiply(m, self.neg_t[:h, :h], out=m)
+            if trsv is None:
+                _substitute(m, y[rows])
+                continue
+            a, base = m.ctypes.data, y.ctypes.data + 8 * h * lo
+            for i in np.flatnonzero(ok[rows]).tolist():
+                trsv(_ROW_MAJOR, _LOWER, _NO_TRANS, _UNIT, h,
+                     a + 8 * h * h * i, h, base + 8 * h * i, 1)
+        ok &= _in_linear_range(y)
         np.add(g, s[:, None], out=g)
-        np.add(g, np.log(yh), out=g)
+        np.add(g, np.log(y, out=y), out=g)
         return g, ok
 
-    def _inverse(self, d: np.ndarray) -> np.ndarray:
-        """(I - D)^-1 of each strictly lower-triangular q x q block D of
-        ``d`` (k, ns, q, q), which it overwrites: the product of the
-        factors I + D^(2^i)."""
-        k, ns, q, _ = d.shape
-        x = self.x[:k, :ns, :q, :q]
-        tmp = self.tmp[:k, :ns, :q, :q]
-        np.add(d, self.eye[:q, :q], out=x)
-        power, spare = d, self.pw[:k, :ns, :q, :q]
-        for _ in range(1, max(1, (q - 1).bit_length())):
-            np.matmul(power, power, out=spare)
-            np.matmul(x, spare, out=tmp)
-            np.add(x, tmp, out=x)
-            power, spare = spare, power
-        return x
+
+def _substitute(neg_m: np.ndarray, y: np.ndarray):
+    """Solve (I - M) y = r in place for every row of the (k, h) ``y``,
+    which holds r, given the (k, h, h) -M: column t takes
+    r_t - sum_{u < t} -M[t, u] y_u for all rows at once, each sum reducing
+    one row of a C-ordered buffer."""
+    k, h = y.shape
+    flat = np.empty(k * h)
+    for t in range(1, h):
+        terms = flat[:k * t].reshape(k, t)
+        np.multiply(neg_m[:, t, :t], y[:, :t], out=terms)
+        np.subtract(y[:, t], np.add.reduce(terms, axis=1), out=y[:, t])
 
 
 def _log_domain_block(z: np.ndarray, w: np.ndarray, lz: np.ndarray,

@@ -564,9 +564,35 @@ def test_fallback_fires_and_equals_loops(monkeypatch, case):
     assert np.array_equal(excursion_cover(t, d, p, kern),
                           _loop_probability_scan(t, d, p, kern, False))
     k = n // 2
-    assert np.array_equal(excursion_law(k, t, d, p, kern).pmf,
-                          _loop_excursion_law(k, t, d, p, kern))
-    assert calls == [None, None, k]
+    got = excursion_law(k, t, d, p, kern).pmf
+    want = _loop_excursion_law(k, t, d, p, kern)
+    if alpha is None:
+        # log Zf moves by thousands per site, so each scale band of the
+        # law holds one return and the law stays linear
+        assert np.all(np.abs(got - want)
+                      <= np.maximum(_bound_scale(t, d, p) * want, 2e-300))
+        assert calls == [None, None]
+    else:
+        assert np.array_equal(got, want)
+        assert calls == [None, None, k]
+
+
+def test_law_takes_scale_bands_at_strong_pinning(monkeypatch):
+    # log Zf climbs about 6 per site at lam_tilde = 3, h_tilde = 2: past
+    # 600 within a 128-site block, yet no log-domain row runs
+    n = 2048
+    kern = build_srw_kernel(n)
+    p = ModelParams(0.5, 0.1, 3.0, 2.0)
+    d = sample_disorder(DisorderLaw.GAUSSIAN, DisorderLaw.GAUSSIAN, n, p.h, 1,
+                        0)
+    t = forward_tables(d, p, kern)
+    calls = _spy_rows(monkeypatch)
+    k = n // 2
+    got = excursion_law(k, t, d, p, kern).pmf
+    assert calls == []
+    want = _loop_excursion_law(k, t, d, p, kern)
+    assert np.all(np.abs(got - want)
+                  <= np.maximum(_bound_scale(t, d, p) * want, 2e-300))
 
 
 @pytest.mark.parametrize("sites", [(1000, 1011), (1000, 1004, 1023),

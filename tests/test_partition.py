@@ -855,7 +855,7 @@ def test_solve_rejects_rows_out_of_range():
     kern = build_srw_kernel(h)
     for lam in (0.0, 0.5):
         solver = partition._InBlockSolve(3, h, kern.log_k, lam)
-        assert (solver.neg_t is not None) == (lam == 0.0)
+        assert solver.shared == (lam == 0.0)
         lz = np.zeros((3, h))
         lz[2, 7] = np.nan
         cross = np.full((3, h), -3.0)
@@ -863,6 +863,32 @@ def test_solve_rejects_rows_out_of_range():
         with np.errstate(all="ignore"):
             _, ok = solver.solve(lz, np.zeros((3, h)), cross)
         assert ok.tolist() == [True, False, False]
+
+
+def test_trsv_rows_on_a_partial_last_block(monkeypatch):
+    # width 300 at lam = 0.5: blocks of 128, 128 and 44 sites, every one
+    # solved by one dtrsv per row; 17 rows take three chunks of the matrix
+    # build, and the 44-site block addresses each row's matrix at its own
+    # width
+    n = 299
+    kern = build_srw_kernel(n)
+    p = ModelParams(0.5, 0.1, 1.0, 0.5)
+    samples = [sample_disorder(DisorderLaw.GAUSSIAN, DisorderLaw.GAUSSIAN, n,
+                               p.h, 34, i) for i in range(17)]
+    trsv, orders = partition._dtrsv(), []
+
+    def spy(*args):
+        orders.append(args[4])
+        return trsv(*args)
+
+    monkeypatch.setattr(partition, "_dtrsv", lambda: spy)
+    batch = _forward_batch(*_stack(samples, p), kern.log_k, p.lam)
+    assert orders == [128] * 34 + [44] * 17
+    for row, d in zip(batch, samples):
+        alone = _forward_batch(*_stack([d], p), kern.log_k, p.lam)[0]
+        assert np.array_equal(row, alone)
+        ref = _loop_forward(0, d, p, kern, n)
+        assert np.all(np.abs(row - ref) <= _rounding_bound(ref, 0))
 
 
 def test_large_rewards_at_lam_zero_stay_linear(monkeypatch):
