@@ -12,11 +12,12 @@ The contact and excursion scans (the profile's p_neg, the excursion cover
 and the excursion law) sum O(N^2) excursion probabilities P(u, t). They
 run in linear domain: P(u, t) = Kh(t - u) (A_u B_t + A'_u B'_t), with
 factors read off the tables (``_linear_factors``), and no pair takes an
-exp or a log. The profile scan and the cover are a few Toeplitz
-correlations per block of ``partition._BLOCK`` sites, each block under
-one scale; the excursion law is one convolution per scale band of
-returns, a run whose log A values span at most ``_EXP_LIMIT``. A call
-whose scaled factors would leave e^(+-_EXP_LIMIT) runs one log-domain row
+exp or a log. Each sum is one direct Toeplitz product per scale band of
+returns (``_band_end``), each band under one scale: for the profile scan
+and the cover, a correlation per band of rows and per band of the
+reversed factors (``_row_sums``); for the excursion law, a convolution.
+A call whose kernel falls below e^-_EXP_LIMIT, or whose scaled factors
+are not finite or would leave e^(+-_EXP_LIMIT), runs one log-domain row
 per return instead (``_log_domain_rows``).
 """
 
@@ -30,8 +31,9 @@ from .disorder import DisorderSample, PathRng
 from .errors import GuardError, NumericsError
 from .kernel import ReturnKernel
 from .logspace import sigmoid
-from .partition import (_BLOCK, _EXP_LIMIT, ModelParams, PartitionTables,
-                        _log_weight_base, _log_weight_into, _segments)
+from .partition import (_EXP_LIMIT, ModelParams, PartitionTables,
+                        _log_weight_base, _log_weight_core, _log_weight_into,
+                        _segments)
 
 
 @dataclass(frozen=True)
@@ -69,53 +71,27 @@ def _check_source(tables: PartitionTables, d: DisorderSample,
                          "they were built from")
 
 
-def _log_domain_rows(tables, d, p, kern, weight_neg, k=None):
+def _log_domain_rows(tables, d, p, kern, signed, k=None):
     """Yield (u, x): x holds the probabilities of the excursions (u, t],
     t = t0..n, one log-domain row per u. With k None these are every
     excursion (u < n, t0 = u + 1); else those with u <= k < t, which
     excursion_law(k) reads (t0 = k + 1).
 
     P(u, t) is exp of log Zf[u] + log K + log coin + log zeta_t + log Zb[t]
-    - log Z_n; with ``weight_neg`` it is weighted by the excursion's
-    negative-sign fraction sigmoid(y), which reuses the exp(-|y|) of its
-    log weight. Each row runs in O(N) scratch buffers, so ``x`` is valid
-    until the next row. This is the one fallback of the linear scans.
+    - log Z_n, with ``signed`` times the negative-sign fraction
+    sigmoid(-2 lam dw). This is the one fallback of the linear sums, in
+    the ufunc order of the tests' reference loops, so with their bits.
     """
     n = tables.n
     zf, zb, lz = tables.log_zf, tables.log_zb, tables.log_zeta_sites
     w = d.w_prefix
-    lam = p.lam
-    base = _log_weight_base(kern.log_k, lam)
-    # exp(-|y|) and y >= 0 feed sigmoid(y) only where it varies (lam > 0);
-    # at lam = 0 it is exactly 1/2
-    signed = weight_neg and lam != 0.0
-    buf, aux = np.empty(n), np.empty(n)
-    e_buf = np.empty(n) if signed else None
-    pos_buf = np.empty(n, dtype=bool) if signed else None
     for u in range(n if k is None else k + 1):
         t0 = u + 1 if k is None else k + 1
-        length = n + 1 - t0
-        x = buf[:length]
-        a = aux[:length]
-        e = e_buf[:length] if signed else None
-        pos = pos_buf[:length] if signed else None
-        _log_weight_into(x, a, base[t0 - u:n - u + 1], w[t0:], w[u], lam,
-                         exp_out=e, pos_out=pos)
-        np.add(zf[u], x, out=x)
-        np.add(x, lz[t0:], out=x)
-        np.add(x, zb[t0:], out=x)
-        np.subtract(x, zf[n], out=x)
-        np.exp(x, out=x)
-        if signed:
-            # sigmoid(y): 1/(1 + e) where y >= 0, e/(1 + e) elsewhere
-            np.add(1.0, e, out=a)
-            np.divide(e, a, out=e)
-            np.divide(1.0, a, out=a)
-            np.copyto(e, a, where=pos)
-            np.multiply(x, e, out=x)
-        elif weight_neg:
-            np.multiply(x, 0.5, out=x)
-        yield u, x
+        dw = w[t0:] - w[u]
+        x = np.exp(zf[u] + _log_weight_core(kern.log_k[t0 - u:n - u + 1], dw,
+                                            p.lam)
+                   + lz[t0:] + zb[t0:] - zf[n])
+        yield u, x * sigmoid(-2.0 * p.lam * dw) if signed else x
 
 
 def _linear_factors(tables, d, p, kern, weight_neg):
@@ -151,11 +127,11 @@ def _bounded_below(x) -> bool:
 
 def _block_factors(log_s, log_o):
     """e^(log_s - c) and e^(log_o + c) for c = max log_s, the scaled factors
-    of one block, whose products keep their true scale. None unless every
+    of one band, whose products keep their true scale. None unless every
     scaled exponent of ``log_s`` (all <= 0) passes ``_bounded_below`` and
     every one of ``log_o`` is <= _EXP_LIMIT, NaN included."""
     c = np.maximum.reduce(log_s)
-    if c == -np.inf:  # an all-zero block: any scale is exact
+    if c == -np.inf:  # an all-zero band: any scale is exact
         c = 0.0
     elif not np.isfinite(c):
         return None
@@ -166,33 +142,55 @@ def _block_factors(log_s, log_o):
     return np.exp(xs, out=xs), np.exp(xo, out=xo)
 
 
+def _band_end(log_a, lo, hi, span):
+    """The end of the scale band that starts at ``lo`` < ``hi``: the
+    longest run log_a[lo:end], end <= hi, whose finite values span at most
+    ``span``, so that ``_block_factors`` admits its side of them. An
+    exact 0 (-inf) never ends a band; +inf and NaN end none either, and
+    ``_block_factors`` rejects their band. The law passes _EXP_LIMIT; the
+    scans pass half, as a row band meets B_t inside itself, where
+    B_t e^c = zeta_t p_contact[t] e^(c - log A_t) reaches zeta_t e^span
+    (e^600.03 at N = 8192, lam = 0.5 with a span of 600)."""
+    x = log_a[lo:hi]
+    top = np.maximum.accumulate(x)
+    bottom = np.minimum.accumulate(np.where(x == -np.inf, np.inf, x))
+    # an all-zero prefix spans -inf - inf; NaN fails the comparison
+    wide = np.flatnonzero(top - bottom > span)
+    return hi if wide.size == 0 else lo + int(wide[0])
+
+
+def _row_sums(kh, log_s, log_o):
+    """r_u = S_u sum_{s >= 1} Kh(s) O_{u+s} for u < len(log_s), from the
+    logs of S and one more O: one ``np.correlate`` per scale band of S
+    (``_band_end``), or None when a band fails ``_block_factors``."""
+    m = log_s.size
+    r = np.empty(m)
+    lo = 0
+    while lo < m:
+        hi = _band_end(log_s, lo, m, _EXP_LIMIT / 2)
+        f = _block_factors(log_s[lo:hi], log_o[lo + 1:])
+        if f is None:
+            return None
+        s, o = f
+        r[lo:hi] = s * np.correlate(np.concatenate((o, np.zeros(hi - lo - 1))),
+                                    kh[1:m - lo + 1], "valid")
+        lo = hi
+    return r
+
+
 def _linear_scan(kh, pairs, n):
     """The difference-array scan p[k] = sum_{u<k} row_u - sum_{t<k} col_t
     with row_u = sum_{t>u} P(u, t) and col_t = sum_{u<t} P(u, t), summed
-    over ``pairs``; one correlation per block, or None when a block fails
-    ``_block_factors``."""
+    over ``pairs``, or None when ``_row_sums`` fails."""
     diff = np.zeros(n + 1)
     for log_a, log_b in pairs:
-        # row_u = A_u sum_s Kh(s) B_{u+s}, one scale per block of rows
-        for lo in range(0, n, _BLOCK):
-            hi = min(lo + _BLOCK, n)
-            f = _block_factors(log_a[lo:hi], log_b[lo + 1:])
-            if f is None:
-                return None
-            a, b = f
-            rows = np.correlate(np.concatenate((b, np.zeros(hi - lo - 1))),
-                                kh[1:n - lo + 1], "valid")
-            diff[lo + 1:hi + 1] += a * rows
-        # col_t = B_t sum_s Kh(s) A_{t-s}, t < n (col_n lands past p[n])
-        for lo in range(1, n, _BLOCK):
-            hi = min(lo + _BLOCK, n)
-            f = _block_factors(log_b[lo:hi], log_a[:hi - 1])
-            if f is None:
-                return None
-            b, a = f
-            cols = np.convolve(np.concatenate((np.zeros(hi - lo - 1), a)),
-                               kh[1:hi], "valid")
-            diff[lo + 1:hi + 1] -= b * cols
+        # col_t = B_t sum_s Kh(s) A_{t-s} is row n - t of the reversed pair
+        rows = _row_sums(kh, log_a[:n], log_b)
+        cols = _row_sums(kh, log_b[n:0:-1], log_a[::-1])
+        if rows is None or cols is None:
+            return None
+        diff[1:] += rows
+        diff[2:] -= cols[:0:-1]  # col_n lands past p[n]
     return np.cumsum(diff, out=diff)
 
 
@@ -205,17 +203,17 @@ def _excursion_probability_scan(tables, d, p, kern, weight_neg):
     (``_linear_factors``), so the O(N^2) pairs take no transcendental.
     The difference form p[k] = sum_{u<k} row_u - sum_{t<k} col_t needs the
     row sums A_u sum_{t>u} Kh(t - u) B_t and the column sums
-    B_t sum_{u<t} Kh(t - u) A_u: one ``np.correlate`` per block of
-    ``_BLOCK`` rows, scaled by c = max log A over the block (each A by
-    e^-c, so it is <= 1, and B by e^c), and likewise per block of columns
-    scaled by max log B. ``_block_factors`` admits a block only if its
-    scaled small side stays >= e^-_EXP_LIMIT and its other side
-    <= e^_EXP_LIMIT, NaN included, and ``_linear_factors`` requires
-    Kh >= e^-_EXP_LIMIT: then every term lost to underflow is below e^-745
-    absolute, as with exp(log P). Else the whole call runs the log-domain
-    rows (``_log_domain_rows``); the choice reads only this sample's data.
-    The sums are direct, not FFTs, whose absolute error of order
-    2^-52 max would swamp the small entries.
+    B_t sum_{u<t} Kh(t - u) A_u, the row sums at n - t of the reversed
+    pair (B, A): ``_row_sums``, one ``np.correlate`` per band of rows whose
+    finite log A span at most _EXP_LIMIT / 2, scaled by c = max log A over
+    the band (each A by e^-c, so it is <= 1, and B by e^c).
+    ``_block_factors`` admits a band only if its scaled small side stays
+    >= e^-_EXP_LIMIT and its other side <= e^_EXP_LIMIT, NaN included, and
+    ``_linear_factors`` requires Kh >= e^-_EXP_LIMIT: then every term lost
+    to underflow is below e^-745 absolute, as with exp(log P). Else the
+    whole call runs the log-domain rows (``_log_domain_rows``); the choice
+    reads only this sample's data. The sums are direct, not FFTs, whose
+    absolute error of order 2^-52 max would swamp the small entries.
 
     Rounding bound, both forms. With M = max(1, max |log Zf|,
     max |log Zb|, max |log zeta|, 2 lam max |W|),
@@ -226,20 +224,20 @@ def _excursion_probability_scan(tables, d, p, kern, weight_neg):
     each weigh at most sum_{u<k} p_contact[u] (a return opens one
     excursion and closes one); the running sum adds at most N 2^-52 |p|.
     Measured at N = 2048 (lam = 0 and 0.5), the two forms differ by at
-    most 0.6% of twice the bound.
+    most 0.66% of the bound (1.2% at lam_tilde = 3, h_tilde = 2).
     """
     n = tables.n
     kh, pairs = _linear_factors(tables, d, p, kern, weight_neg)
     probs = None if kh is None else _linear_scan(kh, pairs, n)
-    if probs is not None:
-        # at lam = 0 the sign is a fair coin
-        return probs * 0.5 if weight_neg and p.lam == 0.0 else probs
-    diff = np.zeros(n + 2)
-    for u, x in _log_domain_rows(tables, d, p, kern, weight_neg):
-        diff[u + 1] += np.add.reduce(x)
-        tail = diff[u + 2:]
-        np.subtract(tail, x, out=tail)
-    return np.cumsum(diff)[:n + 1]
+    if probs is None:
+        diff = np.zeros(n + 2)
+        for u, x in _log_domain_rows(tables, d, p, kern,
+                                     weight_neg and p.lam != 0.0):
+            diff[u + 1] += x.sum()
+            diff[u + 2:] -= x
+        probs = np.cumsum(diff)[:n + 1]
+    # at lam = 0 the sign is a fair coin
+    return probs * 0.5 if weight_neg and p.lam == 0.0 else probs
 
 
 def contact_profile(tables: PartitionTables, d: DisorderSample,
@@ -354,20 +352,6 @@ def ursell_from_tables(sites, tables, d, p, kern) -> float:
     return ursell(sites, joints)
 
 
-def _band_end(log_a, lo, hi):
-    """The end of the scale band that starts at ``lo`` < ``hi``: the
-    longest run log_a[lo:end], end <= hi, whose finite values span at most
-    _EXP_LIMIT, so that ``_block_factors`` admits its side of them. An
-    exact 0 (-inf) never ends a band; +inf and NaN end none either, and
-    ``_block_factors`` rejects their band."""
-    x = log_a[lo:hi]
-    top = np.maximum.accumulate(x)
-    bottom = np.minimum.accumulate(np.where(x == -np.inf, np.inf, x))
-    # an all-zero prefix spans -inf - inf; NaN fails the comparison
-    wide = np.flatnonzero(top - bottom > _EXP_LIMIT)
-    return hi if wide.size == 0 else lo + int(wide[0])
-
-
 def _linear_law(k, kh, pairs, n):
     """pmf[s] = Kh(s) sum_{u <= k < t, t - u = s} (A_u B_t + A'_u B'_t):
     per scale band of returns u (``_band_end``), one full ``np.convolve``
@@ -377,7 +361,7 @@ def _linear_law(k, kh, pairs, n):
     for log_a, log_b in pairs:
         lo = 0
         while lo <= k:
-            hi = _band_end(log_a, lo, k + 1)
+            hi = _band_end(log_a, lo, k + 1, _EXP_LIMIT)
             f = _block_factors(log_a[lo:hi], log_b[k + 1:])
             if f is None:
                 return None
@@ -398,7 +382,7 @@ def excursion_law(k: int, tables: PartitionTables, d: DisorderSample,
     pmf[s] = Kh(s) sum_{t - u = s} (A_u B_t + A'_u B'_t) is a convolution
     of the factors left of k with those right of it (``_linear_law``):
     one per scale band of returns u, the longest runs whose finite log A
-    span at most _EXP_LIMIT, each admitted by the rule of a block of
+    span at most _EXP_LIMIT, each admitted by the rule of a band of
     ``_excursion_probability_scan`` (whose underflow rule and fallback
     apply). Both forms lie within (N + 16 M) 2^-52 relative of the exact
     value at every entry above 1e-300, M as there: each entry sums at most
@@ -415,8 +399,7 @@ def excursion_law(k: int, tables: PartitionTables, d: DisorderSample,
     if pmf is None:
         pmf = np.zeros(n + 1)
         for u, x in _log_domain_rows(tables, d, p, kern, False, k):
-            lengths = pmf[k + 1 - u:n - u + 1]
-            np.add(lengths, x, out=lengths)
+            pmf[k + 1 - u:n - u + 1] += x
     total = pmf.sum()
     # its log-domain terms round in proportion to |log Z|
     if not abs(total - 1.0) <= 1e-9 * max(1.0, abs(tables.log_z)):

@@ -172,16 +172,13 @@ def _log_weight_base(log_k: np.ndarray, lam: float) -> np.ndarray:
     return log_k if lam == 0.0 else log_k - LOG2
 
 
-def _log_weight_into(out, aux, base, w_hi, w_lo, lam, exp_out=None,
-                     pos_out=None):
+def _log_weight_into(out, aux, base, w_hi, w_lo, lam):
     """Excursion log weights into the caller's buffer ``out``.
 
     ``base`` is ``_log_weight_base`` at the gaps of ``out``; w_hi - w_lo
     (broadcast to out's shape) is each excursion's charge sum dw. Leaves
     base + softplus(y), y = -2 lam dw, in ``out``, or base at lam = 0.
-    ``aux`` is scratch of out's shape. At lam > 0, ``exp_out`` and
-    ``pos_out`` (when given) receive exp(-|y|) and y >= 0, from which
-    ``sigmoid(y)``, the negative-sign probability, follows.
+    ``aux`` is scratch of out's shape.
 
     It applies the ufuncs of ``_log_weight_core`` in the same order, with
     softplus as max(y, 0) + log1p(exp(-|y|)), so every entry has its bits.
@@ -191,13 +188,10 @@ def _log_weight_into(out, aux, base, w_hi, w_lo, lam, exp_out=None,
         return
     np.subtract(w_hi, w_lo, out=out)
     np.multiply(-2.0 * lam, out, out=out)
-    if pos_out is not None:
-        np.greater_equal(out, 0.0, out=pos_out)
-    e = aux if exp_out is None else exp_out
-    np.abs(out, out=e)
-    np.negative(e, out=e)
-    np.exp(e, out=e)
-    np.log1p(e, out=aux)
+    np.abs(out, out=aux)
+    np.negative(aux, out=aux)
+    np.exp(aux, out=aux)
+    np.log1p(aux, out=aux)
     np.maximum(out, 0.0, out=out)
     np.add(out, aux, out=out)
     np.add(base, out, out=out)
