@@ -21,11 +21,12 @@ it to rounding error.
 One recursion, ``_forward_batch``, builds every table. It cuts the sites
 into blocks of ``_BLOCK``, sums earlier blocks through BLAS products in
 linear domain, nearest block first, and solves each block as one
-lower-triangular system in scaled linear domain: a block of
+lower-triangular system per row, (diag(e^-lz) - T coin) z = e^(log C - s),
+in linear domain scaled by the row's largest cross-block sum: a block of
 ``_TRSV_WIDTH`` sites or more is one BLAS triangular solve per row (at
 lam = 0 on one matrix that the rows share but for its diagonal), a
-narrower block one column substitution of all rows. A row
-whose scales or sums leave the linear range takes the reference recursion
+narrower block one column substitution of all rows. A row whose rewards,
+coin factors or sums leave the linear range takes the reference recursion
 for that block: a per-site log-sum-exp over every earlier site. A row
 stops adding earlier blocks once the rest weighs below 2^-60 of its sums:
 in the localized phase that is after a few blocks, so a pass costs far
@@ -208,11 +209,11 @@ def _check_horizon(d: DisorderSample, kern: ReturnKernel):
 # earlier blocks through ``_CrossBlockSums``: one linear-domain
 # (R x B).(B x B) product per source block, accumulated in linear domain
 # nearest first, until a row's remaining blocks weigh below ``_DROP`` =
-# 2^-60 of its sums. A row whose scale exponents leave +-600 in a block,
-# or whose cross sums or solved values leave e^(+-600), takes the reference
-# recursion there instead (``_log_domain_block``): one log-sum-exp per site
-# over every earlier site from the anchor. (At lam = 0 a row first tries
-# the triangular path, whose only exponents are its log rewards.)
+# 2^-60 of its sums. A row whose log rewards leave +-600 in a block, whose
+# coin exponents span more than 600 there, or whose cross sums or solved
+# values leave e^(+-600), takes the reference recursion there instead
+# (``_log_domain_block``): one log-sum-exp per site over every earlier site
+# from the anchor.
 #
 # Rounding bound. Every sum in every form has positive terms, so each Z_t
 # carries the relative errors of the Z_u it sums plus its own, and the
@@ -224,19 +225,19 @@ def _check_horizon(d: DisorderSample, kern: ReturnKernel):
 # inputs carry absolute errors of order
 # max(1, |log Z|) 2^-52: one exp per (row, source block) and one log per
 # target, and the dropped far blocks, at most 2^-60 = 2^-8 units.
-# The scaled linear solve, by dtrsv or by column substitution, adds to
-# each site's r_t one sum of at most B - 1 products M[t, u] y_u, each entry
-# of M rounded in at most three operations (the two-term product of scale
-# factors and the factor T): about B + 3 units per site. It adds about |x|
-# units for each scale factor e^x in row t of M and r, where |x| <= 600. A
-# row on the lam = 0 triangular path sums at most B positive terms per
-# site, plus one exp per right-hand side and diagonal entry and one log:
-# about B + 2 units, with no scale-factor term. So at s = t - j sites from
-# the anchor, log Z_t lies within s (B + ceil(s/B) + 8) 2^-52
-# max(1, max_{u <= t} |log Z_u|) of the exact value, provided each such
-# |x| stays below about B max(1, |log Z_t|). At s = 4096 that is 1.5e-10
-# relative. Measured differences from the per-site loop stay below 5e-14
-# relative, at most 1.2% of the bound.
+# The in-block solve, by dtrsv or by column substitution, adds to each
+# site's right-hand side one sum of at most B - 1 products of a matrix
+# entry and a solved z_u, then divides by the diagonal e^-lz_t. Each entry
+# is rounded in at most three operations (the two-term coin product and
+# the factor T), the right-hand side and the diagonal in one exp each, and
+# log Z in one log: about B + 3 units per site. At lam > 0 the coin factors
+# e^om_t and e^-om_u add about |om| units, where om_t = -2 lam (W_t - W_lo)
+# and |om| <= 600. So at s = t - j sites from the anchor, log Z_t lies
+# within s (B + ceil(s/B) + 8) 2^-52 max(1, max_{u <= t} |log Z_u|) of the
+# exact value, provided each such |om| stays below about
+# B max(1, |log Z_t|). At s = 4096 that is 1.5e-10 relative. Measured
+# differences from the per-site loop stay below 5e-14 relative, at most
+# 0.7% of the bound.
 #
 # The backward table, this recursion on the reversed sample, obeys the
 # bound at s = n - t sites from the end, read on the reversed curve
@@ -396,8 +397,8 @@ class _CrossBlockSums:
         return out, ok
 
 
-# The largest |exponent| a scale factor or a solved value may have on the
-# linear path.
+# The largest |exponent| a scale factor, a log reward, the span of a
+# block's coin exponents or a solved value may have on the linear path.
 _EXP_LIMIT = 600.0
 
 
@@ -407,15 +408,15 @@ def _in_linear_range(x: np.ndarray) -> np.ndarray:
             & (np.maximum.reduce(x, axis=1) <= math.exp(_EXP_LIMIT)))
 
 
-# Rows x h^2 per chunk of the scaled stage of ``_InBlockSolve``: 8 rows at
-# a full block, whose matrices M then take 1 MiB.
+# Rows x h^2 per chunk of the lam > 0 matrix build of ``_InBlockSolve``: 8
+# rows at a full block, whose matrices then take 1 MiB.
 _SOLVE_CELLS = 8 * 128 * 128
 
 # Block width from which ``_InBlockSolve`` solves by one dtrsv call per
 # row; below it, the column substitution of a batch of rows is faster.
 _TRSV_WIDTH = 17
-# the CBLAS enum values of row-major, lower, no transpose, non-unit and unit
-_ROW_MAJOR, _LOWER, _NO_TRANS, _NON_UNIT, _UNIT = 101, 122, 111, 131, 132
+# the CBLAS enum values of row-major, lower, no transpose and non-unit
+_ROW_MAJOR, _LOWER, _NO_TRANS, _NON_UNIT = 101, 122, 111, 131
 
 
 @functools.cache
@@ -441,39 +442,32 @@ class _InBlockSolve:
     """The in-block part of one forward pass: per (row, block), one
     lower-triangular linear system in linear domain.
 
-    At lam = 0 the coin average is 1, so the system is
-    (diag(e^-lz) - T) Z = C for every row, T[t, u] = K(t - u) for t > u:
-    only the diagonal differs between rows. A block of at least
-    ``_TRSV_WIDTH`` sites is then one BLAS dtrsv per row (``_triangular``)
-    on one copy of -T per pass, whose diagonal the row overwrites; a row it
-    rejects, every block at lam > 0 and every narrower block take the
-    scaled stage below (``_scaled``), which works for any lam.
-
     Inside a block, Z_t / zeta_t - sum_{lo <= u < t} wgt(u, t) Z_u = C_t,
-    with C_t the cross-block sum. The scaling Z_t = e^{s + G_t} y_t, G the
-    in-block prefix sum of log zeta (H_t = G_t - log zeta_t) and s the row
-    maximum of log C_t - H_t, turns it into y = M y + r with r <= 1 and
+    with C_t the cross-block sum and wgt(u, t) = T[t, u] coin[t, u]. Here
+    T[t, u] = K(t - u) (K / 2 at lam > 0) for t > u and 0 otherwise, and
 
-        M[t, u] = T[t, u] e^{-H_t} e^{G_u}                          (lam = 0)
-        M[t, u] = T[t, u] (e^{-H_t} e^{G_u} + e^{om_t - H_t} e^{G_u - om_u})
+        coin[t, u] = 1 + e^{om_t} e^{-om_u},  om_t = -2 lam (W_t - W_lo),
 
-    where T[t, u] = K(t - u) (K / 2 at lam > 0) for t > u and 0 otherwise,
-    and om_t = -2 lam (W_t - W_lo): the coin average has rank 2. The scaled
-    stage builds -M, a BLAS product of the scale vectors (the second pair 0
-    at lam = 0) times -T, for a chunk of rows at a time, so no cell takes
-    an exp; every entry of M and r is nonnegative. A block of
-    ``_TRSV_WIDTH`` sites or more then solves (I - M) y = r by one
-    unit-diagonal BLAS dtrsv per row; a narrower block, or any block where
-    numpy's OpenBLAS is not found, by a column substitution of the chunk's
-    rows at once: y_t = r_t + sum_{u < t} M[t, u] y_u, one row-wise sum per
-    column.
+    is the coin average, 1 at lam = 0. With s the row maximum of log C,
+    each row solves
 
-    A row's exponents -H, G, om - H and G - om must lie within
-    ``_EXP_LIMIT`` and its solved y within e^(+-_EXP_LIMIT), else
-    ``solve`` marks the row for the reference recursion. Every product and
-    every dtrsv runs on one row's slice, and every row-wise sum reduces one
-    row of a C-ordered buffer, so a row's bits depend neither on R nor on
-    the rows beside it.
+        (diag(e^-lz) - T coin) z = e^(log C - s),  log Z = s + log z.
+
+    At lam = 0 only the diagonal differs between rows, so they all read
+    one copy of -T per pass. At lam > 0 a chunk of rows builds its
+    matrices -T coin, one BLAS product of the factors (1, e^om) and
+    (1, e^-om) times -T, so no cell takes an exp. A block of
+    ``_TRSV_WIDTH`` sites or more is then one non-unit BLAS dtrsv per row,
+    on a matrix whose diagonal is set to the row's e^-lz; a narrower block,
+    or any block where numpy's OpenBLAS is not found, one column
+    substitution of the rows at once (``_substitute``).
+
+    A row's log rewards must lie within ``_EXP_LIMIT``, its om span at
+    most ``_EXP_LIMIT`` (so every coin factor and coin is finite) and its
+    solved z lie within e^(+-_EXP_LIMIT), else ``solve`` marks the row for
+    the reference recursion. Every product and every dtrsv runs on one
+    row's slice, and every row-wise sum reduces one row of a C-ordered
+    buffer, so a row's bits depend neither on R nor on the rows beside it.
     """
 
     def __init__(self, r: int, h_max: int, log_k: np.ndarray, lam: float):
@@ -481,44 +475,26 @@ class _InBlockSolve:
         pad = np.zeros(2 * h_max - 1)  # -T[t, u] = pad[h_max - 1 + t - u]
         pad[h_max:] = np.exp(_log_weight_base(log_k, lam)[1:h_max])
         np.negative(pad, out=pad)
-        # the triangular path overwrites the diagonal, which M never reads
+        # at lam = 0 each dtrsv row overwrites the diagonal
         self.neg_t = sliding_window_view(pad, h_max)[:, ::-1].copy()
         self.diag = self.neg_t.reshape(-1)[::h_max + 1]
         self.trsv = _dtrsv()
-        # whether a lam = 0 block of _TRSV_WIDTH sites or more takes the
-        # triangular path
-        self.shared = lam == 0.0 and self.trsv is not None
-        # the scale vectors of -M = -T (left . right): e^{-H}, e^{om - H} and
-        # e^{G}, e^{G - om}. At lam = 0 the second pair stays 0, since a
-        # product over two terms runs in BLAS, 4x faster than numpy's own
-        # loop over one term or its broadcast outer product.
-        self.left = np.zeros((r, h_max, 2))
-        self.right = np.zeros((r, 2, h_max))
-        self.m = np.empty(min(r, max(1, _SOLVE_CELLS // h_max ** 2))
-                          * h_max ** 2)
+        if lam != 0.0:
+            # the coin factors (1, e^om) and (1, e^-om); solve writes e^+-om
+            self.left = np.ones((r, h_max, 2))
+            self.right = np.ones((r, 2, h_max))
+            self.m = np.empty(min(r, max(1, _SOLVE_CELLS // h_max ** 2))
+                              * h_max ** 2)
 
     def solve(self, lz: np.ndarray, w: np.ndarray, cross: np.ndarray):
         """log Z at the h sites of one block from its (R, h) log rewards,
         prefix sums and cross-block log sums; and which rows took the
         linear path (the others hold values to be replaced)."""
-        h, n_max = lz.shape[1], len(self.neg_t)
+        r, h = lz.shape
+        n_max = len(self.neg_t)
         if h > n_max:
             raise GuardError(f"a block of {h} sites exceeds the solver's "
                              f"{n_max}")
-        if not self.shared or h < _TRSV_WIDTH:
-            return self._scaled(lz, w, cross)
-        out, ok = self._triangular(lz, cross)
-        if not ok.all():
-            rows = np.flatnonzero(~ok)
-            out[rows], ok[rows] = self._scaled(lz[rows], w[rows], cross[rows])
-        return out, ok
-
-    def _triangular(self, lz: np.ndarray, cross: np.ndarray):
-        """``solve`` at lam = 0, one BLAS dtrsv per row: (diag(e^-lz) - T) z
-        = e^(log C - s), s the row maximum of log C, and log Z = s + log z.
-        A row with |lz| past ``_EXP_LIMIT`` or z outside e^(+-_EXP_LIMIT)
-        is marked for the scaled stage."""
-        h, n_max = lz.shape[1], len(self.neg_t)
         s = np.maximum.reduce(cross, axis=1)
         # a new C-ordered float64 buffer, each row solved in place
         z = np.subtract(cross, s[:, None], dtype=float)
@@ -527,76 +503,60 @@ class _InBlockSolve:
         ok = np.maximum.reduce(np.abs(lz), axis=1) <= _EXP_LIMIT
         inv = np.negative(lz)
         np.exp(inv, out=inv)
-        a, diag, base = self.neg_t.ctypes.data, self.diag[:h], z.ctypes.data
-        for i in np.flatnonzero(ok).tolist():
-            np.copyto(diag, inv[i])
-            self.trsv(_ROW_MAJOR, _LOWER, _NO_TRANS, _NON_UNIT, h, a, n_max,
-                      base + 8 * h * i, 1)
+        trsv = self.trsv if h >= _TRSV_WIDTH else None
+        if self.lam == 0.0 and trsv is None:
+            _substitute(self.neg_t[None, :h, :h], inv, z)
+        elif self.lam == 0.0:
+            a, base = self.neg_t.ctypes.data, z.ctypes.data
+            for i in np.flatnonzero(ok).tolist():
+                np.copyto(self.diag[:h], inv[i])
+                trsv(_ROW_MAJOR, _LOWER, _NO_TRANS, _NON_UNIT, h, a, n_max,
+                     base + 8 * h * i, 1)
+        else:
+            om = np.subtract(w, w[:, :1])
+            np.multiply(-2.0 * self.lam, om, out=om)
+            # so every coin factor product stays finite; NaN fails
+            ok &= (np.maximum.reduce(om, axis=1)
+                   - np.minimum.reduce(om, axis=1) <= _EXP_LIMIT)
+            left, right = self.left[:r, :h], self.right[:r, :, :h]
+            np.exp(om, out=left[:, :, 1])
+            np.negative(om, out=om)
+            np.exp(om, out=right[:, 1])
+            chunk = max(1, min(r, len(self.m) // (h * h)))
+            for lo in range(0, r, chunk):
+                rows = slice(lo, min(lo + chunk, r))
+                k = rows.stop - lo
+                # contiguous, so that row i's matrix starts h^2 entries on
+                m = self.m[:k * h * h].reshape(k, h, h)
+                np.matmul(left[rows], right[rows], out=m)
+                np.multiply(m, self.neg_t[:h, :h], out=m)
+                if trsv is None:
+                    _substitute(m, inv[rows], z[rows])
+                    continue
+                np.copyto(m.reshape(k, h * h)[:, ::h + 1], inv[rows])
+                a, base = m.ctypes.data, z.ctypes.data + 8 * h * lo
+                for i in np.flatnonzero(ok[rows]).tolist():
+                    trsv(_ROW_MAJOR, _LOWER, _NO_TRANS, _NON_UNIT, h,
+                         a + 8 * h * h * i, h, base + 8 * h * i, 1)
         ok &= _in_linear_range(z)
         np.log(z, out=z)
         np.add(z, s[:, None], out=z)
         return z, ok
 
-    def _scaled(self, lz: np.ndarray, w: np.ndarray, cross: np.ndarray):
-        """``solve`` on the scaled system, for any lam."""
-        r, h = lz.shape
-        nf = 1 if self.lam == 0.0 else 2
-        g = np.add.accumulate(lz, axis=1)
-        hh = np.subtract(g, lz)
-        # r, then y: a new C-ordered buffer, each row solved in place
-        y = np.subtract(cross, hh)
-        s = np.maximum.reduce(y, axis=1)
-        np.subtract(y, s[:, None], out=y)
-        np.exp(y, out=y)
-        left = self.left[:r, :h]
-        right = self.right[:r, :, :h]
-        np.negative(hh, out=left[:, :, 0])
-        np.copyto(right[:, 0], g)
-        if nf == 2:
-            om = np.subtract(w, w[:, :1])
-            np.multiply(-2.0 * self.lam, om, out=om)
-            np.subtract(om, hh, out=left[:, :, 1])
-            np.subtract(g, om, out=right[:, 1])
-        ok = np.ones(r, dtype=bool)
-        for live in (left[:, :, :nf], right[:, :nf]):
-            # NaN fails the comparison: such a row takes the loop
-            ok &= np.maximum.reduce(np.abs(live), axis=(1, 2)) <= _EXP_LIMIT
-            np.minimum(live, _EXP_LIMIT, out=live)
-            np.maximum(live, -_EXP_LIMIT, out=live)
-            np.exp(live, out=live)
-        trsv = self.trsv if h >= _TRSV_WIDTH else None
-        chunk = max(1, min(r, len(self.m) // (h * h)))
-        for lo in range(0, r, chunk):
-            rows = slice(lo, min(lo + chunk, r))
-            k = rows.stop - lo
-            # contiguous, so that row i's matrix starts h^2 entries on
-            m = self.m[:k * h * h].reshape(k, h, h)
-            np.matmul(left[rows], right[rows], out=m)
-            np.multiply(m, self.neg_t[:h, :h], out=m)
-            if trsv is None:
-                _substitute(m, y[rows])
-                continue
-            a, base = m.ctypes.data, y.ctypes.data + 8 * h * lo
-            for i in np.flatnonzero(ok[rows]).tolist():
-                trsv(_ROW_MAJOR, _LOWER, _NO_TRANS, _UNIT, h,
-                     a + 8 * h * h * i, h, base + 8 * h * i, 1)
-        ok &= _in_linear_range(y)
-        np.add(g, s[:, None], out=g)
-        np.add(g, np.log(y, out=y), out=g)
-        return g, ok
 
-
-def _substitute(neg_m: np.ndarray, y: np.ndarray):
-    """Solve (I - M) y = r in place for every row of the (k, h) ``y``,
-    which holds r, given the (k, h, h) -M: column t takes
-    r_t - sum_{u < t} -M[t, u] y_u for all rows at once, each sum reducing
-    one row of a C-ordered buffer."""
-    k, h = y.shape
+def _substitute(neg_m: np.ndarray, diag: np.ndarray, z: np.ndarray):
+    """Solve (diag - M) z = b in place for every row of the (k, h) ``z``,
+    which holds b, given the (k, h) ``diag`` and -M, one (k, h, h) matrix
+    per row or one (1, h, h) for all, read below its diagonal: column t
+    takes (b_t - sum_{u < t} -M[t, u] z_u) / diag_t for all rows at once,
+    each sum reducing one row of a C-ordered buffer."""
+    k, h = z.shape
     flat = np.empty(k * h)
-    for t in range(1, h):
+    for t in range(h):
         terms = flat[:k * t].reshape(k, t)
-        np.multiply(neg_m[:, t, :t], y[:, :t], out=terms)
-        np.subtract(y[:, t], np.add.reduce(terms, axis=1), out=y[:, t])
+        np.multiply(neg_m[:, t, :t], z[:, :t], out=terms)
+        np.subtract(z[:, t], np.add.reduce(terms, axis=1), out=z[:, t])
+        np.divide(z[:, t], diag[:, t], out=z[:, t])
 
 
 def _log_domain_block(z: np.ndarray, w: np.ndarray, lz: np.ndarray,

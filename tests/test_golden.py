@@ -70,6 +70,32 @@ row sums of the reversed factors (it sums in another order). Only the
 ``p_neg`` column moved, threads 1 and 2 gave the same bytes, and no float
 moved by more than 3.8e-12 relative above 1e-300, or 9.7e-14 relative to
 max(1, |x|). The other cases kept their digests.
+All ``lam05`` entries but those of ``meet``, ``meet-192``, ``sample`` and
+``sample-deloc``, and the ``lam0`` entries of ``finite-size``, were
+re-recorded when every in-block system became the one triangular form
+(diag(e^-lz) - T coin) z = e^(log C - s) at every lam: it replaced a
+system scaled by the in-block prefix sums of log zeta, which served every
+lam > 0 block and every lam = 0 block below 17 sites (the 5- and 9-site
+windows of ``finite-size``). No integer or text column or sampled path
+moved (``maxexc.csv`` kept its bytes), threads 1, 2 and 3 gave the same
+bytes, and the largest relative move per column was: ``clt.csv``
+var_over_n 1.3e-15, skewness 7.9e-15, kurtosis 7.7e-16, ks 4.7e-15;
+``free_energy.csv`` stderr 6.5e-16; ``mu.csv`` mu_hat 2.5e-16,
+mu_hat_symmetric 2.4e-16; ``phase.csv`` f_hat 4.1e-16, stderr 6.5e-16;
+``maxexc_summary.csv`` mu_hat 2.2e-16, f_hat 3.4e-16, f_stderr 1.1e-15;
+``entropy.csv`` bound 1.3e-16, stderr 2.1e-16; ``entropy_summary.csv``
+best_bound 1.3e-16, mu_hat 3.3e-16, f_stderr 5.1e-16, gap 2.6e-15;
+``finite_size.csv`` f_hat 1.0e-15, stderr 1.6e-15, scaled_gap 2.8e-15,
+gap_stderr 2.0e-14; ``excursion_law.csv`` mean_pmf 6.2e-14;
+``excursion_rates.csv`` rate 1.1e-15; ``excursion_summary.csv``
+annealed_rate 2.5e-15, annealed_rate_raw 1.7e-15, median_replica_rate
+6.1e-16, f_hat 1.7e-16, mu_hat 4.0e-16; ``profile.csv`` p_contact
+8.5e-14, p_neg 2.6e-11 (1.1e-13 absolute); ``boundary.csv``
+mean_abs_diff 8.9e-12, stderr 2.7e-12; ``boundary_fit.csv`` rate
+3.7e-12, r_squared 4.2e-13; ``decay.csv`` mean_abs_cov 1.5e-11, stderr
+2.0e-11; ``decay_fit.csv`` c1_hat 3.2e-12, c2_hat 1.7e-12, r_squared
+6.8e-13. The moves past 1e-13 are in p_neg, covariances and differences
+of contact probabilities, where values cancel.
 A refactor that shifts every number consistently still passes a
 rerun-against-rerun comparison; it fails here.
 
@@ -145,9 +171,9 @@ GOLDEN = {
     },
     ('boundary', 'lam05'): {
         "boundary.csv":
-            "62fa1a66ff9fe5aa3743a809980c176658ef9be96a17885247508a7645043e06",
+            "1e70e6f7d44ff3a503dfde0e338b8024ddd8b3238209d4cac61050ab3e8b79b7",
         "boundary_fit.csv":
-            "f8763c3410d002ae0dba2dcbe459192766793ae4f74f7b43818e85646ccc9a02",
+            "73ecbbc4fb17837ca6e8d3316de2878512e11f04123d6d6fd586cbc6781c472b",
     },
     ('clt', 'lam0'): {
         "clt.csv":
@@ -155,7 +181,7 @@ GOLDEN = {
     },
     ('clt', 'lam05'): {
         "clt.csv":
-            "067b6e8594866da88465fd8c19e94ab48f5a230bb3182f9f357f1c28e2495a14",
+            "de64f9378d0936c082cbee8bf0cfdc2614dca83aa31c0e52828c87f2b4957c6e",
     },
     ('correlations', 'lam0'): {
         "decay.csv":
@@ -165,9 +191,9 @@ GOLDEN = {
     },
     ('correlations', 'lam05'): {
         "decay.csv":
-            "af3111e8c9019d872202e725152ff371fa2eefeac73a637cdd1e63ce2e5a2b73",
+            "14457b6db4d837163497652e3bca9dbbe9cbedf83a45c13125ce122f7d0ad9fa",
         "decay_fit.csv":
-            "4c65e92cbca8cd7525e41ea4b4a44ce52d8052b0a18f8dc4a4591b40bfc52020",
+            "63c9d0b750abb05883bb58d0d6dfd2e94891e7ec78cd589a4a0508e8bb4a4471",
     },
     ('entropy-bound', 'lam0'): {
         "entropy.csv":
@@ -177,9 +203,9 @@ GOLDEN = {
     },
     ('entropy-bound', 'lam05'): {
         "entropy.csv":
-            "19cfeab51f246f7059b980576bbfcdd52297b67e674fcf61f326fba3037e4076",
+            "50c60dcdb0370b02d137dc4ff47ced901cf516733216aa47cfee459b04433706",
         "entropy_summary.csv":
-            "790e778afbfc74bc48013155bbb340992eb8028ed53fdda317d3625ef69a75d0",
+            "12a7790e08c0ab9df676d92eb6ddc4024906da57adb2a41e8cea4b8d14922a55",
     },
     ('excursions', 'lam0'): {
         "excursion_law.csv":
@@ -191,21 +217,21 @@ GOLDEN = {
     },
     ('excursions', 'lam05'): {
         "excursion_law.csv":
-            "8dea6fdc6323f85090a1c9513ab1ce94f685d6cb25957c438279a57c6b0905fd",
+            "3e0697ab0add12590e2af937f8e167f7dc9a362758d1d09c786857907033ed3f",
         "excursion_rates.csv":
-            "b04373e6dad0411cf9e6fc685e9b7b279cbce3ca8f0bd0be41ef76db94300a2b",
+            "359af03d750954f30c9ef126e321ed73df296f1c4b13a6865fe0f212b5ef6f26",
         "excursion_summary.csv":
-            "3b1c4e5f5cac025d7edaff0417e33258081c0d210d7c9adbb059ccf6f34945fb",
+            "e06a74af0732673837ac546c8c37a8d1b05c61541eeaab7d0ef217143b2d825c",
     },
     ('finite-size', 'lam0'): {
         "finite_size.csv":
-            "4167b836c6743e3d8b32f6babd7b3db3696f54a7ee042c9728589936381603ba",
+            "0b0261174e63530c2ff9363adf57268efe61fe58dd7ea54667c4d42114268f69",
         "finite_size_verdict.csv":
             "e3ce68634307cf3fa54302157af621eec5f16fbd990ac198bed9242017556821",
     },
     ('finite-size', 'lam05'): {
         "finite_size.csv":
-            "4d3bf914cd5a4a0768aa011afcb464302e89251d81307ffc50554436652ea417",
+            "cb2aac2680f5371d49f9ca899eed0d9c0f093cf2472322ea6b161e289cb875a8",
         "finite_size_verdict.csv":
             "e3ce68634307cf3fa54302157af621eec5f16fbd990ac198bed9242017556821",
     },
@@ -215,7 +241,7 @@ GOLDEN = {
     },
     ('free-energy', 'lam05'): {
         "free_energy.csv":
-            "2a447b38b52d5409af0c7701bf5eb28f43001a940a4962cbc37add49faf87513",
+            "315fdeedce5246383401daad147731c8db458c254e1022ed7e8fb16d16020b5c",
     },
     ('free-energy-2048', 'lam0'): {
         "free_energy.csv":
@@ -223,7 +249,7 @@ GOLDEN = {
     },
     ('free-energy-2048', 'lam05'): {
         "free_energy.csv":
-            "8b1b9fcf76a92dbab1539f757fd28ce673a4692824af2b65e551f8def10edc7b",
+            "b216f0ac7db31e05ea761e6e8c37e1f8e09467a1ce5425996c6512bd945dce34",
     },
     ('excursions-512', 'lam0'): {
         "excursion_law.csv":
@@ -235,11 +261,11 @@ GOLDEN = {
     },
     ('excursions-512', 'lam05'): {
         "excursion_law.csv":
-            "82add7ce718edad0578e087c4b5689baea871702ac504f31977edb811cae91fc",
+            "e29072842ca921e08d28131e57518c33e06cdb549e20b48cbbce3c3c67618d13",
         "excursion_rates.csv":
-            "ffe6cc096c4fe527a829eb27ac6665370a588cc1926c542993f13b921ec42b5f",
+            "5aad74d158c16037ff5b497d35e8049beaf1eec2e95326f3723e7da4f34034bc",
         "excursion_summary.csv":
-            "a6d6ebe5671fae7742371a59b86d7a0ca40b71d7ec74eae63b8dc903d330e468",
+            "49147c53a3b96902bf38702f5f7ad1194ab30b2aa8cfa389bb1d63ef5db2314e",
     },
     ('maxexc', 'lam0'): {
         "maxexc.csv":
@@ -251,7 +277,7 @@ GOLDEN = {
         "maxexc.csv":
             "935ff561dddb2b1009f3c45de7d69150170d1b665ebe1597bfd5dc179efda6e8",
         "maxexc_summary.csv":
-            "757cfd3b3700952fc4e310b40c040bb0e55b933680d6ff2294a08e4a4846ee71",
+            "ac0ff4736d683d53a9a95c3f834c493388c5cca65505896dca1901694459b921",
     },
     ('maxexc-256', 'lam0'): {
         "maxexc.csv":
@@ -263,7 +289,7 @@ GOLDEN = {
         "maxexc.csv":
             "4e70beca702b8b57ceeb71477426c27db48a1107ba71388b96418ac88def4e18",
         "maxexc_summary.csv":
-            "2a8e67e6f113cea8c51d3448df7f4b8e771ec90d63be9b7b30bc0b9c934e6527",
+            "e53a29c9f0bf83c3ae2de4607da30baee0a9193e6fef3b8238d591e89a77a421",
     },
     ('meet', 'lam0'): {
         "meet.csv":
@@ -295,7 +321,7 @@ GOLDEN = {
     },
     ('mu', 'lam05'): {
         "mu.csv":
-            "e1826c1cc6d7b16dc38024e006c599c3f65d4c3264f7011ef788e5dd3c4c4db6",
+            "76a63c3314fb7a57c88bfb2187958ce971b38708298398a1769ab25f2c52adf9",
     },
     ('phase-scan', 'lam0'): {
         "phase.csv":
@@ -303,7 +329,7 @@ GOLDEN = {
     },
     ('phase-scan', 'lam05'): {
         "phase.csv":
-            "75ed14ce0c77631d302fae846e40b6b8fc6becf09b49238f10d5ff327b123f17",
+            "7172bc5dbb50ba97a6641e4b9126171c08c50659f83290ae67ea03c87f56b1b9",
     },
     ('profile', 'lam0'): {
         "profile.csv":
@@ -311,7 +337,7 @@ GOLDEN = {
     },
     ('profile', 'lam05'): {
         "profile.csv":
-            "2fef606c4eda6e842745d79c8c2e5a633fcf07bcd1801102cdacfcd95a1e50fb",
+            "917aac9a296bdc78461f38eb0046e9ef43939804171eac25725306bfea9cd88d",
     },
     ('profile-512', 'lam0'): {
         "profile.csv":
@@ -319,7 +345,7 @@ GOLDEN = {
     },
     ('profile-512', 'lam05'): {
         "profile.csv":
-            "936c6ae17b1b982ac1a6f693c257a40524a0367b2d74f0d92566083d397dc7ad",
+            "9575e99d235c4df1b31291e7c22b8077ad0a749f6264cf81054fb6c8612cf1b5",
     },
     ('sample', 'lam0'): {
         "sample.csv":

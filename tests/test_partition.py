@@ -799,9 +799,10 @@ def _spy_fallback(monkeypatch):
 
 @pytest.mark.parametrize("lam", [0.0, 0.5])
 def test_linear_and_fallback_rows_in_one_batch(monkeypatch, lam):
-    # row 1 earns log zeta = 10.5 at every site: its in-block prefix sum
-    # passes the exponent limit in the two full blocks (1344 > 600) but not
-    # in the 45-site last one (472), so it takes the fallback twice
+    # row 1 earns log zeta = 10.5 at every site: its log Z climbs by about
+    # 1260 across each of the two full blocks, so its solved values leave
+    # e^(+-600) there, but by 435 across the 45-site last one, so it takes
+    # the fallback twice
     n = 300
     kern = build_srw_kernel(n)
     p = ModelParams(lam, 0.1, 1.0, 0.5)
@@ -846,16 +847,13 @@ def test_all_fallback_rows_equal_loop(monkeypatch, fallback, linear):
 
 
 def test_solve_rejects_rows_out_of_range():
-    # a cross term e^-740 is subnormal on the linear path: the solved y
+    # a cross term e^-740 is subnormal on the linear path: the solved z
     # must leave [e^-600, e^600] and send the row to the loop; a NaN reward
-    # fails the exponent check. At lam = 0 the block takes the triangular
-    # path and both rows go on through the scaled solve, which rejects
-    # them too; at lam = 0.5 only the scaled solve runs.
+    # fails the exponent check
     h = 20
     kern = build_srw_kernel(h)
     for lam in (0.0, 0.5):
         solver = partition._InBlockSolve(3, h, kern.log_k, lam)
-        assert solver.shared == (lam == 0.0)
         lz = np.zeros((3, h))
         lz[2, 7] = np.nan
         cross = np.full((3, h), -3.0)
@@ -891,14 +889,14 @@ def test_trsv_rows_on_a_partial_last_block(monkeypatch):
         assert np.all(np.abs(row - ref) <= _rounding_bound(ref, 0))
 
 
-def test_large_rewards_at_lam_zero_stay_linear(monkeypatch):
-    # log zeta = 5 + omega_tilde per site: the scaled solve's in-block
-    # prefix sums pass the exponent limit in every block, while the
-    # triangular path's solved values stay in range, so no row-block
-    # takes the reference recursion
+@pytest.mark.parametrize("lam", [0.0, 0.5])
+def test_large_rewards_stay_linear(monkeypatch, lam):
+    # log zeta = 5 + omega_tilde per site: the in-block prefix sums of log
+    # zeta pass the exponent limit in every block, while the solved values
+    # stay in range, so no row-block takes the reference recursion
     n = 2048
     kern = build_srw_kernel(n)
-    p = ModelParams(0.0, 0.0, 1.0, 5.0)
+    p = ModelParams(lam, 0.0, 1.0, 5.0)
     samples = [sample_disorder(DisorderLaw.GAUSSIAN, DisorderLaw.GAUSSIAN, n,
                                p.h, 1, i) for i in range(4)]
     calls = _spy_fallback(monkeypatch)
@@ -908,15 +906,16 @@ def test_large_rewards_at_lam_zero_stay_linear(monkeypatch):
     assert np.all(np.abs(batch[0] - ref) <= _rounding_bound(ref, 0))
 
 
-def test_lam_zero_without_blas_binding_takes_scaled_solve(monkeypatch):
+@pytest.mark.parametrize("lam", [0.0, 0.5])
+def test_without_blas_binding_takes_substitution(monkeypatch, lam):
     # where numpy's OpenBLAS or its dtrsv symbol is absent, the lookup
-    # finds nothing and a lam = 0 pass runs the scaled solve
+    # finds nothing and every block runs the column substitution
     monkeypatch.setattr(partition.os, "listdir", lambda path: [])
     assert partition._dtrsv.__wrapped__() is None
     monkeypatch.undo()
     n = 300
     kern = build_srw_kernel(n)
-    p = ModelParams(0.0, 0.0, 1.0, 0.5)
+    p = ModelParams(lam, 0.0, 1.0, 0.5)
     samples = [sample_disorder(DisorderLaw.GAUSSIAN, DisorderLaw.GAUSSIAN, n,
                                p.h, 5, i) for i in range(3)]
     monkeypatch.setattr(partition, "_dtrsv", lambda: None)
