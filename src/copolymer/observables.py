@@ -15,12 +15,16 @@ factors read off the tables (``_linear_factors``), and no pair takes an
 exp or a log. Each sum is one direct Toeplitz product per scale band of
 returns (``_band_end``), each band under one scale: for the profile scan
 and the cover, a correlation per band of rows and per band of the
-reversed factors (``_row_sums``); for the excursion law, a convolution.
-A call whose kernel falls below e^-_EXP_LIMIT, or whose scaled factors
-are not finite or would leave e^(+-_EXP_LIMIT), runs one log-domain row
-per return instead (``_log_domain_rows``).
+reversed factors (``_row_sums``), cut where a certified bound puts the
+rest of every row below 2^-60 of it; for the excursion law, a
+convolution whose factors are lifted by a power of two when their
+products could be subnormal (``_lifted_convolve``). A call whose kernel
+falls below e^-_EXP_LIMIT, or whose scaled factors are not finite or
+would leave e^(+-_EXP_LIMIT), runs one log-domain row per return
+instead (``_log_domain_rows``).
 """
 
+import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations
@@ -31,7 +35,7 @@ from .disorder import DisorderSample, PathRng
 from .errors import GuardError, NumericsError
 from .kernel import ReturnKernel
 from .logspace import sigmoid
-from .partition import (_EXP_LIMIT, ModelParams, PartitionTables,
+from .partition import (_DROP, _EXP_LIMIT, ModelParams, PartitionTables,
                         _log_weight_base, _log_weight_core, _log_weight_into,
                         _segments)
 
@@ -129,7 +133,9 @@ def _block_factors(log_s, log_o):
     """e^(log_s - c) and e^(log_o + c) for c = max log_s, the scaled factors
     of one band, whose products keep their true scale. None unless every
     scaled exponent of ``log_s`` (all <= 0) passes ``_bounded_below`` and
-    every one of ``log_o`` is <= _EXP_LIMIT, NaN included."""
+    every one of ``log_o`` is <= _EXP_LIMIT, NaN included. The check
+    covers only the entries passed, the ones the band reads: a row band
+    passes the other side up to its certified width (``_row_sums``)."""
     c = np.maximum.reduce(log_s)
     if c == -np.inf:  # an all-zero band: any scale is exact
         c = 0.0
@@ -154,11 +160,21 @@ def _band_end(log_a, lo, hi, span, width):
 
     It scans the windows log_a[lo:lo + 2 width], log_a[lo:lo + 4 width],
     ... until one holds the end. A caller that passes hi - lo for the first
-    band and each band's length for the next scans O(hi) entries a walk."""
+    band and each band's length for the next scans O(hi) entries a walk.
+    Two cases take no scan: a first step past the span (the bands of a
+    walk where log A jumps at every site), and a last window whose span
+    fits (most calls hold one band)."""
+    # a finite difference: no exact 0, +inf or NaN
+    if lo + 1 < hi and span < abs(log_a[lo + 1] - log_a[lo]) < np.inf:
+        return lo + 1
     while True:
         width *= 2
         stop = min(lo + width, hi)
         x = log_a[lo:stop]
+        # an exact 0 and NaN fail the test and take the scan
+        if stop == hi and (np.maximum.reduce(x) - np.minimum.reduce(x)
+                           <= span):
+            return hi
         top = np.maximum.accumulate(x)
         bottom = np.minimum.accumulate(np.where(x == -np.inf, np.inf, x))
         # an all-zero prefix spans -inf - inf; NaN fails the comparison
@@ -170,21 +186,62 @@ def _band_end(log_a, lo, hi, span, width):
             return hi
 
 
+# np.correlate sums each row with one BLAS ddot. OpenBLAS's x86-64 kernels
+# add whole blocks of 32 terms (AVX-512; 16 with AVX2) in vector lanes and
+# the rest one by one, so a row cut at a multiple of 32 terms adds its
+# terms in the order of its full-width sum, and keeps its bits whenever
+# the dropped terms stay below half an ulp of each lane. Unrounded, the
+# narrow bands at lam_tilde = 3, h_tilde = 2 (N = 2048) moved the scans
+# by up to 2e-13 relative.
+_DOT_BLOCK = 32
+
+
 def _row_sums(kh, log_s, log_o):
-    """r_u = S_u sum_{s >= 1} Kh(s) O_{u+s} for u < len(log_s), from the
-    logs of S and one more O: one ``np.correlate`` per scale band of S
-    (``_band_end``), or None when a band fails ``_block_factors``."""
+    """r_u = S_u sum_{s >= 1} Kh(s) O_{u+s} for u < m = len(log_s), from the
+    logs of S and of O_0..O_m: one ``np.correlate`` per scale band of S
+    (``_band_end``), cut at a certified width, or None when a band fails
+    ``_block_factors``.
+
+    Row u may drop the terms s > W once O_t <= e^cut O_{u+1} at every
+    t > u + W, with e^cut = _DROP Kh(1) / (e sum_{s >= 2} Kh(s)): they then
+    weigh at most _DROP / e of its kept term Kh(1) O_{u+1}, and the factor
+    e covers the rounding of the logs and exps. One search of the suffix
+    maxima of log O gives each row its smallest such W; a band runs at the
+    largest W of its rows, rounded up to a multiple of ``_DOT_BLOCK``, or
+    at the full width when its first row needs it (one compare, the case
+    wherever O does not fall that far). A band then reads O only up to
+    hi + W. A NaN or +inf among O_1..O_m fails every band, as it failed
+    ``_block_factors`` on the whole other side; a finite O_t past the
+    width that would fail it is below O_{u+1}, which the band reads and
+    which fails it too. So the fallback is taken exactly where it was
+    with every band at the full width."""
     m = log_s.size
+    # low[i] = -max log O_{i+1..m}, nondecreasing
+    low = np.negative(np.maximum.accumulate(log_o[:0:-1])[::-1])
+    if not low[0] > -np.inf:
+        return None
+    tail = kh[2:m + 1].sum()
+    ratio = kh[1] / tail * (_DROP / math.e) if tail > 0.0 else 0.0
+    # Kh(1) = 0 or no tail: every band at the full width
+    cut = math.log(ratio) if ratio > 0.0 else -math.inf
     r = np.empty(m)
     lo, width = 0, m
     while lo < m:
         hi = _band_end(log_s, lo, m, _EXP_LIMIT / 2, width)
-        f = _block_factors(log_s[lo:hi], log_o[lo + 1:])
+        w = m - lo
+        if not log_o[m] > log_o[lo + 1] + cut:
+            # u + W_u is the first i with -low[i] <= log O_{u+1} + cut
+            first = np.searchsorted(low, -(log_o[lo + 1:hi + 1] + cut))
+            need = int(np.maximum.reduce(first - np.arange(lo, hi)))
+            w = min(w, -(-max(need, 1) // _DOT_BLOCK) * _DOT_BLOCK)
+        f = _block_factors(log_s[lo:hi], log_o[lo + 1:hi + w])
         if f is None:
             return None
         s, o = f
-        r[lo:hi] = s * np.correlate(np.concatenate((o, np.zeros(hi - lo - 1))),
-                                    kh[1:m - lo + 1], "valid")
+        pad = hi + w - 1 - lo - o.size  # zeros past O_m
+        if pad:
+            o = np.concatenate((o, np.zeros(pad)))
+        r[lo:hi] = s * np.correlate(o, kh[1:w + 1], "valid")
         lo, width = hi, hi - lo
     return r
 
@@ -217,7 +274,9 @@ def _excursion_probability_scan(tables, d, p, kern, weight_neg):
     B_t sum_{u<t} Kh(t - u) A_u, the row sums at n - t of the reversed
     pair (B, A): ``_row_sums``, one ``np.correlate`` per band of rows whose
     finite log A span at most _EXP_LIMIT / 2, scaled by c = max log A over
-    the band (each A by e^-c, so it is <= 1, and B by e^c).
+    the band (each A by e^-c, so it is <= 1, and B by e^c), and cut at the
+    width past which a certified bound puts every row's remaining terms
+    below 2^-60 of its sum.
     ``_block_factors`` admits a band only if its scaled small side stays
     >= e^-_EXP_LIMIT and its other side <= e^_EXP_LIMIT, NaN included, and
     ``_linear_factors`` requires Kh >= e^-_EXP_LIMIT: then every term lost
@@ -234,8 +293,10 @@ def _excursion_probability_scan(tables, d, p, kern, weight_neg):
     at most N positive terms; the row sums and the column sums before k
     each weigh at most sum_{u<k} p_contact[u] (a return opens one
     excursion and closes one); the running sum adds at most N 2^-52 |p|.
-    Measured at N = 2048 (lam = 0 and 0.5), the two forms differ by at
-    most 0.66% of the bound (1.2% at lam_tilde = 3, h_tilde = 2).
+    The terms the linear form drops past each row's width weigh at most
+    2^-60 of each row sum and column sum, which the factor (N + 16 M) 2^-52
+    absorbs. Measured at N = 2048 (lam = 0 and 0.5), the two forms differ
+    by at most 0.66% of the bound (1.2% at lam_tilde = 3, h_tilde = 2).
     """
     n = tables.n
     kh, pairs = _linear_factors(tables, d, p, kern, weight_neg)
@@ -363,10 +424,37 @@ def ursell_from_tables(sites, tables, d, p, kern) -> float:
     return ursell(sites, joints)
 
 
+# the smallest normal double
+_TINY = np.finfo(float).tiny
+
+
+def _lifted_convolve(a, b):
+    """np.convolve(a[::-1], b) for the factors of one law band, a <= 1 and
+    b <= e^_EXP_LIMIT, without subnormal products, each of which costs a
+    microcode assist. When the smallest entries of a and b could multiply
+    below 2^-1022, b is first multiplied by 2^j, the largest power of two
+    up to 2^1023 that keeps every sum of min(len a, len b) products below
+    2^1023 (j > 90, as b < 2^866), and the result by 2^-j. Both multiplies
+    are exact on normal numbers, so an entry whose products were all
+    normal keeps its bits. An all-zero b gives 0."""
+    x = a[::-1]
+    if np.minimum.reduce(a) * np.minimum.reduce(b) >= _TINY:
+        return np.convolve(x, b)
+    top = np.maximum.reduce(b)
+    if top == 0.0:
+        return 0.0
+    j = min(1023, 1023 - math.frexp(top)[1] - min(a.size, b.size).bit_length())
+    b *= 2.0 ** j
+    out = np.convolve(x, b)
+    out *= 2.0 ** -j
+    return out
+
+
 def _linear_law(k, kh, pairs, n):
     """pmf[s] = Kh(s) sum_{u <= k < t, t - u = s} (A_u B_t + A'_u B'_t):
-    per scale band of returns u (``_band_end``), one full ``np.convolve``
-    of its reversed scaled A with the scaled B_{k+1..n}, then Kh once; None
+    per scale band of returns u (``_band_end``), one full convolution of
+    its reversed scaled A with the scaled B_{k+1..n}, lifted where its
+    products could be subnormal (``_lifted_convolve``), then Kh once; None
     when a band fails ``_block_factors``."""
     acc = np.zeros(n + 1)
     for log_a, log_b in pairs:
@@ -376,9 +464,8 @@ def _linear_law(k, kh, pairs, n):
             f = _block_factors(log_a[lo:hi], log_b[k + 1:])
             if f is None:
                 return None
-            a, b = f
             # entry i of the convolution is the length s = i + k + 2 - hi
-            acc[k + 2 - hi:n + 1 - lo] += np.convolve(a[::-1], b)
+            acc[k + 2 - hi:n + 1 - lo] += _lifted_convolve(*f)
             lo, width = hi, hi - lo
     return np.multiply(kh, acc, out=acc)
 
@@ -399,7 +486,10 @@ def excursion_law(k: int, tables: PartitionTables, d: DisorderSample,
     value at every entry above 1e-300, M as there: each entry sums at most
     N positive terms. Measured at N = 2048 they differ by at most 1.6e-13
     relative, and by 3e-12 at lam_tilde = 3, h_tilde = 2, where a band's
-    scaled factors span up to e^-600.
+    scaled factors span up to e^-600. The power-of-two lift leaves every
+    entry whose products are all normal with its bits; an entry that
+    summed subnormal products moves by at most N 2^-1075 absolute, far
+    below an ulp of any entry above 1e-300.
     """
     _check_source(tables, d, p, kern)
     n = tables.n

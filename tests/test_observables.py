@@ -601,6 +601,123 @@ def test_law_takes_scale_bands_at_strong_pinning(monkeypatch):
     assert calls == []
 
 
+def _exact_single_tables(lam, lam_tilde=1.0, h_tilde=0.5):
+    """The benchmark's exact_single sample (N = 2048, seed 1, replica 0),
+    its tables and the kernel, at (lam, 0.1, lam_tilde, h_tilde)."""
+    n = 2048
+    kern = build_srw_kernel(n)
+    p = ModelParams(lam, 0.1, lam_tilde, h_tilde)
+    d = sample_disorder(DisorderLaw.GAUSSIAN, DisorderLaw.GAUSSIAN, n, p.h, 1,
+                        0)
+    return forward_tables(d, p, kern), d, p, kern
+
+
+def _unlifted_law(k, t, d, p, kern, convolve):
+    """The linear excursion law with each band's plain convolution: the
+    bands and factors of ``_linear_law``, no power-of-two lift."""
+    n = t.n
+    kh, pairs = obs._linear_factors(t, d, p, kern, False)
+    acc = np.zeros(n + 1)
+    for log_a, log_b in pairs:
+        lo = 0
+        while lo <= k:
+            hi = obs._band_end(log_a, lo, k + 1, partition._EXP_LIMIT,
+                               k + 1 - lo)
+            a, b = obs._block_factors(log_a[lo:hi], log_b[k + 1:])
+            acc[k + 2 - hi:n + 1 - lo] += convolve(a[::-1], b)
+            lo = hi
+    return kh * acc
+
+
+def test_law_convolutions_have_no_subnormal_products(monkeypatch):
+    # at the exact_single point the factors B_t fall below 1e-300 far from
+    # k; lifted by a power of two, no product of a law band is subnormal,
+    # and every entry above 1e-300 keeps the bits of the plain convolution
+    t, d, p, kern = _exact_single_tables(0.5)
+    n = t.n
+    convolve = np.convolve
+    smallest = []
+
+    def spy(x, y, *args):
+        smallest.append(x[x > 0].min() * y[y > 0].min())
+        return convolve(x, y, *args)
+
+    monkeypatch.setattr(obs.np, "convolve", spy)
+    for k in (n // 4, n // 2, 3 * n // 4):
+        got = excursion_law(k, t, d, p, kern).pmf
+        want = _unlifted_law(k, t, d, p, kern, convolve)
+        above = np.maximum(got, want) > 1e-300
+        assert np.array_equal(got[above], want[above])
+    assert smallest and min(smallest) >= 2.0 ** -1022
+
+
+def _full_width_row_sums(kh, log_s, log_o):
+    """``_row_sums`` with every band correlated against the whole kernel,
+    reading the whole other side."""
+    m = log_s.size
+    r = np.empty(m)
+    lo = 0
+    while lo < m:
+        hi = obs._band_end(log_s, lo, m, partition._EXP_LIMIT / 2, m - lo)
+        f = obs._block_factors(log_s[lo:hi], log_o[lo + 1:])
+        if f is None:
+            return None
+        s, o = f
+        r[lo:hi] = s * np.correlate(np.concatenate((o, np.zeros(hi - lo - 1))),
+                                    kh[1:m - lo + 1], "valid")
+        lo = hi
+    return r
+
+
+def _spy_widths(monkeypatch):
+    """Record the kernel width of every ``np.correlate`` call."""
+    widths = []
+    correlate = np.correlate
+
+    def spy(x, v, mode):
+        widths.append(v.size)
+        return correlate(x, v, mode)
+
+    monkeypatch.setattr(obs.np, "correlate", spy)
+    return widths
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.5])
+def test_scan_rows_stop_at_a_certified_width(monkeypatch, lam):
+    # at the exact_single point O falls by 2^-60 within about 110 sites, so
+    # each band correlates a kernel shorter than N/8, and every row sum
+    # stays within 2^-60 of its full-width value
+    t, d, p, kern = _exact_single_tables(lam)
+    n = t.n
+    sums = []
+    row_sums = obs._row_sums
+
+    def spy(*args):
+        sums.append((args, row_sums(*args)))
+        return sums[-1][1]
+
+    monkeypatch.setattr(obs, "_row_sums", spy)
+    widths = _spy_widths(monkeypatch)
+    got = [obs._excursion_probability_scan(t, d, p, kern, neg)
+           for neg in (True, False)]
+    assert widths and max(widths) < n // 8
+    for args, r in sums:
+        full = _full_width_row_sums(*args)
+        assert np.all(np.abs(r - full) <= 2.0 ** -60 * full)
+    # the dropped terms stay below half an ulp of every sum: p_neg and the
+    # cover are also bit-equal to the full-width scans
+    monkeypatch.setattr(obs, "_row_sums", _full_width_row_sums)
+    for neg, scan in zip((True, False), got):
+        assert np.array_equal(
+            scan, obs._excursion_probability_scan(t, d, p, kern, neg))
+    # delocalized, O never falls that far: the first band reads it all
+    t, d, p, kern = _exact_single_tables(0.0, 0.1, -1.0)
+    monkeypatch.setattr(obs, "_row_sums", row_sums)
+    widths.clear()
+    contact_profile(t, d, p, kern)
+    assert max(widths) == n
+
+
 @pytest.mark.parametrize("sites", [(1000, 1011), (1000, 1004, 1023),
                                    (997, 1000, 1013, 1024)])
 def test_ursell_reads_one_segment_per_anchor(monkeypatch, sites):

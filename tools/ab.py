@@ -15,6 +15,8 @@ layer on the same inputs, with OpenBLAS held to one thread:
     tables   ``forward_tables`` of one sample
     scan     the profile's p_neg, then ``excursion_cover``, on one sample's
              tables, uncached (``_excursion_probability_scan``)
+    profile  the profile's p_neg alone, uncached: the one scan that
+             ``exact_single`` runs
     laws     the excursion laws at N/4, N/2 and 3N/4 on one sample's tables
     ursell   ``ursell_from_tables`` at N/2 + {0, 8, 16, 24}
     path     ``sample_path`` on one sample's tables
@@ -103,9 +105,11 @@ def layer_call(cp, args):
                                           t, e, p, kern))
         return op
     t = cp.forward_tables(d, p, kern)
+    scan = cp.observables._excursion_probability_scan
     if args.layer == "scan":
-        scan = cp.observables._excursion_probability_scan
         return lambda: (scan(t, d, p, kern, True), scan(t, d, p, kern, False))
+    if args.layer == "profile":
+        return lambda: scan(t, d, p, kern, True)
     if args.layer == "laws":
         return lambda: [cp.excursion_law(k, t, d, p, kern)
                         for k in (n // 4, n // 2, 3 * n // 4)]
