@@ -164,16 +164,18 @@ def _band_end(log_a, lo, hi, span, width):
     Two cases take no scan: a first step past the span (the bands of a
     walk where log A jumps at every site), and a last window whose span
     fits (most calls hold one band)."""
-    # a finite difference: no exact 0, +inf or NaN
-    if lo + 1 < hi and span < abs(log_a[lo + 1] - log_a[lo]) < np.inf:
+    # Python floats: -inf - -inf is NaN without a warning. A finite
+    # difference has no exact 0, +inf or NaN
+    if lo + 1 < hi and (span < abs(float(log_a[lo + 1]) - float(log_a[lo]))
+                        < math.inf):
         return lo + 1
     while True:
         width *= 2
         stop = min(lo + width, hi)
         x = log_a[lo:stop]
         # an exact 0 and NaN fail the test and take the scan
-        if stop == hi and (np.maximum.reduce(x) - np.minimum.reduce(x)
-                           <= span):
+        if stop == hi and (float(np.maximum.reduce(x))
+                           - float(np.minimum.reduce(x)) <= span):
             return hi
         top = np.maximum.accumulate(x)
         bottom = np.minimum.accumulate(np.where(x == -np.inf, np.inf, x))
