@@ -684,9 +684,9 @@ def _spy_widths(monkeypatch):
 
 @pytest.mark.parametrize("lam", [0.0, 0.5])
 def test_scan_rows_stop_at_a_certified_width(monkeypatch, lam):
-    # at the exact_single point O falls by 2^-60 within about 110 sites, so
-    # each band correlates a kernel shorter than N/8, and every row sum
-    # stays within 2^-60 of its full-width value
+    # at the exact_single point O falls by _DROP = 2^-60 within about 110
+    # sites, so each band correlates a kernel shorter than N/8, and every
+    # row sum stays within _DROP of its full-width value
     t, d, p, kern = _exact_single_tables(lam)
     n = t.n
     sums = []
@@ -703,7 +703,7 @@ def test_scan_rows_stop_at_a_certified_width(monkeypatch, lam):
     assert widths and max(widths) < n // 8
     for args, r in sums:
         full = _full_width_row_sums(*args)
-        assert np.all(np.abs(r - full) <= 2.0 ** -60 * full)
+        assert np.all(np.abs(r - full) <= partition._DROP * full)
     # the dropped terms stay below half an ulp of every sum: p_neg and the
     # cover are also bit-equal to the full-width scans
     monkeypatch.setattr(obs, "_row_sums", _full_width_row_sums)
