@@ -51,7 +51,6 @@ _KEYS = {
     "h_tilde": (0.5, {"type": float}),
     "kernel": ("srw", {"choices": ["srw", "powerlaw"]}),
     "alpha": (1.5, {"type": float}),
-    "n_max": (None, {"type": int}),
     "law_omega": ("gaussian", {"choices": sorted(_LAW_ALIASES)}),
     "law_tilde": ("gaussian", {"choices": sorted(_LAW_ALIASES)}),
     # the flag's default None lets a config file's value stand
@@ -244,12 +243,11 @@ def _ladder(cfg):
 
 
 def _kernel_for(cfg, horizon):
-    n_max = horizon if cfg["n_max"] is None else _int_field(cfg, "n_max", 1)
     try:
         kind = KernelKind(cfg["kernel"])
     except (TypeError, ValueError):
         raise ConfigError(f"unknown kernel {cfg['kernel']!r}")
-    return build_kernel(KernelSpec(kind=kind, n_max=n_max,
+    return build_kernel(KernelSpec(kind=kind, n_max=horizon,
                                    alpha=_float_field(cfg, "alpha")))
 
 
@@ -375,7 +373,7 @@ def _cmd_maxexc(cfg):
                                     "frac_eps_05"], summary)}
 
 
-def _sample_rows(c, r, d, tables):
+def _sample_rows(c, r, d, tables, segs):
     """The (replica, path, return site, sign) rows of replica r's paths
     (top level, so that it pickles)."""
     rows = []
@@ -390,9 +388,9 @@ def _sample_rows(c, r, d, tables):
 def _cmd_sample(cfg):
     p, laws, kern, n = _setup(cfg, 1)
     reps = _int_field(cfg, "replicas", 1)
-    common = dict(hook=est._per_replica, per_sample=_sample_rows,
-                  backward=False, p=p, kern=kern, laws=laws, seed=cfg["seed"],
-                  n=n, paths=_int_field(cfg, "paths", 1))
+    common = dict(per_sample=_sample_rows, backward=False, p=p, kern=kern,
+                  laws=laws, seed=cfg["seed"], n=n,
+                  paths=_int_field(cfg, "paths", 1))
     per_replica = est._fan_out([common], reps, cfg["threads"])[0]
     return {"sample.csv": (["replica", "path_index", "return_site", "sign"],
                            [row for rows in per_replica for row in rows])}
@@ -531,8 +529,8 @@ class _Command(NamedTuple):
 
 
 _RUN = ("seed", "threads", "out")
-_MODEL = ("lam", "h", "lam_tilde", "h_tilde", "kernel", "alpha", "n_max",
-          "law_omega", "law_tilde")
+_MODEL = ("lam", "h", "lam_tilde", "h_tilde", "kernel", "alpha", "law_omega",
+          "law_tilde")
 _BASE = (*_RUN, *_MODEL, "zero_disorder")
 _ONE_SIZE = (*_BASE, "n", "replicas")
 _LADDER = (*_ONE_SIZE, "n_ladder")

@@ -16,12 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .disorder import (DisorderLaw, PathRng, disorder_from_arrays,
-                       freeze_zero_disorder, sample_disorder)
+from .disorder import (DisorderLaw, PathRng, freeze_zero_disorder,
+                       sample_disorder)
 from .errors import ConfigError, GuardError, NumericsError
 from .logspace import logsumexp, softplus
 from .observables import excursion_law, max_excursion, sample_path
-from .partition import _segments, _table_rows, log_partition_curves
+from .partition import _segments, _table_rows
 
 VERDICT_BOUNDED = "BoundedGap"
 VERDICT_LOG_GROWTH = "LogGrowth"
@@ -76,7 +76,8 @@ def _fan_out(commons, replicas, threads):
     whose points may differ in h, lam_tilde and h_tilde. A task,
     ``_chunk_task((group, chunk))``, runs one replica chunk of one group in
     one batched pass of points x replicas rows, at most ``_BATCH_CELLS``
-    cells per array, a replica counting two rows in a backward group; a
+    cells per array, a replica counting two rows in a backward group, and
+    builds the segments its commons declare in one ``_segments`` call; a
     group with more points than that row cap is split into near-equal
     parts."""
     if replicas < 1:
@@ -244,39 +245,38 @@ def _validate_ladder(n_ladder):
 
 
 # ---------------------------------------------------------------------------
-# the chunk worker (top level, like its hooks, so they pickle)
+# the chunk worker (top level, like the per-sample functions, so they pickle)
 
 def _chunk_task(task):
     """Run one replica chunk of a group of commons (``_fan_out``), which
     share n, kern, laws, seed, backward and p.lam: draw each replica of the
     chunk once per h, build every point's tables in one batched pass (with
-    their backward tables, if "backward"), rows point-major, and return,
-    per common, ``common["hook"](common, chunk, samples, tables)`` on its
-    own samples and tables. A common also holds p and the hook's own keys."""
+    their backward tables, if "backward"), rows point-major, then the
+    segments of every replica on the (a, b) site pairs a common lists as
+    "spans" in one ``_segments`` call, and return, per common,
+    ``common["per_sample"](common, r, d, tables, segs)`` per replica r, segs
+    its rows in span order. Each call holds the only reference to its
+    replica's tables, so they, and their sampler window, go once its row
+    is done. A common also holds p and its per-sample keys."""
     commons, chunk = task
     first = commons[0]
     draws = {h: [_draw_disorder(first["laws"], first["n"], h, first["seed"], r)
                  for r in chunk] for h in {c["p"].h for c in commons}}
-    tables = _table_rows([d for c in commons for d in draws[c["p"].h]],
-                         [c["p"] for c in commons for _ in chunk],
+    samples = [d for c in commons for d in draws[c["p"].h]]
+    tables = _table_rows(samples, [c["p"] for c in commons for _ in chunk],
                          first["kern"], first["backward"])
-    k = len(chunk)
-    # hand each hook the only reference to its tables, so it can drop them
-    parts = [tables[i:i + k] for i in range(0, len(tables), k)][::-1]
-    del tables
-    return [c["hook"](c, chunk, draws[c["p"].h], parts.pop())
-            for c in commons]
-
-
-def _per_replica(common, chunk, samples, tables):
-    """``common["per_sample"](common, r, d, tables)`` per replica, dropping
-    each replica's tables, and their sampler window, once its row is done."""
+    spans = [c.get("spans", ()) for c in commons for _ in chunk]
+    rows = iter(_segments([(d.w_prefix, t.log_zeta_sites, a, b)
+                           for d, t, s in zip(samples, tables, spans)
+                           for a, b in s], first["kern"].log_k,
+                          first["p"].lam))
+    segs = [[next(rows) for _ in s] for s in spans][::-1]
     tables.reverse()
-    return [common["per_sample"](common, r, d, tables.pop())
-            for r, d in zip(chunk, samples)]
+    return [[c["per_sample"](c, r, d, tables.pop(), segs.pop())
+             for r, d in zip(chunk, draws[c["p"].h])] for c in commons]
 
 
-def _curve_sample(c, r, d, tables):
+def _curve_sample(c, r, d, tables, segs):
     return tables.log_zf[c["sites"]], d.w_prefix[c["sites"]]
 
 
@@ -286,9 +286,9 @@ def _gather_curves(points, kern, laws, n_ladder, replicas, seed, threads):
     returns (sites, [(z, w) per point]) with
     (replicas, sites) arrays z and w."""
     sites = np.asarray(_validate_ladder(n_ladder))
-    commons = [dict(hook=_per_replica, per_sample=_curve_sample,
-                    backward=False, p=p, kern=kern, laws=laws, seed=seed,
-                    n=sites[-1], sites=sites) for p in points]
+    commons = [dict(per_sample=_curve_sample, backward=False, p=p,
+                    kern=kern, laws=laws, seed=seed, n=sites[-1], sites=sites)
+               for p in points]
     return sites, [tuple(_columns(rows))
                    for rows in _fan_out(commons, replicas, threads)]
 
@@ -381,23 +381,18 @@ class DecayFit:
     anchor: int
 
 
-def _decay_chunk(c, chunk, samples, tables):
-    """Each replica's |covariances| at the chunk's one anchor, with the
-    segments of all its replicas from one batched pass."""
+def _decay_sample(c, r, d, tables, segs):
+    """A replica's |covariances| between the anchor and each distance, the
+    joint ones from its one segment."""
     n, anchor, dists = c["n"], c["anchor"], c["distances"]
     sites = anchor + dists
-    segs = _segments([(d.w_prefix, t.log_zeta_sites, anchor, int(sites[-1]))
-                      for d, t in zip(samples, tables)],
-                     c["kern"].log_k, c["p"].lam)
-    rows = []
-    for t, seg in zip(tables, segs):
-        zf, zb = t.log_zf, t.log_zb
-        log_z = zf[n]
-        pj = math.exp(zf[anchor] + zb[anchor] - log_z)
-        joint = np.exp(zf[anchor] + seg[dists] + zb[sites] - log_z)
-        single = np.exp(zf[sites] + zb[sites] - log_z)
-        rows.append(np.abs(joint - pj * single))
-    return rows
+    (seg,) = segs
+    zf, zb = tables.log_zf, tables.log_zb
+    log_z = zf[n]
+    pj = math.exp(zf[anchor] + zb[anchor] - log_z)
+    joint = np.exp(zf[anchor] + seg[dists] + zb[sites] - log_z)
+    single = np.exp(zf[sites] + zb[sites] - log_z)
+    return np.abs(joint - pj * single)
 
 
 def fit_correlation_decay(p, kern, laws, n, replicas, distances, seed,
@@ -413,8 +408,9 @@ def fit_correlation_decay(p, kern, laws, n, replicas, distances, seed,
     anchor = n // 4
     if anchor < 1 or anchor + dists[-1] > n:
         raise GuardError("system too short for the requested distances")
-    common = dict(hook=_decay_chunk, backward=True, p=p, kern=kern, laws=laws,
-                  seed=seed, n=n, anchor=anchor, distances=dists)
+    common = dict(per_sample=_decay_sample, backward=True, p=p, kern=kern,
+                  laws=laws, seed=seed, n=n, anchor=anchor, distances=dists,
+                  spans=[(anchor, int(anchor + dists[-1]))])
     rows = _fan_out([common], replicas, threads)[0]
     mean, se, fit = _exponential_fit(rows, dists, 1e-14, keep=dists >= 4)
     if fit is None:
@@ -438,25 +434,19 @@ class BoundaryDecay:
     r_squared: float
 
 
-def _boundary_chunk(c, chunk, samples, tables):
-    """Each replica's differences per k, with the prefix systems of all
-    the chunk's replicas and k from one ``_segments`` call."""
-    n, k_list = c["n"], c["k_list"]
-    # the prefix system's log Z_{k-m} after m = k // 2: a segment bounded at
-    # k, for each k < n (k = n is the same system, identically zero)
-    segs = iter(_segments([(d.w_prefix, t.log_zeta_sites, k // 2, k)
-                           for d, t in zip(samples, tables)
-                           for k in k_list if k < n],
-                          c["kern"].log_k, c["p"].lam))
-    rows = [np.zeros(len(k_list)) for _ in tables]
-    for diffs, t in zip(rows, tables):
-        zf, zb = t.log_zf, t.log_zb
-        for i, k in enumerate(k_list):
-            if k < n:
-                m = k // 2
-                diffs[i] = abs(math.exp(zf[m] + zb[m] - zf[n])
-                               - math.exp(zf[m] + next(segs)[k - m] - zf[k]))
-    return rows
+def _boundary_sample(c, r, d, tables, segs):
+    """A replica's differences per k, the prefix system of each k < n from
+    its segment."""
+    n = c["n"]
+    zf, zb = tables.log_zf, tables.log_zb
+    segs = iter(segs)
+    diffs = np.zeros(len(c["k_list"]))
+    for i, k in enumerate(c["k_list"]):
+        if k < n:
+            m = k // 2
+            diffs[i] = abs(math.exp(zf[m] + zb[m] - zf[n])
+                           - math.exp(zf[m] + next(segs)[k - m] - zf[k]))
+    return diffs
 
 
 def boundary_influence(p, kern, laws, n, k_list, replicas, seed, threads=1):
@@ -466,8 +456,11 @@ def boundary_influence(p, kern, laws, n, k_list, replicas, seed, threads=1):
     k_list = sorted(int(k) for k in k_list)
     if not k_list or k_list[0] < 2 or k_list[-1] > n:
         raise GuardError("each k must satisfy 2 <= k <= N")
-    common = dict(hook=_boundary_chunk, backward=True, p=p, kern=kern,
-                  laws=laws, seed=seed, n=n, k_list=k_list)
+    # the prefix system's log Z_{k-m} after m = k // 2: a segment bounded at
+    # k, for each k < n (k = n is the same system, identically zero)
+    common = dict(per_sample=_boundary_sample, backward=True, p=p, kern=kern,
+                  laws=laws, seed=seed, n=n, k_list=k_list,
+                  spans=[(k // 2, k) for k in k_list if k < n])
     rows = _fan_out([common], replicas, threads)[0]
     dist = np.array([k - k // 2 for k in k_list], dtype=float)
     mean, se, fit = _exponential_fit(rows, dist, 1e-14)
@@ -499,7 +492,7 @@ _EPS_GRID = (0.3, 0.5)
 _C_GRID = (0.5, 1.0, 1.5, 2.0, 2.5, 3.0)
 
 
-def _maxexc_sample(c, r, d, tables):
+def _maxexc_sample(c, r, d, tables, segs):
     p, kern, n = c["p"], c["kern"], c["n"]
     deltas = np.array([max_excursion(sample_path(tables, d, p, kern,
                                                  PathRng(c["seed"], r, i)))
@@ -521,8 +514,8 @@ def max_excursion_study(p, kern, laws, n_ladder, replicas, paths_per_replica,
         raise ConfigError("maxexc needs N >= 2")
     if paths_per_replica < 1:
         raise GuardError("need at least one path per replica")
-    commons = [dict(hook=_per_replica, per_sample=_maxexc_sample,
-                    backward=False, p=p, kern=kern, laws=laws, seed=seed, n=n,
+    commons = [dict(per_sample=_maxexc_sample, backward=False, p=p,
+                    kern=kern, laws=laws, seed=seed, n=n,
                     paths=paths_per_replica) for n in ladder]
     out = []
     for n, rows in zip(ladder, _fan_out(commons, replicas, threads)):
@@ -565,7 +558,7 @@ class ExcursionRateCheck:
     mu_hat: float
 
 
-def _exc_rate_sample(c, r, d, tables):
+def _exc_rate_sample(c, r, d, tables, segs):
     p, kern, n = c["p"], c["kern"], c["n"]
     law = excursion_law(c["k"], tables, d, p, kern)
     return (float(tables.log_zf[n]), _log_coin(p, d.w_prefix[n]),
@@ -589,9 +582,8 @@ def excursion_rate_check(p, kern, laws, n, k, replicas, seed,
         s_max = min(n // 2, 64, k, n - k)
     if not 1 <= s_min < s_max <= min(k, n - k, n // 2):
         raise GuardError("s fit range must sit in the bulk around k")
-    common = dict(hook=_per_replica, per_sample=_exc_rate_sample,
-                  backward=True, p=p, kern=kern, laws=laws, seed=seed, n=n,
-                  k=k)
+    common = dict(per_sample=_exc_rate_sample, backward=True, p=p, kern=kern,
+                  laws=laws, seed=seed, n=n, k=k)
     rows = _fan_out([common], replicas, threads)[0]
     log_z, log_num, pmfs = _columns(rows)
     s = np.arange(s_min, s_max + 1)
@@ -686,24 +678,17 @@ class FiniteSizeReport:
     verdict: str
 
 
-def _finite_size_chunk(c, chunk, samples, tables):
-    """Per replica: log Z at the ladder sites and the superadditivity gaps
+def _finite_size_sample(c, r, d, tables, segs):
+    """A replica's log Z at the ladder sites and the superadditivity gaps
     xi_n = log Z_2n - log Z_n - log Z_n(shifted by n) of every rung below
-    the top, from one batched pass per rung over the windows (n, 2n]."""
-    p, kern, sites = c["p"], c["kern"], c["sites"]
-    z = np.array([t.log_zf[sites] for t in tables])
-    xis = []
-    for i, n in enumerate(sites[:-1]):
-        windows = [disorder_from_arrays(d.omega[n + 1:2 * n + 1],
-                                        d.omega_tilde[n + 1:2 * n + 1], p.h)
-                   for d in samples]
-        z_shift = log_partition_curves(windows, p, kern)[:, n]
-        xi = z[:, i + 1] - z[:, i] - z_shift
-        broken = ~(xi >= -1e-8 * np.maximum(1.0, np.abs(z[:, i + 1])))
-        if np.any(broken):
-            raise NumericsError(f"superadditivity violated: xi={xi[broken][0]}")
-        xis.append(xi)
-    return list(zip(z, np.stack(xis, axis=1)))
+    the top, the shifted system being its segment (n, 2n]."""
+    sites = c["sites"]
+    z = tables.log_zf[sites]
+    xi = z[1:] - z[:-1] - np.array([seg[n] for n, seg in zip(sites, segs)])
+    broken = ~(xi >= -1e-8 * np.maximum(1.0, np.abs(z[1:])))
+    if np.any(broken):
+        raise NumericsError(f"superadditivity violated: xi={xi[broken][0]}")
+    return z, xi
 
 
 def _finite_size_verdict(gaps, errs):
@@ -729,14 +714,17 @@ def finite_size_study(p, kern, laws, n_ladder, replicas, seed, threads=1):
 
     The gap is estimated per replica through the pinned-midpoint identity
     N (f_2N - f_N) = -1/2 E log P_2N(S_N = 0), which has O(1) variance,
-    rather than by differencing two independent f estimates."""
+    rather than by differencing two independent f estimates. The shifted
+    system of rung n is the replica's segment (n, 2n], and all rungs'
+    segments come from one ``_segments`` call per replica chunk."""
     sites = np.asarray(_validate_ladder(n_ladder))
     if np.any(sites[1:] != 2 * sites[:-1]):
         raise GuardError("finite-size ladder must double at every rung")
     if len(sites) < 5:
         raise GuardError("need a ladder of at least 4 doublings")
-    common = dict(hook=_finite_size_chunk, backward=False, p=p, kern=kern,
-                  laws=laws, seed=seed, n=sites[-1], sites=sites)
+    common = dict(per_sample=_finite_size_sample, backward=False, p=p,
+                  kern=kern, laws=laws, seed=seed, n=sites[-1], sites=sites,
+                  spans=[(n, 2 * n) for n in sites[:-1]])
     z, xi = _columns(_fan_out([common], replicas, threads)[0])
     f_n, f_se = _column_mean_stderr(z / sites)
     gaps, gap_se = _column_mean_stderr(0.5 * xi)
@@ -813,7 +801,7 @@ class MeetDecay:
     r_squared: float
 
 
-def _meet_sample(c, r, d, tables):
+def _meet_sample(c, r, d, tables, segs):
     p, kern, n, seed = c["p"], c["kern"], c["n"], c["seed"]
     windows, pairs = np.asarray(c["windows"]), c["pairs"]
     a = (n - windows) // 2
@@ -838,8 +826,8 @@ def meet_probability(p, kern, laws, n, window_sizes, replicas,
         raise GuardError("window sizes must lie in 1..N")
     if paths_per_replica < 1:
         raise GuardError("need at least one path pair per replica")
-    common = dict(hook=_per_replica, per_sample=_meet_sample, backward=False,
-                  p=p, kern=kern, laws=laws, seed=seed, n=n, windows=windows,
+    common = dict(per_sample=_meet_sample, backward=False, p=p, kern=kern,
+                  laws=laws, seed=seed, n=n, windows=windows,
                   pairs=paths_per_replica)
     rows = _fan_out([common], replicas, threads)[0]
     mean, se, fit = _exponential_fit(rows, np.asarray(windows, dtype=float),

@@ -147,21 +147,16 @@ def exact_disorder_expectation(tag: str, p: ModelParams, kern: ReturnKernel,
                                n: int):
     """Exact E over Rademacher disorder of a tagged functional of Z.
 
-    Tags: ``log_z``, ``z``, ``inv_z`` (E[1/Z]), ``exp_ratio``
-    (E[e^{-2 lam W_n}/Z]), ``mu_ratio`` (E[(1 + e^{-2 lam W_n})/Z]),
-    ``contact`` (array of E P(S_k = 0), k = 0..n).
+    Tags: ``log_z``, ``z``, ``inv_z`` (E[1/Z]), ``contact`` (array of
+    E P(S_k = 0), k = 0..n).
     """
-    log_z, w_n, _ = enumerate_rademacher(p, kern, n)
+    log_z, _, _ = enumerate_rademacher(p, kern, n)
     if tag == "log_z":
         return float(np.mean(log_z))
     if tag == "z":
         return float(np.mean(np.exp(log_z)))
     if tag == "inv_z":
         return float(np.mean(np.exp(-log_z)))
-    if tag == "exp_ratio":
-        return float(np.mean(np.exp(-2.0 * p.lam * w_n[:, None] - log_z)))
-    if tag == "mu_ratio":
-        return float(np.mean(np.exp(softplus(-2.0 * p.lam * w_n)[:, None] - log_z)))
     if tag == "contact":
         w, lz_sites = _rademacher_grid(p, n)
         m = 1 << n

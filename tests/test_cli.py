@@ -430,7 +430,7 @@ def test_non_finite_couplings_exit_one(tmp_path, argv):
     # zero is a value, not "unset": each must reach its validator
     (["excursions", "--n", "16", "--site", "0", "--replicas", "2"], 2),
     (["excursions", "--n", "16", "--s-max", "0", "--replicas", "2"], 2),
-    (["free-energy", "--n", "16", "--n-max", "0", "--replicas", "2"], 1),
+    (["free-energy", "--n", "0", "--replicas", "2"], 1),
     (["boundary", "--n", "16", "--k-list", "", "--replicas", "2"], 2),
     (["mu", "--n", "16", "--n-ladder", "", "--replicas", "2"], 1),
 ])
@@ -589,7 +589,6 @@ _VALUES = {
     "h_tilde": st.one_of(st.floats(-1.0, 3.0), st.sampled_from([50.0, 800.0])),
     "kernel": st.sampled_from(["srw", "powerlaw"]),
     "alpha": st.floats(0.5, 3.0),
-    "n_max": _SIZE,
     "law_omega": st.sampled_from(sorted(cli._LAW_ALIASES)),
     "law_tilde": st.sampled_from(sorted(cli._LAW_ALIASES)),
     "zero_disorder": st.booleans(),

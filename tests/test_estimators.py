@@ -11,7 +11,7 @@ import pytest
 import copolymer.estimators as est
 import copolymer.partition as partition
 from copolymer.cli import main
-from copolymer.disorder import DisorderLaw, disorder_from_arrays
+from copolymer.disorder import DisorderLaw
 from copolymer.errors import ConfigError, GuardError, NumericsError
 from copolymer.estimators import (VERDICT_BOUNDED, VERDICT_LOG_GROWTH,
                                   boundary_influence, clt_study, entropy_bound,
@@ -479,20 +479,29 @@ def test_backward_group_above_row_cap_is_split(srw64, monkeypatch, threads):
     np.testing.assert_equal(got, ref)
 
 
-def test_per_replica_drops_each_replicas_tables(srw64):
-    # a sampler window is (n, 32) floats: a chunk must not keep them all
-    samples = [est._draw_disorder(GG, 32, 0.0, 3, r) for r in range(4)]
+def test_chunk_task_drops_each_replicas_tables(srw64):
+    # a sampler window is (n, 32) floats: a chunk must not keep them all.
+    # Two points of one group, the second with spans: each call sees its
+    # own point's tables, and its segments in span order
     seen = []
+    spans = [(5, 20), (0, 32), (9, 10)]
 
-    def per_sample(c, r, d, tables):
-        assert tables.built_from(d, V_STAR, srw64)
+    def per_sample(c, r, d, tables, segs):
+        assert tables.built_from(d, c["p"], srw64)
         assert [ref() for ref in seen] == [None] * len(seen)
         seen.append(weakref.ref(tables))
+        assert len(segs) == len(c.get("spans", ()))
+        for (a, b), seg in zip(c.get("spans", ()), segs):
+            assert np.array_equal(seg[:b - a + 1], segment_tables(
+                a, d, c["p"], srw64, stop=b)[a:b + 1])
         return r
 
-    tables = partition._table_rows(samples, V_STAR, srw64)
-    assert est._per_replica(dict(per_sample=per_sample), [5, 6, 7, 8],
-                            samples, tables) == [5, 6, 7, 8]
+    points = [V_STAR, V_STAR.replace(h=0.3, h_tilde=-0.2)]
+    commons = [dict(per_sample=per_sample, backward=False, p=q, kern=srw64,
+                    laws=GG, seed=3, n=32) for q in points]
+    commons[1]["spans"] = spans
+    assert est._chunk_task((commons, [5, 6, 7, 8])) == [[5, 6, 7, 8]] * 2
+    assert len(seen) == 8 and [ref() for ref in seen] == [None] * 8
 
 
 # the per-sample replica estimators, as (kernel, replicas, threads, p) ->
@@ -528,7 +537,7 @@ def test_meet_sample_counts_shared_returns_strictly_inside(monkeypatch):
         returns=next(paths), signs=()))
     c = dict(p=V_STAR, kern=None, n=16, seed=1, windows=[2, 4, 6], pairs=2)
     # shared 6, 10 and 16 meet only in the widest; shared 8 in all three
-    np.testing.assert_array_equal(est._meet_sample(c, 0, None, None),
+    np.testing.assert_array_equal(est._meet_sample(c, 0, None, None, []),
                                   [0.5, 0.5, 0.0])
 
 
@@ -586,7 +595,7 @@ def test_parent_share_spans_every_rung(srw64, monkeypatch, threads):
     np.testing.assert_equal(got, ref)
 
 
-def _fail_at(c, r, d, tables):
+def _fail_at(c, r, d, tables, segs):
     if r == c["fail"]:
         raise NumericsError(str(os.getpid()))
     return r
@@ -599,7 +608,7 @@ def test_failing_task_raises_and_leaves_no_process(srw64, fail, in_parent,
                                                    threads):
     # 8 replicas in one chunk per thread: the parent runs the first,
     # replicas 0..3 at threads 2 and 0..1 at threads 3
-    common = dict(hook=est._per_replica, per_sample=_fail_at, backward=False,
+    common = dict(per_sample=_fail_at, backward=False,
                   p=V_STAR, kern=srw64, laws=GG, seed=1, n=32, fail=None)
     assert est._fan_out([common], 8, threads) == [list(range(8))]
     common["fail"] = fail
@@ -609,7 +618,7 @@ def test_failing_task_raises_and_leaves_no_process(srw64, fail, in_parent,
     assert multiprocessing.active_children() == []
 
 
-def _fail_at_3_and_5(c, r, d, tables):
+def _fail_at_3_and_5(c, r, d, tables, segs):
     if r in (3, 5):
         raise NumericsError(f"replica {r}")
     return r
@@ -621,7 +630,7 @@ def test_lowest_index_failure_is_raised(srw64, monkeypatch, threads):
     # parent's share (tasks 0 and 2) fails at replica 5, a worker's (tasks
     # 1 and 3) at replica 3; threads 1 meets replica 3 first
     monkeypatch.setattr(est, "_BATCH_CELLS", 2 * 33)
-    common = dict(hook=est._per_replica, per_sample=_fail_at_3_and_5,
+    common = dict(per_sample=_fail_at_3_and_5,
                   backward=False, p=V_STAR, kern=srw64, laws=GG, seed=1,
                   n=32)
     threads_before = threading.active_count()
@@ -631,7 +640,7 @@ def test_lowest_index_failure_is_raised(srw64, monkeypatch, threads):
     assert threading.active_count() == threads_before
 
 
-def _exit_in_worker(c, r, d, tables):
+def _exit_in_worker(c, r, d, tables, segs):
     if os.getpid() != c["parent"]:
         os._exit(7)
     return r
@@ -642,7 +651,7 @@ class _Unpicklable(Exception):
         super().__init__(f"{a} and {b}")
 
 
-def _raise_unpicklable(c, r, d, tables):
+def _raise_unpicklable(c, r, d, tables, segs):
     if os.getpid() != c["parent"]:
         raise _Unpicklable(r, "more")
     return r
@@ -650,7 +659,7 @@ def _raise_unpicklable(c, r, d, tables):
 
 @pytest.mark.parametrize("threads", [2, 3])
 def test_dead_worker_raises_and_leaves_no_process(srw64, threads):
-    common = dict(hook=est._per_replica, per_sample=_exit_in_worker,
+    common = dict(per_sample=_exit_in_worker,
                   backward=False, p=V_STAR, kern=srw64, laws=GG, seed=1,
                   n=32, parent=os.getpid())
     threads_before = threading.active_count()
@@ -663,7 +672,7 @@ def test_dead_worker_raises_and_leaves_no_process(srw64, threads):
 def test_unpicklable_worker_error_arrives_as_its_repr(srw64):
     # _Unpicklable pickles, but does not unpickle: its constructor wants
     # two arguments. Replicas 4..7 run in the worker, 4 first
-    common = dict(hook=est._per_replica, per_sample=_raise_unpicklable,
+    common = dict(per_sample=_raise_unpicklable,
                   backward=False, p=V_STAR, kern=srw64, laws=GG, seed=1,
                   n=32, parent=os.getpid())
     with pytest.raises(RuntimeError) as err:
@@ -673,7 +682,7 @@ def test_unpicklable_worker_error_arrives_as_its_repr(srw64):
 
 
 def test_threaded_fan_out_starts_no_thread(srw64):
-    common = dict(hook=est._per_replica, per_sample=_fail_at, backward=False,
+    common = dict(per_sample=_fail_at, backward=False,
                   p=V_STAR, kern=srw64, laws=GG, seed=1, n=32, fail=None)
     threads_before = threading.active_count()
     assert est._fan_out([common], 8, 2) == [list(range(8))]
@@ -796,8 +805,9 @@ def test_sampling_workers_skip_backward_table(srw64, tmp_path, monkeypatch):
                  "--out", str(tmp_path / "runs")]) == 0
 
 
-# one replica at a time, one forward curve per call: the references for the
-# batched entropy-bound and finite-size paths
+# one replica at a time, one forward curve per call (and for finite-size one
+# bounded segment per rung): the references for the batched entropy-bound
+# and finite-size paths
 
 def _entropy_sample(c, r, d):
     p, kern, n = c["p"], c["kern"], c["n"]
@@ -813,9 +823,7 @@ def _finite_size_sample(c, r, d):
     xis = np.empty(len(sites) - 1)
     for i, n in enumerate(sites[:-1]):
         n = int(n)
-        window = disorder_from_arrays(d.omega[n + 1:2 * n + 1],
-                                      d.omega_tilde[n + 1:2 * n + 1], p.h)
-        z_shift = log_partition_curve(window, p, kern)[n]
+        z_shift = segment_tables(n, d, p, kern, stop=2 * n)[2 * n]
         xi = zf[2 * n] - zf[n] - z_shift
         if not xi >= -1e-8 * max(1.0, abs(zf[2 * n])):
             raise NumericsError(f"superadditivity violated: xi={xi}")

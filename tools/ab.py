@@ -24,6 +24,10 @@ layer on the same inputs, with OpenBLAS held to one thread:
              build_srw_kernel(N + 1), N)``
     op       one ``exact_single`` operation: draw, tables, profile,
              gradients, three laws, Ursell
+    estimators  ``fit_correlation_decay`` (distances 4, 4 + N/32, ... up
+             to N/2), ``boundary_influence`` (k = N/8, N/4, N/2, N) and
+             ``finite_size_study`` (ladder N/16, ..., N) on R replicas at
+             threads 1; N a multiple of 16
 
 The samples are Gaussian (seed 1), the point (lam, 0.1, lam_tilde,
 h_tilde). Before timing, the tool says whether both trees give equal
@@ -64,7 +68,7 @@ def load_tree(root, name):
     module = importlib.util.module_from_spec(spec)
     sys.modules[name] = module
     spec.loader.exec_module(module)
-    for sub in ("partition", "observables", "oracle"):
+    for sub in ("partition", "observables", "oracle", "estimators"):
         setattr(module, sub, importlib.import_module(f"{name}.{sub}"))
     return module
 
@@ -80,6 +84,18 @@ def layer_call(cp, args):
         kern = cp.build_srw_kernel(n + 1)
         return lambda: cp.oracle.inequality_suite(q, kern, n)
     kern = cp.build_srw_kernel(n)
+    if args.layer == "estimators":
+        if n < 16 or n % 16:
+            raise SystemExit("ab: the estimators layer needs N = 16 m")
+        est, laws, reps = cp.estimators, (law, law), args.rows
+        dists = list(range(4, n // 2 + 1, max(1, n // 32)))
+        return lambda: (
+            est.fit_correlation_decay(p, kern, laws, n, reps, dists, 1),
+            est.boundary_influence(p, kern, laws, n,
+                                   [n // 8, n // 4, n // 2, n], reps, 1),
+            est.finite_size_study(p, kern, laws,
+                                  [n >> s for s in range(4, -1, -1)],
+                                  reps, 1))
     samples = [cp.sample_disorder(law, law, n, p.h, 1, i)
                for i in range(args.rows)]
     d = samples[0]
